@@ -23,20 +23,17 @@ from .errors import (
     ModelFormatError,
     ParseError,
     ProsotagError,
-    StatsConsistencyError,
     ValidationError,
 )
 from .gaussian import (
     ProsodySample,
     SufficientStats,
-    accumulate,
     load_samples,
     node_log_likelihood,
     save_samples,
-    split_gain,
     stats_from_matrix,
 )
-from .gmm import GmmComponent, LeafGmm, assign_component, fit_gmm, posterior_log_scores
+from .gmm import LeafGmm, assign_component, fit_gmm, posterior_log_scores
 from .phonetics import (
     PhonemeClassTable,
     Question,
@@ -74,6 +71,7 @@ from .tagger import (
     save_model,
     tag,
     tag_inventory,
+    tag_tokens,
 )
 from .tree import (
     DecisionTree,
@@ -81,7 +79,6 @@ from .tree import (
     InternalNode,
     LeafNode,
     SplitRecord,
-    best_split_for_leaf,
     grow_tree,
     leaf_letter,
     route_word,
@@ -96,15 +93,12 @@ __all__ = [
     "ConfigError",
     "DimensionMismatchError",
     "EmptyNodeError",
-    "StatsConsistencyError",
     "InsufficientDataError",
     "ModelFormatError",
     "ProsodySample",
     "SufficientStats",
-    "accumulate",
     "stats_from_matrix",
     "node_log_likelihood",
-    "split_gain",
     "load_samples",
     "save_samples",
     "WordEntry",
@@ -127,10 +121,8 @@ __all__ = [
     "GrowthTrace",
     "SplitRecord",
     "leaf_letter",
-    "best_split_for_leaf",
     "grow_tree",
     "route_word",
-    "GmmComponent",
     "LeafGmm",
     "fit_gmm",
     "posterior_log_scores",
@@ -141,6 +133,7 @@ __all__ = [
     "TaggerModel",
     "fit",
     "tag",
+    "tag_tokens",
     "tag_inventory",
     "save_model",
     "load_model",

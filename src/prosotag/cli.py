@@ -18,11 +18,12 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ConfigError, ProsotagError
 from .gaussian import ProsodySample, load_samples, save_samples
-from .gmm import assign_component
+# route_word and assign_component no longer run here; perfbench/traced.py wraps them by name
+from .gmm import assign_component  # noqa: F401
 from .phonetics import (
     WordEntry,
     default_classes,
@@ -30,7 +31,6 @@ from .phonetics import (
     load_classes,
     load_lexicon,
     load_questions,
-    question_index,
     save_classes,
     save_lexicon,
     save_questions,
@@ -43,8 +43,9 @@ from .tagger import (
     load_model,
     model_to_json,
     tag_inventory,
+    tag_tokens,
 )
-from .tree import InternalNode, route_word
+from .tree import InternalNode, route_word  # noqa: F401
 
 PROG = "prosotag"
 
@@ -65,38 +66,16 @@ def _atomic_write(path: str | Path, data: bytes) -> None:
         raise
 
 
-def _tag_lines(
-    model: TaggerModel, lexicon: Sequence[WordEntry], samples: Iterable[ProsodySample]
+def _format_tags(
+    model: TaggerModel, lexicon: Sequence[WordEntry], samples: Sequence[ProsodySample]
 ) -> bytes:
-    words = {e.word: e for e in lexicon}
-    qindex = question_index(model.questions)
-    letter_of: dict[str, str] = {}
-    lines: list[str] = []
-    for sample in samples:
-        letter = letter_of.get(sample.word)
-        if letter is None:
-            entry = words.get(sample.word)
-            if entry is None:
-                raise ProsotagError(
-                    f"word {sample.word!r} is not in the lexicon; routing needs phonetic content"
-                )
-            letter = route_word(model.tree, entry, qindex, model.classes)
-            letter_of[sample.word] = letter
-        component = assign_component(sample.embedding, model.gmms[letter])
-        lines.append(
-            json.dumps(
-                {"token_id": sample.token_id, "word": sample.word, "tag": f"{letter}{component}"}
-            )
-        )
+    leaves, components = tag_tokens(model, lexicon, samples)
+    letters = model.tree.leaf_letters
+    lines = [
+        json.dumps({"token_id": s.token_id, "word": s.word, "tag": f"{letters[leaf]}{k}"})
+        for s, leaf, k in zip(samples, leaves, components)
+    ]
     return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
-
-
-def _check_dimension(model: TaggerModel, samples: Sequence[ProsodySample]) -> None:
-    if samples and samples[0].embedding.shape[0] != model.config.d:
-        raise ProsotagError(
-            f"embedding file dimension {samples[0].embedding.shape[0]} does not "
-            f"match model dimension {model.config.d}"
-        )
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -119,7 +98,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     write_growth_csv(model.growth_trace, buf)
     _atomic_write(trace_path, buf.getvalue().encode("utf-8"))
     if args.out:
-        _atomic_write(args.out, _tag_lines(model, lexicon, samples))
+        _atomic_write(args.out, _format_tags(model, lexicon, samples))
     total_ll = (
         model.growth_trace.records[-1].total_leaf_ll
         if model.growth_trace.records
@@ -136,8 +115,7 @@ def cmd_tag(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     lexicon = load_lexicon(args.lexicon)
     samples = load_samples(args.embeddings)
-    _check_dimension(model, samples)
-    _atomic_write(args.out, _tag_lines(model, lexicon, samples))
+    _atomic_write(args.out, _format_tags(model, lexicon, samples))
     print(f"tag: wrote {len(samples)} tags to {args.out}")
     return 0
 
@@ -200,7 +178,7 @@ def _render_node(
     node = model.tree.nodes[pos]
     pad = "  " * depth
     if isinstance(node, InternalNode):
-        question = question_index(model.questions)[node.question_id]
+        question = model.question_by_id[node.question_id]
         out.append(f"{pad}{label}[node {pos}] Q{question.id}: {describe_question(question)}")
         _render_node(model, node.yes_child, "yes -> ", depth + 1, out)
         _render_node(model, node.no_child, "no  -> ", depth + 1, out)

@@ -25,10 +25,6 @@ class EmptyNodeError(ProsotagError):
     """A log-likelihood was requested for a node with no samples."""
 
 
-class StatsConsistencyError(ProsotagError):
-    """Parent and child sufficient statistics do not add up."""
-
-
 class InsufficientDataError(ProsotagError):
     """Too few samples for the requested number of mixture components."""
 

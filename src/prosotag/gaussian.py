@@ -22,25 +22,18 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    EmptyNodeError,
-    ParseError,
-    StatsConsistencyError,
-    ValidationError,
-)
+from ._io import read_bytes, write_bytes
+from .errors import DimensionMismatchError, EmptyNodeError, ParseError, ValidationError
 
 __all__ = [
     "ProsodySample",
     "SufficientStats",
-    "accumulate",
     "stats_from_matrix",
     "node_log_likelihood",
-    "split_gain",
     "load_samples",
     "save_samples",
     "EMBEDDING_MAGIC",
@@ -103,15 +96,6 @@ class SufficientStats:
     def dim(self) -> int:
         return self.sum.size
 
-    def __add__(self, other: "SufficientStats") -> "SufficientStats":
-        if self.dim != other.dim:
-            raise DimensionMismatchError(
-                f"cannot add stats of dimension {self.dim} and {other.dim}"
-            )
-        return SufficientStats(
-            n=self.n + other.n, sum=self.sum + other.sum, sumsq=self.sumsq + other.sumsq
-        )
-
     def mean(self) -> np.ndarray:
         if self.n == 0:
             raise EmptyNodeError("mean of an empty node is undefined")
@@ -123,41 +107,6 @@ class SufficientStats:
             raise EmptyNodeError("variance of an empty node is undefined")
         mean = self.sum / self.n
         return np.maximum(self.sumsq / self.n - mean * mean, floor)
-
-
-def accumulate(
-    samples: Iterable[ProsodySample], dim: int | None = None
-) -> SufficientStats:
-    """Single-pass sufficient statistics over samples of a common dimension.
-
-    ``dim`` disambiguates the empty case; otherwise it is taken from the first
-    sample and any later mismatch raises :class:`DimensionMismatchError`.
-    """
-    n = 0
-    total: np.ndarray | None = None
-    total_sq: np.ndarray | None = None
-    for sample in samples:
-        vec = sample.embedding
-        if total is None:
-            if dim is not None and vec.size != dim:
-                raise DimensionMismatchError(
-                    f"token {sample.token_id!r} has dimension {vec.size}, expected {dim}"
-                )
-            total = vec.copy()
-            total_sq = vec * vec
-        else:
-            if vec.size != total.size:
-                raise DimensionMismatchError(
-                    f"token {sample.token_id!r} has dimension {vec.size}, "
-                    f"expected {total.size}"
-                )
-            total += vec
-            total_sq += vec * vec
-        n += 1
-    if total is None:
-        d = dim if dim is not None else 0
-        return SufficientStats(n=0, sum=np.zeros(d), sumsq=np.zeros(d))
-    return SufficientStats(n=n, sum=total, sumsq=total_sq)
 
 
 def stats_from_matrix(x: np.ndarray) -> SufficientStats:
@@ -192,34 +141,6 @@ def node_log_likelihood(stats: SufficientStats, floor: float) -> float:
     return float(_ll_from_moments(stats.n, stats.sum, stats.sumsq, floor))
 
 
-def split_gain(
-    parent: SufficientStats,
-    left: SufficientStats,
-    right: SufficientStats,
-    floor: float,
-) -> float:
-    """Gain in total log-likelihood from splitting parent into left | right.
-
-    The children must partition the parent: counts add exactly and moment
-    vectors add within accumulation tolerance.
-    """
-    if left.n + right.n != parent.n:
-        raise StatsConsistencyError(
-            f"child counts {left.n}+{right.n} do not sum to parent count {parent.n}"
-        )
-    if left.dim != parent.dim or right.dim != parent.dim:
-        raise DimensionMismatchError("parent and child stats have mixed dimensions")
-    if not np.allclose(left.sum + right.sum, parent.sum, rtol=1e-6, atol=1e-8) or not np.allclose(
-        left.sumsq + right.sumsq, parent.sumsq, rtol=1e-6, atol=1e-8
-    ):
-        raise StatsConsistencyError("child moment vectors do not sum to the parent's")
-    return (
-        node_log_likelihood(left, floor)
-        + node_log_likelihood(right, floor)
-        - node_log_likelihood(parent, floor)
-    )
-
-
 # ---------------------------------------------------------------------------
 # embedding files
 #
@@ -229,18 +150,12 @@ def split_gain(
 # both by sniffing the magic.
 
 
-def _read_bytes(source: str | Path | IO[bytes]) -> bytes:
-    if isinstance(source, (str, Path)):
-        return Path(source).read_bytes()
-    return source.read()
-
-
 def load_samples(source: str | Path | IO[bytes]) -> list[ProsodySample]:
     """Read an embedding file in either supported format.
 
     All records must share one dimension and token ids must be unique.
     """
-    data = _read_bytes(source)
+    data = read_bytes(source)
     if data[:4] == EMBEDDING_MAGIC:
         samples = _parse_binary(data)
     else:
@@ -338,10 +253,7 @@ def save_samples(
             for s in samples
         ]
         payload = ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
-    if isinstance(sink, (str, Path)):
-        Path(sink).write_bytes(payload)
-    else:
-        sink.write(payload)
+    write_bytes(sink, payload)
 
 
 def _encode_binary(samples: Sequence[ProsodySample]) -> bytes:

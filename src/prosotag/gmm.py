@@ -12,8 +12,9 @@ count is re-seeded at the sample the mixture currently explains worst, with
 the leaf's global variance and a fresh 1/m weight share, so the mixture
 always keeps exactly m live components.
 
-Tagging reduces to ``assign_component``: the argmax of per-component log
-density plus log weight, ties to the smallest index.
+Tagging reduces to the argmax of per-component log density plus log
+weight, ties to the smallest index; ``assign_component`` does it for one
+embedding, ``tagger.tag_tokens`` for a batch.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .errors import (
 )
 
 __all__ = [
-    "GmmComponent",
     "LeafGmm",
     "fit_gmm",
     "posterior_log_scores",
@@ -42,28 +42,6 @@ __all__ = [
 COLLAPSE_FRACTION = 1e-8
 KMEANS_SWEEPS = 10
 KMEANS_RESTARTS = 4
-
-
-@dataclass(frozen=True)
-class GmmComponent:
-    """One mixture component: weight, mean vector, per-dimension variances."""
-
-    weight: float
-    mean: np.ndarray
-    variance: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.weight <= 1.0:
-            raise ValidationError(f"component weight must be in (0, 1], got {self.weight}")
-        if self.mean.shape != self.variance.shape or self.mean.ndim != 1:
-            raise ValidationError(
-                f"mean shape {self.mean.shape} and variance shape "
-                f"{self.variance.shape} must be equal 1-d shapes"
-            )
-        if not np.all(np.isfinite(self.mean)) or not np.all(np.isfinite(self.variance)):
-            raise ValidationError("component parameters must be finite")
-        if np.any(self.variance <= 0.0):
-            raise ValidationError("component variances must be positive")
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -122,13 +100,6 @@ class LeafGmm:
     @property
     def d(self) -> int:
         return self.means.shape[1]
-
-    @property
-    def components(self) -> tuple[GmmComponent, ...]:
-        return tuple(
-            GmmComponent(weight=float(w), mean=mu, variance=var)
-            for w, mu, var in zip(self.weights, self.means, self.variances)
-        )
 
 
 def _log_densities(x: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
@@ -287,6 +258,15 @@ def fit_gmm(
     return gmm, trace
 
 
+def _component_scores(x: np.ndarray, gmm: LeafGmm) -> np.ndarray:
+    """Unnormalized log posteriors, (n, m) for (n, d) rows: log density plus log weight.
+
+    The one scoring kernel for tagging. Each row reduces independently, so a
+    row scores bit-identically alone or inside any batch.
+    """
+    return _log_densities(x, gmm.means, gmm.variances) + np.log(gmm.weights)
+
+
 def posterior_log_scores(e: np.ndarray, gmm: LeafGmm) -> np.ndarray:
     """Unnormalized log posteriors: log density plus log weight, per component."""
     e = np.asarray(e, dtype=np.float64)
@@ -294,7 +274,7 @@ def posterior_log_scores(e: np.ndarray, gmm: LeafGmm) -> np.ndarray:
         raise DimensionMismatchError(
             f"embedding shape {e.shape} does not match mixture dimension {gmm.d}"
         )
-    return _log_densities(e[None, :], gmm.means, gmm.variances)[0] + np.log(gmm.weights)
+    return _component_scores(e[None, :], gmm)[0]
 
 
 def assign_component(e: np.ndarray, gmm: LeafGmm) -> int:

@@ -15,6 +15,7 @@ from enum import Enum
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
+from ._io import read_bytes, write_bytes
 from .errors import ConfigError, ParseError, ValidationError
 
 __all__ = [
@@ -247,19 +248,6 @@ def describe_question(q: Question) -> str:
 # object. Loaders accept a path or a binary file object.
 
 
-def _read_bytes(source: str | Path | IO[bytes]) -> bytes:
-    if isinstance(source, (str, Path)):
-        return Path(source).read_bytes()
-    return source.read()
-
-
-def _write_bytes(sink: str | Path | IO[bytes], data: bytes) -> None:
-    if isinstance(sink, (str, Path)):
-        Path(sink).write_bytes(data)
-    else:
-        sink.write(data)
-
-
 def _json_lines(data: bytes) -> Iterator[tuple[int, dict]]:
     for lineno, raw in enumerate(data.decode("utf-8").split("\n"), start=1):
         if not raw.strip():
@@ -277,7 +265,7 @@ def load_lexicon(source: str | Path | IO[bytes]) -> list[WordEntry]:
     """Read a JSON-lines lexicon. Duplicate word identifiers are an error."""
     entries: list[WordEntry] = []
     seen: set[str] = set()
-    for lineno, obj in _json_lines(_read_bytes(source)):
+    for lineno, obj in _json_lines(read_bytes(source)):
         try:
             entry = WordEntry(
                 word=obj["word"],
@@ -296,7 +284,7 @@ def load_lexicon(source: str | Path | IO[bytes]) -> list[WordEntry]:
 
 def save_lexicon(entries: Iterable[WordEntry], sink: str | Path | IO[bytes]) -> None:
     lines = [json.dumps(e.to_dict(), ensure_ascii=False) for e in entries]
-    _write_bytes(sink, ("\n".join(lines) + "\n" if lines else "").encode("utf-8"))
+    write_bytes(sink, ("\n".join(lines) + "\n" if lines else "").encode("utf-8"))
 
 
 def load_questions(
@@ -305,7 +293,7 @@ def load_questions(
     """Read a JSON-lines question set and validate it against the class table."""
     questions: list[Question] = []
     seen: set[int] = set()
-    for lineno, obj in _json_lines(_read_bytes(source)):
+    for lineno, obj in _json_lines(read_bytes(source)):
         try:
             q = Question(
                 id=obj["id"],
@@ -327,12 +315,12 @@ def load_questions(
 
 def save_questions(questions: Iterable[Question], sink: str | Path | IO[bytes]) -> None:
     lines = [json.dumps(q.to_dict()) for q in questions]
-    _write_bytes(sink, ("\n".join(lines) + "\n" if lines else "").encode("utf-8"))
+    write_bytes(sink, ("\n".join(lines) + "\n" if lines else "").encode("utf-8"))
 
 
 def load_classes(source: str | Path | IO[bytes]) -> PhonemeClassTable:
     try:
-        obj = json.loads(_read_bytes(source).decode("utf-8"))
+        obj = json.loads(read_bytes(source).decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"class table: invalid JSON: {exc.msg}") from exc
     if not isinstance(obj, dict) or not all(
@@ -343,7 +331,7 @@ def load_classes(source: str | Path | IO[bytes]) -> PhonemeClassTable:
 
 
 def save_classes(classes: PhonemeClassTable, sink: str | Path | IO[bytes]) -> None:
-    _write_bytes(sink, (json.dumps(classes.to_dict(), indent=2) + "\n").encode("utf-8"))
+    write_bytes(sink, (json.dumps(classes.to_dict(), indent=2) + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from typing import IO, Hashable, Mapping
 
 import numpy as np
 
+from ._io import read_bytes, write_bytes
 from .errors import ConfigError, ParseError, ValidationError
 from .gaussian import ProsodySample
 from .phonetics import (
@@ -281,18 +282,11 @@ def save_ground_truth(truth: GroundTruth, sink: str | Path | IO[bytes]) -> None:
         json.dumps({"token_id": token, "archetype": a, "component": c})
         for token, (a, c) in truth.labels.items()
     ]
-    data = ("\n".join(lines) + "\n").encode("utf-8")
-    if isinstance(sink, (str, Path)):
-        Path(sink).write_bytes(data)
-    else:
-        sink.write(data)
+    write_bytes(sink, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def load_ground_truth(source: str | Path | IO[bytes]) -> GroundTruth:
-    if isinstance(source, (str, Path)):
-        data = Path(source).read_bytes()
-    else:
-        data = source.read()
+    data = read_bytes(source)
     labels: dict[str, tuple[int, int]] = {}
     for lineno, raw in enumerate(data.decode("utf-8").split("\n"), start=1):
         if not raw.strip():

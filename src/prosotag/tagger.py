@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
 import numpy as np
 
+from ._io import read_bytes, write_bytes
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -30,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .gaussian import ProsodySample
-from .gmm import LeafGmm, assign_component, fit_gmm
+from .gmm import LeafGmm, _component_scores, fit_gmm
 from .phonetics import (
     PhonemeClassTable,
     Question,
@@ -45,6 +46,7 @@ from .tree import (
     LeafNode,
     SplitRecord,
     TreeNode,
+    _lexicon_map,
     grow_tree,
     route_word,
 )
@@ -56,6 +58,7 @@ __all__ = [
     "TaggerModel",
     "fit",
     "tag",
+    "tag_tokens",
     "tag_inventory",
     "save_model",
     "load_model",
@@ -121,7 +124,11 @@ class TaggerConfig:
 
 @dataclass(frozen=True)
 class TaggerModel:
-    """A fitted two-stage tagger; immutable and safe to share across threads."""
+    """A fitted two-stage tagger; immutable and safe to share across threads.
+
+    ``question_by_id`` is derived from ``questions`` at construction, which
+    also checks that the ids are unique and cover every question the tree asks.
+    """
 
     config: TaggerConfig
     classes: PhonemeClassTable
@@ -130,6 +137,7 @@ class TaggerModel:
     gmms: Mapping[str, LeafGmm]
     growth_trace: GrowthTrace
     format_version: int = FORMAT_VERSION
+    question_by_id: Mapping[int, Question] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "questions", tuple(self.questions))
@@ -156,6 +164,16 @@ class TaggerModel:
         extra = set(self.gmms) - set(self.tree.leaf_letters)
         if extra:
             raise ModelFormatError(f"mixtures for unknown leaves: {sorted(extra)}")
+        try:
+            index = question_index(self.questions)
+        except ValidationError as exc:
+            raise ModelFormatError(str(exc)) from None
+        for node in self.tree.nodes:
+            if isinstance(node, InternalNode) and node.question_id not in index:
+                raise ModelFormatError(
+                    f"tree references unknown question id {node.question_id}"
+                )
+        object.__setattr__(self, "question_by_id", index)
 
     @property
     def num_leaves(self) -> int:
@@ -191,20 +209,12 @@ def fit(
         min_leaf=config.min_leaf,
         floor=config.floor,
     )
-    words = {e.word: e for e in lexicon} if not isinstance(lexicon, Mapping) else lexicon
-    qindex = question_index(questions)
-    letter_of: dict[str, str] = {}
-    by_leaf: dict[str, list[np.ndarray]] = {letter: [] for letter in tree.leaf_letters}
-    for sample in samples:
-        letter = letter_of.get(sample.word)
-        if letter is None:
-            letter = route_word(tree, words[sample.word], qindex, classes)
-            letter_of[sample.word] = letter
-        by_leaf[letter].append(sample.embedding)
-
+    leaf_rows = _leaf_rows(
+        tree, question_index(questions), classes, _lexicon_map(lexicon), samples
+    )
     gmms: dict[str, LeafGmm] = {}
     for leaf_index, letter in enumerate(tree.leaf_letters):
-        x = np.stack(by_leaf[letter])
+        x = np.stack([samples[i].embedding for i in leaf_rows[leaf_index].tolist()])
         m_eff = min(config.m, x.shape[0])
         gmm, _ = fit_gmm(
             x,
@@ -224,15 +234,78 @@ def fit(
     )
 
 
+def _leaf_rows(
+    tree: DecisionTree,
+    questions: Mapping[int, Question],
+    classes: PhonemeClassTable,
+    lexicon: Mapping[str, WordEntry],
+    samples: Sequence[ProsodySample],
+) -> list[np.ndarray]:
+    """Route each distinct word once; per leaf index, its token rows in token order."""
+    leaf_index = {letter: i for i, letter in enumerate(tree.leaf_letters)}
+    leaf_of_word: dict[str, int] = {}
+    token_leaf: list[int] = []
+    for sample in samples:
+        leaf = leaf_of_word.get(sample.word)
+        if leaf is None:
+            entry = lexicon.get(sample.word)
+            if entry is None:
+                raise ValidationError(
+                    f"word {sample.word!r} is not in the lexicon; routing needs phonetic content"
+                )
+            leaf = leaf_index[route_word(tree, entry, questions, classes)]
+            leaf_of_word[sample.word] = leaf
+        token_leaf.append(leaf)
+    leaves = np.array(token_leaf, dtype=np.intp)
+    order = np.argsort(leaves, kind="stable")
+    ends = np.cumsum(np.bincount(leaves, minlength=tree.num_leaves)).tolist()
+    return [order[start:end] for start, end in zip([0] + ends, ends)]
+
+
+def tag_tokens(
+    model: TaggerModel,
+    lexicon: Sequence[WordEntry] | Mapping[str, WordEntry],
+    samples: Sequence[ProsodySample],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tag a batch of tokens; every token's word must be in ``lexicon``.
+
+    Returns two integer arrays aligned with ``samples``: each token's leaf
+    index (into ``model.tree.leaf_letters``) and its maximum-posterior
+    component, ties to the smallest index. Each leaf's tokens are scored
+    together, one leaf at a time.
+    """
+    for sample in samples:
+        if sample.dim != model.config.d:
+            raise DimensionMismatchError(
+                f"embedding dimension {sample.dim} of token {sample.token_id!r} "
+                f"does not match model dimension {model.config.d}"
+            )
+    leaves = np.empty(len(samples), dtype=np.intp)
+    components = np.empty(len(samples), dtype=np.intp)
+    leaf_rows = _leaf_rows(
+        model.tree, model.question_by_id, model.classes, _lexicon_map(lexicon), samples
+    )
+    for leaf, rows in enumerate(leaf_rows):
+        if rows.size == 0:
+            continue
+        x = np.stack([samples[i].embedding for i in rows.tolist()])
+        gmm = model.gmms[model.tree.leaf_letters[leaf]]
+        leaves[rows] = leaf
+        components[rows] = np.argmax(_component_scores(x, gmm), axis=1)
+    return leaves, components
+
+
 def tag(model: TaggerModel, word: WordEntry, e: np.ndarray) -> ProsodyTag:
-    """Tag one token: route the word, then pick the maximum-posterior component."""
-    e = np.asarray(e, dtype=np.float64)
+    """Tag one token: ``tag_tokens`` on a batch of one."""
+    e = np.array(e, dtype=np.float64)  # a copy: the sample freezes its array
     if e.ndim != 1 or e.shape[0] != model.config.d:
         raise DimensionMismatchError(
             f"embedding shape {e.shape} does not match model dimension {model.config.d}"
         )
-    letter = route_word(model.tree, word, model.questions, model.classes)
-    return ProsodyTag(leaf=letter, component=assign_component(e, model.gmms[letter]))
+    leaves, components = tag_tokens(model, [word], [ProsodySample(word.word, word.word, e)])
+    return ProsodyTag(
+        leaf=model.tree.leaf_letters[leaves[0]], component=int(components[0])
+    )
 
 
 def tag_inventory(model: TaggerModel) -> list[ProsodyTag]:
@@ -361,11 +434,7 @@ def model_to_json(model: TaggerModel) -> str:
 
 
 def save_model(model: TaggerModel, sink: str | Path | IO[bytes]) -> None:
-    data = model_to_json(model).encode("utf-8")
-    if isinstance(sink, (str, Path)):
-        Path(sink).write_bytes(data)
-    else:
-        sink.write(data)
+    write_bytes(sink, model_to_json(model).encode("utf-8"))
 
 
 def _require(doc: dict, key: str) -> object:
@@ -377,10 +446,7 @@ def _require(doc: dict, key: str) -> object:
 
 def load_model(source: str | Path | IO[bytes]) -> TaggerModel:
     """Parse and validate a model file; never returns a partial model."""
-    if isinstance(source, (str, Path)):
-        data = Path(source).read_bytes()
-    else:
-        data = source.read()
+    data = read_bytes(source)
     try:
         doc = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

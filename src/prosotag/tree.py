@@ -21,8 +21,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ModelFormatError, ValidationError
-from .gaussian import ProsodySample, _ll_from_moments, accumulate
+from .errors import ConfigError, DimensionMismatchError, ModelFormatError, ValidationError
+from .gaussian import ProsodySample, _ll_from_moments
 from .phonetics import PhonemeClassTable, Question, WordEntry, answer_question, question_index
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "SplitRecord",
     "GrowthTrace",
     "leaf_letter",
-    "best_split_for_leaf",
     "grow_tree",
     "route_word",
 ]
@@ -228,45 +227,6 @@ def _lexicon_map(
     return out
 
 
-def best_split_for_leaf(
-    samples_by_word: Mapping[WordEntry, Sequence[ProsodySample]],
-    questions: Sequence[Question],
-    classes: PhonemeClassTable,
-    *,
-    floor: float = 1e-6,
-    min_leaf: int = 10,
-) -> tuple[int, float] | None:
-    """Question maximizing the split gain for one leaf's samples.
-
-    Returns ``(question_id, gain)`` for the best split sending at least
-    ``min_leaf`` tokens to each side, or None when no question yields a valid
-    partition. Ties break toward the smallest question id.
-    """
-    entries = list(samples_by_word)
-    if not entries:
-        raise ValidationError("leaf has no words")
-    flat: list[ProsodySample] = []
-    matrices = []
-    for entry in entries:
-        group = samples_by_word[entry]
-        if not group:
-            raise ValidationError(f"word {entry.word!r} has no samples")
-        flat.extend(group)
-        matrices.append(np.stack([s.embedding for s in group]))
-    accumulate(flat)  # dimension consistency check
-    ordered = _sorted_questions(questions)
-    for q in ordered:
-        q.validate_against(classes)
-    growth = _Growth(entries, matrices, ordered, classes, floor, min_leaf)
-    widx = np.arange(len(entries))
-    leaf = _Leaf(node_pos=0, widx=widx, n_tokens=int(growth.counts.sum()), ll=growth.leaf_ll(widx))
-    found = growth.best_split(leaf)
-    if found is None:
-        return None
-    col, gain = found
-    return int(growth.qids[col]), gain
-
-
 def grow_tree(
     lexicon: Sequence[WordEntry] | Mapping[str, WordEntry],
     samples: Sequence[ProsodySample],
@@ -296,14 +256,18 @@ def grow_tree(
         raise ValidationError("corpus is empty")
     words = _lexicon_map(lexicon)
 
+    dim = samples[0].dim
     by_word: dict[str, list[np.ndarray]] = {}
     for sample in samples:
         if sample.word not in words:
             raise ValidationError(f"word {sample.word!r} is not in the lexicon")
+        if sample.dim != dim:
+            raise DimensionMismatchError(
+                f"token {sample.token_id!r} has dimension {sample.dim}, expected {dim}"
+            )
         by_word.setdefault(sample.word, []).append(sample.embedding)
     entries = [words[w] for w in by_word]  # first-appearance order
     matrices = [np.stack(vectors) for vectors in by_word.values()]
-    accumulate(samples)  # dimension consistency check across the corpus
 
     ordered = _sorted_questions(questions)
     for q in ordered:

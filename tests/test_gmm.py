@@ -8,13 +8,22 @@ from hypothesis import given, settings, strategies as st
 
 from prosotag import (
     ConfigError,
+    DecisionTree,
     DimensionMismatchError,
+    GrowthTrace,
     InsufficientDataError,
     LeafGmm,
+    LeafNode,
+    ProsodySample,
+    TaggerConfig,
+    TaggerModel,
     ValidationError,
+    WordEntry,
     assign_component,
+    default_classes,
     fit_gmm,
     posterior_log_scores,
+    tag_tokens,
 )
 from conftest import assert_monotone_trace
 from oracles import diag_gaussian_log_density
@@ -185,13 +194,6 @@ class TestLeafGmmValidation:
         with pytest.raises(ValidationError):
             LeafGmm(**kwargs)
 
-    def test_components_view(self):
-        gmm = LeafGmm(**self.good_kwargs())
-        comps = gmm.components
-        assert len(comps) == 2
-        assert comps[0].weight == 0.5
-        np.testing.assert_array_equal(comps[1].mean, np.zeros(3))
-
 
 class TestPosteriorScores:
     def fitted(self, seed=4):
@@ -244,6 +246,19 @@ class TestPosteriorScores:
             n_samples=10,
         )
         assert assign_component(np.array([2.0]), gmm) == 0
+        # the same tie inside a batch, beside rows that favor either component
+        model = TaggerModel(
+            config=TaggerConfig(d=1),
+            classes=default_classes(),
+            questions=(),
+            tree=DecisionTree(nodes=(LeafNode(leaf_index=0),), leaf_letters=("a",)),
+            gmms={"a": gmm},
+            growth_trace=GrowthTrace(initial_ll=0.0, num_tokens=10),
+        )
+        word = WordEntry("w", ("K",), (0,), None)
+        batch = [ProsodySample(f"t{i}", "w", np.array([v])) for i, v in enumerate([5.0, 2.0, -1.0])]
+        _, components = tag_tokens(model, [word], batch)
+        assert components.tolist() == [1, 0, 0]
 
     def test_dimension_mismatch(self):
         gmm, _ = self.fitted()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import prosotag
 from prosotag import (
     ConfigError,
     DimensionMismatchError,
@@ -27,12 +28,14 @@ from prosotag import (
     generate,
     load_model,
     model_to_json,
+    posterior_log_scores,
     route_word,
     save_model,
     tag,
     tag_inventory,
+    tag_tokens,
 )
-from conftest import random_word
+from conftest import random_instance, random_word
 
 
 class TestProsodyTag:
@@ -214,6 +217,53 @@ class TestTagging:
         with pytest.raises(DimensionMismatchError):
             tag(model, lexicon[0], np.zeros(7))
 
+    def test_unknown_word_names_it(self):
+        model, lexicon = self.fitted()
+        sample = ProsodySample("t0", "ghost", np.zeros(4))
+        with pytest.raises(ValidationError, match="ghost"):
+            tag_tokens(model, lexicon, [sample])
+
+    def test_batch_dimension_mismatch_names_token(self):
+        model, lexicon = self.fitted()
+        samples = [
+            ProsodySample("ok", lexicon[0].word, np.zeros(4)),
+            ProsodySample("wide", lexicon[0].word, np.zeros(5)),
+        ]
+        with pytest.raises(DimensionMismatchError, match="wide"):
+            tag_tokens(model, lexicon, samples)
+
+    def test_empty_batch(self):
+        model, lexicon = self.fitted()
+        leaves, components = tag_tokens(model, lexicon, [])
+        assert leaves.shape == components.shape == (0,)
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_batch_equals_single(self, seed):
+        classes = default_classes()
+        rng = np.random.default_rng(seed)
+        words, samples, _, questions = random_instance(
+            rng, classes, max_words=12, max_tokens=120, max_d=4
+        )
+        config = TaggerConfig(max_leaves=4, m=3, min_leaf=1, seed=seed)
+        model = fit(words, samples, questions, classes, config)
+        d = model.config.d
+        unseen = [random_word(rng, f"unseen{i}", classes) for i in range(5)]
+        lexicon = words + unseen
+        batch = samples + [
+            ProsodySample(f"u{i}", unseen[i % 5].word, rng.normal(scale=3.0, size=d))
+            for i in range(20)
+        ]
+        leaves, components = tag_tokens(model, lexicon, batch)
+        by_word = {w.word: w for w in lexicon}
+        for sample, leaf, k in zip(batch, leaves, components):
+            entry = by_word[sample.word]
+            letter = model.tree.leaf_letters[leaf]
+            assert tag(model, entry, sample.embedding) == ProsodyTag(letter, int(k))
+            assert letter == route_word(model.tree, entry, model.questions, classes)
+            scores = posterior_log_scores(sample.embedding, model.gmms[letter])
+            assert k == int(np.argmax(scores))
+
     def test_probe_near_component_mean_gets_it(self):
         model, lexicon = self.fitted()
         by_word = {w.word: w for w in lexicon}
@@ -310,9 +360,33 @@ class TestModelFiles:
         with pytest.raises(ModelFormatError):
             load_model(path)
 
+    def test_tree_question_missing_from_set(self, tmp_path):
+        model, _ = self.fitted()
+        doc = json.loads(model_to_json(model))
+        asked = {n["question_id"] for n in doc["tree"]["nodes"] if "question_id" in n}
+        doc["questions"] = [q for q in doc["questions"] if q["id"] not in asked]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="unknown question id"):
+            load_model(path)
+
+    def test_duplicate_question_ids(self, tmp_path):
+        model, _ = self.fitted()
+        doc = json.loads(model_to_json(model))
+        doc["questions"].append(doc["questions"][0])
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="duplicate question id"):
+            load_model(path)
+
     def test_serialized_floats_shortest_repr(self):
         model, _ = self.fitted()
         doc = json.loads(model_to_json(model))
         letter = sorted(doc["gmms"])[0]
         value = doc["gmms"][letter]["means"][0][0]
         assert value == model.gmms[letter].means[0, 0]
+
+
+def test_public_names_resolve():
+    for name in prosotag.__all__:
+        assert hasattr(prosotag, name), name

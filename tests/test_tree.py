@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from prosotag import (
     ConfigError,
     DecisionTree,
+    DimensionMismatchError,
     InternalNode,
     LeafNode,
     ModelFormatError,
@@ -17,7 +18,6 @@ from prosotag import (
     QuestionKind,
     ValidationError,
     WordEntry,
-    best_split_for_leaf,
     grow_tree,
     leaf_letter,
     route_word,
@@ -108,6 +108,15 @@ class TestBasicGrowth:
         lexicon, samples = self.corpus()
         tree, trace = grow_tree(
             lexicon, samples, [self.question], self.classes_table, max_leaves=2, min_leaf=5
+        )
+        assert tree.leaf_letters == ("a",)
+        assert trace.records == ()
+
+    def test_single_word_unsplittable(self):
+        # every token follows its word, so no question can split one word
+        lexicon, samples = [self.long], tokens(self.long, [0.0, 1.0, 5.0, 9.0])
+        tree, trace = grow_tree(
+            lexicon, samples, [self.question], self.classes_table, max_leaves=2, min_leaf=1
         )
         assert tree.leaf_letters == ("a",)
         assert trace.records == ()
@@ -217,6 +226,12 @@ class TestValidation:
         with pytest.raises(ValidationError, match="ghost"):
             grow_tree([w], [orphan], [], classes)
 
+    def test_mixed_dimensions(self, classes):
+        w = word("w", ["K"])
+        samples = tokens(w, [[1.0, 2.0]]) + tokens(w, [[1.0, 2.0, 3.0]], prefix="odd-")
+        with pytest.raises(DimensionMismatchError, match="odd-w:0"):
+            grow_tree([w], samples, [], classes)
+
     def test_bad_max_leaves(self, classes):
         w = word("w", ["K"])
         with pytest.raises(ConfigError):
@@ -231,38 +246,6 @@ class TestValidation:
         w = word("w", ["K"])
         with pytest.raises(ValidationError):
             grow_tree([w, w], tokens(w, [1.0]), [], classes)
-
-
-class TestBestSplitForLeaf:
-    def test_matches_first_growth_step(self, classes):
-        short = word("short", ["K", "AE"])
-        long = word("long", ["K", "AE", "T", "IH", "NG"], (0, 3))
-        question = Question(id=2, kind=QuestionKind.PHONEME_COUNT_GT, int_param=3)
-        grouped = {
-            short: tokens(short, [0.0, 0.5, 1.0]),
-            long: tokens(long, [10.0, 10.5, 11.0]),
-        }
-        found = best_split_for_leaf(grouped, [question], classes, min_leaf=2)
-        assert found is not None
-        qid, gain = found
-        samples = grouped[short] + grouped[long]
-        _, trace = grow_tree(
-            [short, long], samples, [question], classes, max_leaves=2, min_leaf=2
-        )
-        assert qid == trace.records[0].question_id
-        assert gain == pytest.approx(trace.records[0].gain, rel=1e-12)
-
-    def test_single_word_unsplittable(self, classes):
-        w = word("only", ["K", "AE"])
-        question = Question(id=0, kind=QuestionKind.PHONEME_COUNT_GT, int_param=1)
-        assert best_split_for_leaf({w: tokens(w, [0.0, 1.0])}, [question], classes, min_leaf=1) is None
-
-    def test_min_leaf_excludes_all(self, classes):
-        short = word("short", ["K"])
-        long = word("long", ["K", "AE", "T", "IH"], (0, 2))
-        question = Question(id=0, kind=QuestionKind.PHONEME_COUNT_GT, int_param=2)
-        grouped = {short: tokens(short, [0.0]), long: tokens(long, [1.0])}
-        assert best_split_for_leaf(grouped, [question], classes, min_leaf=2) is None
 
 
 class TestRouting:
