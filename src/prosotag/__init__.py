@@ -26,6 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .gaussian import (
+    Corpus,
     ProsodySample,
     SufficientStats,
     load_samples,
@@ -96,6 +97,7 @@ __all__ = [
     "InsufficientDataError",
     "ModelFormatError",
     "ProsodySample",
+    "Corpus",
     "SufficientStats",
     "stats_from_matrix",
     "node_log_likelihood",

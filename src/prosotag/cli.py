@@ -13,15 +13,15 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Sequence
 
 from .errors import ConfigError, ProsotagError
-from .gaussian import ProsodySample, load_samples, save_samples
+from .gaussian import Corpus, ProsodySample, load_samples, save_samples
 # route_word and assign_component no longer run here; perfbench/traced.py wraps them by name
 from .gmm import assign_component  # noqa: F401
 from .phonetics import (
@@ -69,13 +69,22 @@ def _atomic_write(path: str | Path, data: bytes) -> None:
 def _format_tags(
     model: TaggerModel, lexicon: Sequence[WordEntry], samples: Sequence[ProsodySample]
 ) -> bytes:
-    leaves, components = tag_tokens(model, lexicon, samples)
-    letters = model.tree.leaf_letters
+    """One JSON line per token, as ``json.dumps`` writes it, in token order."""
+    corpus = Corpus.of(samples)
+    leaves, components = tag_tokens(model, lexicon, corpus)
+    width = max(gmm.m for gmm in model.gmms.values())
+    tags = [f"{letter}{k}" for letter in model.tree.leaf_letters for k in range(width)]
+    words = [encode_basestring_ascii(word) for word in corpus.words]
     lines = [
-        json.dumps({"token_id": s.token_id, "word": s.word, "tag": f"{letters[leaf]}{k}"})
-        for s, leaf, k in zip(samples, leaves, components)
+        f'{{"token_id": {encode_basestring_ascii(token_id)}, "word": {words[w]}, '
+        f'"tag": "{tags[code]}"}}'
+        for token_id, w, code in zip(
+            corpus.token_ids,
+            corpus.word_index.tolist(),
+            (leaves * width + components).tolist(),
+        )
     ]
-    return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
+    return ("\n".join(lines) + "\n" if lines else "").encode("ascii")
 
 
 def cmd_fit(args: argparse.Namespace) -> int:

@@ -11,18 +11,20 @@ dimension after estimation; when it is inactive the closed form equals the
 per-sample density sum exactly. Splitting quality is the gain
 LL(left) + LL(right) - LL(parent).
 
-Also hosts the embedding file readers and writers (JSON lines, plus a binary
+Also hosts the token ``Corpus`` (token ids, a word index and one embedding
+matrix) and the embedding file readers and writers (JSON lines, plus a binary
 format selected by sniffing the "PTE1" magic).
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from .errors import DimensionMismatchError, EmptyNodeError, ParseError, Validati
 
 __all__ = [
     "ProsodySample",
+    "Corpus",
     "SufficientStats",
     "stats_from_matrix",
     "node_log_likelihood",
@@ -142,6 +145,100 @@ def node_log_likelihood(stats: SufficientStats, floor: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# token corpora
+
+
+class Corpus(Sequence[ProsodySample]):
+    """A token corpus held as arrays; what the embedding readers return.
+
+    Token ``i`` is named ``token_ids[i]``, belongs to word
+    ``words[word_index[i]]`` and has embedding ``x[i]``. ``words`` lists the
+    distinct words in order of first appearance, ``word_index`` is int32 and
+    ``x`` is a read-only, finite ``(n, d)`` float64 matrix. Growth, fitting and
+    tagging work on these arrays; indexing builds a ``ProsodySample`` only for
+    the token asked for.
+    """
+
+    __slots__ = ("token_ids", "words", "word_index", "x")
+
+    def __init__(
+        self,
+        token_ids: Sequence[str],
+        words: Sequence[str],
+        word_index: np.ndarray,
+        x: np.ndarray,
+    ) -> None:
+        self.token_ids = token_ids
+        self.words = words
+        self.word_index = word_index
+        self.x = x
+        x.setflags(write=False)
+
+    @classmethod
+    def of(cls, samples: Sequence[ProsodySample]) -> "Corpus":
+        """``samples`` itself if it is a corpus, else its tokens as a corpus.
+
+        All samples must share one dimension.
+        """
+        if isinstance(samples, Corpus):
+            return samples
+        if not samples:
+            return cls([], [], np.empty(0, dtype=np.int32), np.empty((0, 0)))
+        dim = samples[0].dim
+        position: dict[str, int] = {}
+        word_index: list[int] = []
+        for sample in samples:
+            if sample.dim != dim:
+                raise DimensionMismatchError(
+                    f"token {sample.token_id!r} has dimension {sample.dim}, expected {dim}"
+                )
+            word_index.append(position.setdefault(sample.word, len(position)))
+        return cls(
+            [s.token_id for s in samples],
+            list(position),
+            np.array(word_index, dtype=np.int32),
+            np.stack([s.embedding for s in samples]),
+        )
+
+    @property
+    def dim(self) -> int:
+        return self.x.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.token_ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return ProsodySample(
+            self.token_ids[index], self.words[self.word_index[index]], self.x[index]
+        )
+
+
+def _checked_corpus(
+    token_ids: list[str],
+    words: list[str],
+    word_index: list[int],
+    x: np.ndarray,
+    locate: Callable[[int], str],
+) -> Corpus:
+    """The loaders' shared checks; ``locate(i)`` names token i's line or record."""
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        raise ValidationError(
+            f"{locate(i)}: token {token_ids[i]!r}: embedding has non-finite values"
+        )
+    if len(set(token_ids)) != len(token_ids):
+        seen: set[str] = set()
+        for i, token_id in enumerate(token_ids):
+            if token_id in seen:
+                raise ParseError(f"{locate(i)}: duplicate token id {token_id!r}")
+            seen.add(token_id)
+    return Corpus(token_ids, words, np.array(word_index, dtype=np.int32), x)
+
+
+# ---------------------------------------------------------------------------
 # embedding files
 #
 # Text form: JSON lines {"token_id", "word", "embedding"}. Binary form: magic
@@ -149,88 +246,131 @@ def node_log_likelihood(stats: SufficientStats, floor: float) -> float:
 # u16 LE byte length + UTF-8 token id, and d float32 LE values. Readers accept
 # both by sniffing the magic.
 
+_NUMBER_TYPES = {int, float}
+_JSON_SPACE = " \t\n\r"
+_decode_json = json.JSONDecoder().raw_decode  # json.loads without its whitespace scans
 
-def load_samples(source: str | Path | IO[bytes]) -> list[ProsodySample]:
-    """Read an embedding file in either supported format.
 
-    All records must share one dimension and token ids must be unique.
+def load_samples(source: str | Path | IO[bytes]) -> Corpus:
+    """Read an embedding file in either supported format into a ``Corpus``.
+
+    All records must share one dimension, embeddings must be finite and
+    token ids must be unique; errors name the line or record.
     """
     data = read_bytes(source)
     if data[:4] == EMBEDDING_MAGIC:
-        samples = _parse_binary(data)
-    else:
-        samples = _parse_jsonl(data)
-    seen: set[str] = set()
-    dim: int | None = None
-    for sample in samples:
-        if sample.token_id in seen:
-            raise ParseError(f"duplicate token id {sample.token_id!r}")
-        seen.add(sample.token_id)
-        if dim is None:
-            dim = sample.dim
-        elif sample.dim != dim:
-            raise DimensionMismatchError(
-                f"token {sample.token_id!r} has dimension {sample.dim}, "
-                f"file started with {dim}"
-            )
-    return samples
+        return _read_binary(data)
+    return _read_jsonl(data)
 
 
-def _parse_jsonl(data: bytes) -> list[ProsodySample]:
-    samples: list[ProsodySample] = []
-    for lineno, raw in enumerate(data.decode("utf-8").split("\n"), start=1):
-        if not raw.strip():
-            continue
+def _read_jsonl(data: bytes) -> Corpus:
+    # one line at a time into a matrix sized by the line count
+    capacity = data.count(b"\n") + 1
+    x: np.ndarray | None = None
+    token_ids: list[str] = []
+    word_index: list[int] = []
+    linenos: list[int] = []
+    position: dict[str, int] = {}
+    for lineno, raw in enumerate(io.BytesIO(data), start=1):
         try:
-            obj = json.loads(raw)
-            samples.append(
-                ProsodySample(
-                    token_id=obj["token_id"],
-                    word=obj["word"],
-                    embedding=np.asarray(obj["embedding"], dtype=np.float64),
-                )
-            )
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"line {lineno}: not valid UTF-8: {exc.reason}") from None
+        if not text.strip():
+            continue
+        text = text.strip(_JSON_SPACE)
+        try:
+            obj, end = _decode_json(text)
         except json.JSONDecodeError as exc:
             raise ParseError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"line {lineno}: malformed embedding record: {exc}") from exc
-    return samples
+        if end != len(text):
+            raise ParseError(f"line {lineno}: invalid JSON: Extra data")
+        if not isinstance(obj, dict):
+            raise ParseError(f"line {lineno}: malformed embedding record: not an object")
+        try:
+            token_id, word, embedding = obj["token_id"], obj["word"], obj["embedding"]
+        except KeyError as exc:
+            raise ParseError(f"line {lineno}: malformed embedding record: missing {exc}") from None
+        if type(token_id) is not str or type(word) is not str:
+            raise ParseError(f"line {lineno}: token_id and word must be strings")
+        if (
+            type(embedding) is not list
+            or not embedding
+            or not set(map(type, embedding)) <= _NUMBER_TYPES
+        ):
+            raise ParseError(
+                f"line {lineno}: embedding of token {token_id!r} must be a "
+                "non-empty flat list of numbers"
+            )
+        if x is None:
+            x = np.empty((capacity, len(embedding)))
+        elif len(embedding) != x.shape[1]:
+            raise DimensionMismatchError(
+                f"line {lineno}: token {token_id!r} has dimension {len(embedding)}, "
+                f"file started with {x.shape[1]}"
+            )
+        try:
+            x[len(token_ids)] = embedding
+        except OverflowError:
+            raise ValidationError(
+                f"line {lineno}: token {token_id!r}: embedding has non-finite values"
+            ) from None
+        token_ids.append(token_id)
+        word_index.append(position.setdefault(word, len(position)))
+        linenos.append(lineno)
+    if x is None:
+        return Corpus.of([])
+    return _checked_corpus(
+        token_ids,
+        list(position),
+        word_index,
+        x[: len(token_ids)],
+        lambda i: f"line {linenos[i]}",
+    )
 
 
-def _parse_binary(data: bytes) -> list[ProsodySample]:
-    view = memoryview(data)
-    offset = 4
-    if len(view) < 8:
+def _read_binary(data: bytes) -> Corpus:
+    size = len(data)
+    if size < 8:
         raise ParseError("binary embedding file truncated before header")
-    (dim,) = struct.unpack_from("<I", view, offset)
-    offset += 4
+    (dim,) = struct.unpack_from("<I", data, 4)
     if dim == 0:
         raise ParseError("binary embedding file declares dimension 0")
-    samples: list[ProsodySample] = []
-    while offset < len(view):
-        try:
-            word, offset = _read_string(view, offset)
-            token_id, offset = _read_string(view, offset)
-            end = offset + 4 * dim
-            if end > len(view):
-                raise ParseError(
-                    f"record {len(samples)}: truncated embedding payload"
-                )
-            vec = np.frombuffer(view[offset:end], dtype="<f4").astype(np.float64)
+    width = 4 * dim
+    payloads: list[bytes] = []
+    token_ids: list[str] = []
+    word_index: list[int] = []
+    position: dict[bytes, int] = {}  # encoded word -> index into words
+    words: list[str] = []
+    offset = 8
+    while offset < size:
+        record = len(token_ids)
+        strings = []
+        for _ in range(2):  # word, then token id
+            if offset + 2 > size:
+                raise ParseError(f"record {record}: truncated record header")
+            end = offset + 2 + (data[offset] | data[offset + 1] << 8)
+            if end > size:
+                raise ParseError(f"record {record}: truncated string payload")
+            strings.append(data[offset + 2 : end])
             offset = end
-        except struct.error as exc:
-            raise ParseError(f"record {len(samples)}: truncated record header") from exc
-        samples.append(ProsodySample(token_id=token_id, word=word, embedding=vec))
-    return samples
-
-
-def _read_string(view: memoryview, offset: int) -> tuple[str, int]:
-    (length,) = struct.unpack_from("<H", view, offset)
-    offset += 2
-    if offset + length > len(view):
-        raise ParseError("truncated string payload")
-    text = bytes(view[offset : offset + length]).decode("utf-8")
-    return text, offset + length
+        end = offset + width
+        if end > size:
+            raise ParseError(f"record {record}: truncated embedding payload")
+        payloads.append(data[offset:end])
+        offset = end
+        word, token = strings
+        try:
+            token_ids.append(token.decode("utf-8"))
+            index = position.get(word)
+            if index is None:
+                index = position[word] = len(words)
+                words.append(word.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"record {record}: text is not valid UTF-8: {exc.reason}") from None
+        word_index.append(index)
+    x = np.frombuffer(b"".join(payloads), dtype="<f4").reshape(-1, dim).astype(np.float64)
+    return _checked_corpus(token_ids, words, word_index, x, lambda i: f"record {i}")
 
 
 def save_samples(

@@ -2,7 +2,8 @@
 
 Each tree leaf gets its own mixture, fit by EM on that leaf's embeddings.
 Initialization runs a few seeded restarts of greedy k-means++ followed by
-ten k-means sweeps each, keeping the restart with the lowest inertia; EM
+at most ten k-means sweeps each (a restart stops early once its labels
+repeat), keeping the restart with the lowest inertia; EM
 then runs in log space (log-sum-exp responsibilities) until the relative
 gain in total log-likelihood falls below ``rel_tol`` or ``max_iters`` is
 hit. Everything downstream of the seed is deterministic.
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import (
     ConfigError,
@@ -111,6 +111,28 @@ def _log_densities(x: np.ndarray, means: np.ndarray, variances: np.ndarray) -> n
     return -0.5 * (log_norm[None, :] + quad)
 
 
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """Row-wise log-sum-exp of a 2-d array, bitwise equal to scipy's.
+
+    Follows ``scipy.special.logsumexp(a, axis=1)`` (scipy 1.17, real input):
+    the row maxima are taken out of the sum and each added back as one
+    ``log1p`` term, and rows whose result is not finite fall back to the
+    direct ``log(sum(exp(a)))``.
+    """
+    a_max = a.max(axis=1, keepdims=True)
+    top = a == a_max
+    m = top.sum(axis=1, keepdims=True, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.exp(np.where(top, -np.inf, a) - a_max).sum(axis=1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = (np.log1p(s) + np.log(m) + a_max)[:, 0]
+    finite = np.isfinite(out)
+    if not finite.all():
+        with np.errstate(divide="ignore", over="ignore"):
+            out = np.where(finite, out, np.log(np.exp(a).sum(axis=1)))
+    return out
+
+
 def _kmeans_plus_plus(x: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
     """Greedy k-means++: several D^2-sampled candidates per center, keeping
     the one that lowers the potential most."""
@@ -145,8 +167,11 @@ def _run_kmeans(
     x: np.ndarray, m: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, float]:
     centers = _kmeans_plus_plus(x, m, rng)
+    labels = None
     for _ in range(KMEANS_SWEEPS):
-        labels = _kmeans_assign(x, centers)
+        previous, labels = labels, _kmeans_assign(x, centers)
+        if np.array_equal(labels, previous):
+            break  # the centres are the means of these labels already: a fixed point
         for k in range(m):
             member = labels == k
             if member.any():
@@ -220,7 +245,7 @@ def fit_gmm(
     trace: list[float] = []
     for _ in range(max_iters):
         joint = _log_densities(x, means, variances) + np.log(weights)[None, :]
-        per_sample = logsumexp(joint, axis=1)
+        per_sample = _logsumexp_rows(joint)
         trace.append(float(per_sample.sum()))
         if len(trace) >= 2:
             prev = trace[-2]
@@ -250,7 +275,7 @@ def fit_gmm(
                 variances[k] = global_var
     else:
         joint = _log_densities(x, means, variances) + np.log(weights)[None, :]
-        trace.append(float(logsumexp(joint, axis=1).sum()))
+        trace.append(float(_logsumexp_rows(joint).sum()))
 
     gmm = LeafGmm(
         leaf=leaf, weights=weights, means=means, variances=variances, n_samples=n

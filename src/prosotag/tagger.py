@@ -30,7 +30,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .gaussian import ProsodySample
+from .gaussian import Corpus, ProsodySample
 from .gmm import LeafGmm, _component_scores, fit_gmm
 from .phonetics import (
     PhonemeClassTable,
@@ -46,7 +46,8 @@ from .tree import (
     LeafNode,
     SplitRecord,
     TreeNode,
-    _lexicon_map,
+    _grouped,
+    _word_entries,
     grow_tree,
     route_word,
 )
@@ -192,16 +193,17 @@ def fit(
     config: TaggerConfig,
 ) -> TaggerModel:
     """Fit both stages on a token corpus. Deterministic given config.seed."""
-    if not samples:
+    corpus = Corpus.of(samples)
+    if not corpus:
         raise ValidationError("corpus is empty")
-    dim = samples[0].embedding.shape[0]
+    dim = corpus.dim
     if config.d is not None and config.d != dim:
         raise DimensionMismatchError(
             f"config.d={config.d} but embeddings have dimension {dim}"
         )
     tree, trace = grow_tree(
         lexicon,
-        samples,
+        corpus,
         questions,
         classes,
         max_leaves=config.max_leaves,
@@ -209,12 +211,16 @@ def fit(
         min_leaf=config.min_leaf,
         floor=config.floor,
     )
-    leaf_rows = _leaf_rows(
-        tree, question_index(questions), classes, _lexicon_map(lexicon), samples
+    _, leaf_rows = _route_tokens(
+        tree,
+        question_index(questions),
+        classes,
+        _word_entries(lexicon, corpus.words),
+        corpus.word_index,
     )
     gmms: dict[str, LeafGmm] = {}
     for leaf_index, letter in enumerate(tree.leaf_letters):
-        x = np.stack([samples[i].embedding for i in leaf_rows[leaf_index].tolist()])
+        x = corpus.x[leaf_rows[leaf_index]]
         m_eff = min(config.m, x.shape[0])
         gmm, _ = fit_gmm(
             x,
@@ -234,32 +240,46 @@ def fit(
     )
 
 
-def _leaf_rows(
+def _route_tokens(
     tree: DecisionTree,
     questions: Mapping[int, Question],
     classes: PhonemeClassTable,
-    lexicon: Mapping[str, WordEntry],
-    samples: Sequence[ProsodySample],
-) -> list[np.ndarray]:
-    """Route each distinct word once; per leaf index, its token rows in token order."""
-    leaf_index = {letter: i for i, letter in enumerate(tree.leaf_letters)}
-    leaf_of_word: dict[str, int] = {}
-    token_leaf: list[int] = []
-    for sample in samples:
-        leaf = leaf_of_word.get(sample.word)
-        if leaf is None:
-            entry = lexicon.get(sample.word)
-            if entry is None:
-                raise ValidationError(
-                    f"word {sample.word!r} is not in the lexicon; routing needs phonetic content"
-                )
-            leaf = leaf_index[route_word(tree, entry, questions, classes)]
-            leaf_of_word[sample.word] = leaf
-        token_leaf.append(leaf)
-    leaves = np.array(token_leaf, dtype=np.intp)
-    order = np.argsort(leaves, kind="stable")
-    ends = np.cumsum(np.bincount(leaves, minlength=tree.num_leaves)).tolist()
-    return [order[start:end] for start, end in zip([0] + ends, ends)]
+    entries: Sequence[WordEntry],
+    word_index: np.ndarray,
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Route each distinct word once.
+
+    ``entries[w]`` is word w's lexicon entry and ``word_index`` gives each
+    token's word. Returns each token's leaf index and, per leaf index, its
+    token rows in token order.
+    """
+    word_leaf = np.array(
+        [tree.leaf_letters.index(route_word(tree, e, questions, classes)) for e in entries],
+        dtype=np.intp,
+    )
+    leaves = word_leaf[word_index]
+    order, spans = _grouped(leaves, tree.num_leaves)
+    return leaves, [order[start:end] for start, end in spans]
+
+
+def _tag_corpus(
+    model: TaggerModel, entries: Sequence[WordEntry], corpus: Corpus
+) -> tuple[np.ndarray, np.ndarray]:
+    """``tag_tokens`` on a non-empty corpus whose words' entries are ``entries``."""
+    if corpus.dim != model.config.d:
+        raise DimensionMismatchError(
+            f"embedding dimension {corpus.dim} of token {corpus.token_ids[0]!r} "
+            f"does not match model dimension {model.config.d}"
+        )
+    leaves, leaf_rows = _route_tokens(
+        model.tree, model.question_by_id, model.classes, entries, corpus.word_index
+    )
+    components = np.empty(len(corpus), dtype=np.intp)
+    for leaf, rows in enumerate(leaf_rows):
+        if rows.size:
+            gmm = model.gmms[model.tree.leaf_letters[leaf]]
+            components[rows] = np.argmax(_component_scores(corpus.x[rows], gmm), axis=1)
+    return leaves, components
 
 
 def tag_tokens(
@@ -274,35 +294,23 @@ def tag_tokens(
     component, ties to the smallest index. Each leaf's tokens are scored
     together, one leaf at a time.
     """
-    for sample in samples:
-        if sample.dim != model.config.d:
-            raise DimensionMismatchError(
-                f"embedding dimension {sample.dim} of token {sample.token_id!r} "
-                f"does not match model dimension {model.config.d}"
-            )
-    leaves = np.empty(len(samples), dtype=np.intp)
-    components = np.empty(len(samples), dtype=np.intp)
-    leaf_rows = _leaf_rows(
-        model.tree, model.question_by_id, model.classes, _lexicon_map(lexicon), samples
-    )
-    for leaf, rows in enumerate(leaf_rows):
-        if rows.size == 0:
-            continue
-        x = np.stack([samples[i].embedding for i in rows.tolist()])
-        gmm = model.gmms[model.tree.leaf_letters[leaf]]
-        leaves[rows] = leaf
-        components[rows] = np.argmax(_component_scores(x, gmm), axis=1)
-    return leaves, components
+    corpus = Corpus.of(samples)
+    if not corpus:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    return _tag_corpus(model, _word_entries(lexicon, corpus.words), corpus)
 
 
 def tag(model: TaggerModel, word: WordEntry, e: np.ndarray) -> ProsodyTag:
-    """Tag one token: ``tag_tokens`` on a batch of one."""
-    e = np.array(e, dtype=np.float64)  # a copy: the sample freezes its array
-    if e.ndim != 1 or e.shape[0] != model.config.d:
+    """Tag one token: ``tag_tokens`` on a one-token corpus."""
+    e = np.array(e, dtype=np.float64)  # a copy: the corpus freezes its matrix
+    if e.shape != (model.config.d,):
         raise DimensionMismatchError(
             f"embedding shape {e.shape} does not match model dimension {model.config.d}"
         )
-    leaves, components = tag_tokens(model, [word], [ProsodySample(word.word, word.word, e)])
+    if not np.isfinite(e).all():
+        raise ValidationError(f"word {word.word!r}: embedding has non-finite values")
+    corpus = Corpus((word.word,), (word.word,), np.zeros(1, dtype=np.int32), e[None, :])
+    leaves, components = _tag_corpus(model, (word,), corpus)
     return ProsodyTag(
         leaf=model.tree.leaf_letters[leaves[0]], component=int(components[0])
     )

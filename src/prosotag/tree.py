@@ -21,8 +21,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, ModelFormatError, ValidationError
-from .gaussian import ProsodySample, _ll_from_moments
+from .errors import ConfigError, ModelFormatError, ValidationError
+from .gaussian import Corpus, ProsodySample, _ll_from_moments
 from .phonetics import PhonemeClassTable, Question, WordEntry, answer_question, question_index
 
 __all__ = [
@@ -151,7 +151,7 @@ class _Growth:
     def __init__(
         self,
         entries: Sequence[WordEntry],
-        matrices: Sequence[np.ndarray],
+        corpus: Corpus,
         questions: Sequence[Question],
         classes: PhonemeClassTable,
         floor: float,
@@ -159,16 +159,20 @@ class _Growth:
     ) -> None:
         self.floor = floor
         self.min_child = max(min_leaf, 1)
-        dim = matrices[0].shape[1]
-        self.counts = np.array([m.shape[0] for m in matrices], dtype=np.int64)
-        self.sums = np.array([m.sum(axis=0) for m in matrices])
-        self.sumsqs = np.array([(m * m).sum(axis=0) for m in matrices])
+        order, spans = _grouped(corpus.word_index, len(entries))
+        self.counts = np.array([end - start for start, end in spans], dtype=np.int64)
+        # each word's rows as one contiguous block in token order, summed over
+        # axis 0 like a stacked per-word matrix: numpy sums that axis pairwise
+        # when d == 1, so np.add.at (row by row) would differ in the last bit
+        rows = corpus.x[order]
+        squares = rows * rows
+        self.sums = np.array([rows[start:end].sum(axis=0) for start, end in spans])
+        self.sumsqs = np.array([squares[start:end].sum(axis=0) for start, end in spans])
         self.qids = np.array([q.id for q in questions], dtype=np.int64)
         self.answers = np.zeros((len(entries), len(questions)), dtype=bool)
         for wi, entry in enumerate(entries):
             for qi, q in enumerate(questions):
                 self.answers[wi, qi] = answer_question(q, entry, classes)
-        self.dim = dim
 
     def leaf_stats(self, widx: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
         return (
@@ -214,17 +218,32 @@ def _sorted_questions(questions: Sequence[Question]) -> list[Question]:
     return [index[qid] for qid in sorted(index)]
 
 
-def _lexicon_map(
-    lexicon: Sequence[WordEntry] | Mapping[str, WordEntry]
-) -> Mapping[str, WordEntry]:
-    if isinstance(lexicon, Mapping):
-        return lexicon
-    out: dict[str, WordEntry] = {}
-    for entry in lexicon:
-        if entry.word in out:
-            raise ValidationError(f"duplicate word {entry.word!r} in lexicon")
-        out[entry.word] = entry
-    return out
+def _grouped(keys: np.ndarray, size: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Stable sort of ``keys`` (values in 0..size-1): the row order, and each
+    key's (start, end) span in it."""
+    order = np.argsort(keys, kind="stable")
+    ends = np.cumsum(np.bincount(keys, minlength=size)).tolist()
+    return order, list(zip([0] + ends, ends))
+
+
+def _word_entries(
+    lexicon: Sequence[WordEntry] | Mapping[str, WordEntry], words: Sequence[str]
+) -> list[WordEntry]:
+    """The lexicon entry of each word, in order."""
+    if not isinstance(lexicon, Mapping):
+        by_word: dict[str, WordEntry] = {}
+        for entry in lexicon:
+            if entry.word in by_word:
+                raise ValidationError(f"duplicate word {entry.word!r} in lexicon")
+            by_word[entry.word] = entry
+        lexicon = by_word
+    entries: list[WordEntry] = []
+    for word in words:
+        entry = lexicon.get(word)
+        if entry is None:
+            raise ValidationError(f"word {word!r} is not in the lexicon")
+        entries.append(entry)
+    return entries
 
 
 def grow_tree(
@@ -254,25 +273,13 @@ def grow_tree(
         raise ConfigError(f"variance floor must be positive, got {floor}")
     if not samples:
         raise ValidationError("corpus is empty")
-    words = _lexicon_map(lexicon)
-
-    dim = samples[0].dim
-    by_word: dict[str, list[np.ndarray]] = {}
-    for sample in samples:
-        if sample.word not in words:
-            raise ValidationError(f"word {sample.word!r} is not in the lexicon")
-        if sample.dim != dim:
-            raise DimensionMismatchError(
-                f"token {sample.token_id!r} has dimension {sample.dim}, expected {dim}"
-            )
-        by_word.setdefault(sample.word, []).append(sample.embedding)
-    entries = [words[w] for w in by_word]  # first-appearance order
-    matrices = [np.stack(vectors) for vectors in by_word.values()]
+    corpus = Corpus.of(samples)
+    entries = _word_entries(lexicon, corpus.words)
 
     ordered = _sorted_questions(questions)
     for q in ordered:
         q.validate_against(classes)
-    growth = _Growth(entries, matrices, ordered, classes, floor, min_leaf)
+    growth = _Growth(entries, corpus, ordered, classes, floor, min_leaf)
     total_tokens = int(growth.counts.sum())
 
     root_widx = np.arange(len(entries))

@@ -161,6 +161,25 @@ class TestFit:
         assert not model_path.exists()
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            b'{"token_id": "x", "word": "w00_000", "embedding": "abc"}',
+            b'{"token_id": "x", "word": "w00_000", "embedding": [[1, 2], [3]]}',
+            b'{"token_id": "x", "word": "w00_000", "embedding": [1, 2, 3, 4]}\xff',
+        ],
+    )
+    def test_malformed_embeddings_exit_1(self, corpus, tmp_path, capsys, bad_line):
+        lines = (corpus / "embeddings.jsonl").read_bytes().splitlines()
+        bad = tmp_path / "embeddings.jsonl"
+        bad.write_bytes(b"\n".join(lines[:3] + [bad_line] + lines[3:]) + b"\n")
+        model_path = tmp_path / "model.json"
+        args = fit_args(corpus, model_path)
+        args[args.index("--embeddings") + 1] = str(bad)
+        assert main(args) == 1
+        assert "line 4" in capsys.readouterr().err
+        assert not model_path.exists()
+
     def test_bad_config_exits_2(self, corpus, tmp_path, capsys):
         model_path = tmp_path / "model.json"
         assert main(fit_args(corpus, model_path, min_gain="-1.0")) == 2

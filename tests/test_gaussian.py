@@ -7,12 +7,14 @@ pure-Python implementation (tests/oracles.py) and frozen here.
 from __future__ import annotations
 
 import io
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from prosotag import (
+    Corpus,
     DimensionMismatchError,
     EmptyNodeError,
     ParseError,
@@ -25,6 +27,47 @@ from prosotag import (
     stats_from_matrix,
 )
 from oracles import closed_form_ll, per_sample_ll
+
+GOOD_LINE = b'{"token_id": "a", "word": "w", "embedding": [1.0, 2.0]}\n'
+
+# second-line records that must fail, with the error they must raise
+BAD_LINES = {
+    "string embedding": (b'{"token_id": "b", "word": "w", "embedding": "abc"}', ParseError),
+    "ragged embedding": (b'{"token_id": "b", "word": "w", "embedding": [[1.0], [1.0, 2.0]]}', ParseError),
+    "nested embedding": (b'{"token_id": "b", "word": "w", "embedding": [[1.0, 2.0]]}', ParseError),
+    "empty embedding": (b'{"token_id": "b", "word": "w", "embedding": []}', ParseError),
+    "bool in embedding": (b'{"token_id": "b", "word": "w", "embedding": [true, 2.0]}', ParseError),
+    "bool token id": (b'{"token_id": true, "word": "w", "embedding": [1.0, 2.0]}', ParseError),
+    "integer word": (b'{"token_id": "b", "word": 5, "embedding": [1.0, 2.0]}', ParseError),
+    "missing word": (b'{"token_id": "b", "embedding": [1.0, 2.0]}', ParseError),
+    "not an object": (b'[1.0, 2.0]', ParseError),
+    "trailing data": (b'{"token_id": "b", "word": "w", "embedding": [1.0, 2.0]} x', ParseError),
+    "not utf-8": (b'{"token_id": "b\xff", "word": "w", "embedding": [1.0, 2.0]}', ParseError),
+    "non-finite": (b'{"token_id": "b", "word": "w", "embedding": [NaN, 2.0]}', ValidationError),
+    "overflowing integer": (b'{"token_id": "b", "word": "w", "embedding": [1' + b"0" * 400 + b', 2.0]}', ValidationError),
+    "duplicate id": (b'{"token_id": "a", "word": "w", "embedding": [1.0, 2.0]}', ParseError),
+    "wrong dimension": (b'{"token_id": "b", "word": "w", "embedding": [1.0]}', DimensionMismatchError),
+}
+
+
+def binary_file(*records: tuple[bytes, bytes, list[float]], dim: int = 2) -> bytes:
+    parts = [b"PTE1", struct.pack("<I", dim)]
+    for word, token_id, values in records:
+        for text in (word, token_id):
+            parts += [struct.pack("<H", len(text)), text]
+        parts.append(struct.pack(f"<{len(values)}f", *values))
+    return b"".join(parts)
+
+
+# second-record binary files that must fail, with the error they must raise
+BAD_RECORDS = {
+    "non-finite": (binary_file((b"w", b"a", [1.0, 2.0]), (b"w", b"b", [float("inf"), 2.0])), ValidationError),
+    "word not utf-8": (binary_file((b"w", b"a", [1.0, 2.0]), (b"\xff", b"b", [1.0, 2.0])), ParseError),
+    "token id not utf-8": (binary_file((b"w", b"a", [1.0, 2.0]), (b"w", b"\xc3", [1.0, 2.0])), ParseError),
+    "duplicate id": (binary_file((b"w", b"a", [1.0, 2.0]), (b"v", b"a", [1.0, 2.0])), ParseError),
+    "truncated string": (binary_file((b"w", b"a", [1.0, 2.0])) + b"\x09\x00abc", ParseError),
+    "truncated header": (binary_file((b"w", b"a", [1.0, 2.0])) + b"\x01", ParseError),
+}
 
 
 def stats_of(values) -> SufficientStats:
@@ -215,6 +258,51 @@ class TestEmbeddingIO:
         )
         with pytest.raises(DimensionMismatchError):
             load_samples(io.BytesIO(data))
+
+    @pytest.mark.parametrize("case", sorted(BAD_LINES))
+    def test_bad_jsonl_record_names_line(self, case):
+        line, error = BAD_LINES[case]
+        with pytest.raises(error, match="line 2"):
+            load_samples(io.BytesIO(GOOD_LINE + line + b"\n"))
+
+    @pytest.mark.parametrize("case", sorted(BAD_RECORDS))
+    def test_bad_binary_record_names_record(self, case):
+        data, error = BAD_RECORDS[case]
+        with pytest.raises(error, match="record 1"):
+            load_samples(io.BytesIO(data))
+
+    def test_non_finite_names_token(self):
+        with pytest.raises(ValidationError, match="'b'"):
+            load_samples(io.BytesIO(GOOD_LINE + BAD_LINES["non-finite"][0]))
+
+    def test_corpus_columns(self):
+        data = (
+            b'{"token_id": "t0", "word": "b", "embedding": [1.0, 2.0]}\n'
+            b"\n"
+            b'{"token_id": "t1", "word": "a", "embedding": [3, 4.5]}\n'
+            b'{"token_id": "t2", "word": "b", "embedding": [5.0, 6.0]}\n'
+        )
+        corpus = load_samples(io.BytesIO(data))
+        assert isinstance(corpus, Corpus)
+        assert corpus.token_ids == ["t0", "t1", "t2"]
+        assert corpus.words == ["b", "a"]
+        assert corpus.word_index.dtype == np.int32
+        assert corpus.word_index.tolist() == [0, 1, 0]
+        np.testing.assert_array_equal(corpus.x, [[1.0, 2.0], [3.0, 4.5], [5.0, 6.0]])
+        assert not corpus.x.flags.writeable
+        assert len(corpus) == 3 and corpus.dim == 2
+        assert corpus[-2].token_id == "t1"
+        assert corpus[1].word == "a" and corpus[1].token_id == "t1"
+        assert [s.token_id for s in corpus[::2]] == ["t0", "t2"]
+        assert [s.token_id for s in corpus] == ["t0", "t1", "t2"]
+        assert Corpus.of(corpus) is corpus
+        rebuilt = Corpus.of(list(corpus))
+        assert rebuilt.words == corpus.words
+        np.testing.assert_array_equal(rebuilt.x, corpus.x)
+
+    def test_empty_file_is_empty_corpus(self):
+        assert len(load_samples(io.BytesIO(b""))) == 0
+        assert len(load_samples(io.BytesIO(b"PTE1\x02\x00\x00\x00"))) == 0
 
     def test_unicode_words_binary(self):
         samples = [ProsodySample("t0", "naïve", np.array([1.5, -2.5]))]

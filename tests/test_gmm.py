@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +30,7 @@ from prosotag import (
     posterior_log_scores,
     tag_tokens,
 )
+from prosotag import gmm as gmm_module
 from conftest import assert_monotone_trace
 from oracles import diag_gaussian_log_density
 
@@ -297,3 +303,56 @@ class TestCollapseRepair:
         assert np.all(gmm.weights > 0)
         assert abs(gmm.weights.sum() - 1.0) < 1e-9
         assert_monotone_trace(trace, rel_tol=1e-7)
+
+
+class TestNumericKernels:
+    """The private kernels against the computations they stand in for."""
+
+    def test_logsumexp_matches_scipy_bitwise(self):
+        special = pytest.importorskip("scipy.special")
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            n, m = int(rng.integers(1, 20)), int(rng.integers(1, 7))
+            a = rng.normal(scale=float(rng.choice([0.5, 30.0, 800.0])), size=(n, m))
+            if rng.random() < 0.5:
+                a[:, rng.integers(m)] = a.max(axis=1)  # a tied row maximum
+            if rng.random() < 0.3:
+                a = np.round(a)  # many ties, including whole tied rows
+            if rng.random() < 0.1:
+                a[rng.integers(n)] = -np.inf
+            np.testing.assert_array_equal(
+                gmm_module._logsumexp_rows(a), special.logsumexp(a, axis=1)
+            )
+
+    def test_cli_import_leaves_out_scipy(self):
+        code = "import sys, prosotag.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_kmeans_early_exit_is_exact(self, seed):
+        def ten_sweeps(x, m, rng):
+            centers = gmm_module._kmeans_plus_plus(x, m, rng)
+            for _ in range(gmm_module.KMEANS_SWEEPS):
+                labels = gmm_module._kmeans_assign(x, centers)
+                for k in range(m):
+                    member = labels == k
+                    if member.any():
+                        centers[k] = x[member].mean(axis=0)
+            diff = x[:, None, :] - centers[None, :, :]
+            return centers, float((diff * diff).sum(axis=2).min(axis=1).sum())
+
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(int(rng.integers(2, 120)), int(rng.integers(1, 5))))
+        if rng.random() < 0.3:
+            x = np.round(x)  # duplicate points and empty clusters
+        m = int(rng.integers(1, min(6, x.shape[0]) + 1))
+        centers, inertia = gmm_module._run_kmeans(x, m, np.random.default_rng(seed))
+        ref_centers, ref_inertia = ten_sweeps(x, m, np.random.default_rng(seed))
+        np.testing.assert_array_equal(centers, ref_centers)
+        assert inertia == ref_inertia

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from prosotag import (
     ConfigError,
+    Corpus,
     DecisionTree,
     DimensionMismatchError,
     InternalNode,
@@ -22,6 +23,7 @@ from prosotag import (
     leaf_letter,
     route_word,
 )
+from prosotag.tree import _Growth, _word_entries
 from conftest import random_instance
 from oracles import closed_form_ll, greedy_oracle
 
@@ -367,3 +369,25 @@ class TestOracleAgreement:
         for leaf_pos, widxs in enumerate(oracle_leaves):
             for wi in widxs:
                 assert route_word(tree, words[wi], questions, classes) == leaf_letter(leaf_pos)
+
+
+class TestWordStats:
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_columnar_stats_equal_per_word_stacking(self, seed, classes):
+        # the per-word loop the columnar sums replaced, kept as the reference
+        rng = np.random.default_rng(seed)
+        words, samples, _, questions = random_instance(rng, classes)
+        rng.shuffle(samples)  # interleave the words' tokens
+        corpus = Corpus.of(samples)
+        by_word: dict[str, list[np.ndarray]] = {}
+        for sample in samples:
+            by_word.setdefault(sample.word, []).append(sample.embedding)
+        assert list(by_word) == corpus.words
+        growth = _Growth(
+            _word_entries(words, corpus.words), corpus, questions, classes, 1e-6, 1
+        )
+        matrices = [np.stack(vectors) for vectors in by_word.values()]
+        np.testing.assert_array_equal(growth.counts, [m.shape[0] for m in matrices])
+        np.testing.assert_array_equal(growth.sums, [m.sum(axis=0) for m in matrices])
+        np.testing.assert_array_equal(growth.sumsqs, [(m * m).sum(axis=0) for m in matrices])
