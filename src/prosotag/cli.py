@@ -1,9 +1,8 @@
 """Command-line front end: fit, tag, stats, synth, inspect.
 
-Every output file is written atomically (serialize to memory, write a
-temporary sibling, rename over the target), so a failing command never
-leaves a partial artifact. All commands are idempotent: identical inputs
-produce byte-identical outputs, float text included.
+Every output file is replaced atomically (see ``_io.write_bytes``), so a
+failing command never leaves a partial artifact. All commands are idempotent:
+identical inputs produce byte-identical outputs, float text included.
 
 Exit codes: 0 success; 2 usage errors and invalid configurations; 1 runtime
 failures (unreadable files, corrupt models, dimension mismatches).
@@ -12,14 +11,11 @@ failures (unreadable files, corrupt models, dimension mismatches).
 from __future__ import annotations
 
 import argparse
-import io
-import os
 import sys
-import tempfile
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 from typing import Sequence
 
+from ._io import write_bytes
 from .errors import ConfigError, ProsotagError
 from .gaussian import Corpus, ProsodySample, load_samples, save_samples
 # route_word and assign_component no longer run here; perfbench/traced.py wraps them by name
@@ -35,7 +31,7 @@ from .phonetics import (
     save_lexicon,
     save_questions,
 )
-from .synth import SynthSpec, generate, save_ground_truth, write_growth_csv
+from .synth import SynthSpec, _growth_csv, generate, save_ground_truth, write_growth_csv
 from .tagger import (
     TaggerConfig,
     TaggerModel,
@@ -48,22 +44,6 @@ from .tagger import (
 from .tree import InternalNode, route_word  # noqa: F401
 
 PROG = "prosotag"
-
-
-def _atomic_write(path: str | Path, data: bytes) -> None:
-    """Write via temp file + rename so failures leave no partial output."""
-    target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp, target)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def _format_tags(
@@ -101,13 +81,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     model = fit(lexicon, samples, questions, classes, config)
-    _atomic_write(args.model, model_to_json(model).encode("utf-8"))
-    trace_path = args.trace_csv or f"{args.model}.trace.csv"
-    buf = io.StringIO()
-    write_growth_csv(model.growth_trace, buf)
-    _atomic_write(trace_path, buf.getvalue().encode("utf-8"))
+    write_bytes(args.model, model_to_json(model).encode("utf-8"))
+    write_growth_csv(model.growth_trace, args.trace_csv or f"{args.model}.trace.csv")
     if args.out:
-        _atomic_write(args.out, _format_tags(model, lexicon, samples))
+        write_bytes(args.out, _format_tags(model, lexicon, samples))
     total_ll = (
         model.growth_trace.records[-1].total_leaf_ll
         if model.growth_trace.records
@@ -124,24 +101,22 @@ def cmd_tag(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     lexicon = load_lexicon(args.lexicon)
     samples = load_samples(args.embeddings)
-    _atomic_write(args.out, _format_tags(model, lexicon, samples))
+    write_bytes(args.out, _format_tags(model, lexicon, samples))
     print(f"tag: wrote {len(samples)} tags to {args.out}")
     return 0
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    buf = io.StringIO()
-    write_growth_csv(model.growth_trace, buf)
-    csv_text = buf.getvalue()
-    sys.stdout.write(csv_text)
+    csv_bytes = _growth_csv(model.growth_trace)
+    sys.stdout.write(csv_bytes.decode("utf-8"))
     print()
     for letter in model.tree.leaf_letters:
         gmm = model.gmms[letter]
         weights = ", ".join(f"{w:.4f}" for w in gmm.weights)
         print(f"leaf {letter}: {gmm.n_samples} samples, {gmm.m} components, weights [{weights}]")
     if args.out:
-        _atomic_write(args.out, csv_text.encode("utf-8"))
+        write_bytes(args.out, csv_bytes)
     return 0
 
 
@@ -159,21 +134,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
     classes = default_classes()
     lexicon, questions, samples, truth = generate(spec, classes)
 
-    sink = io.BytesIO()
-    save_lexicon(lexicon, sink)
-    _atomic_write(args.lexicon, sink.getvalue())
-    sink = io.BytesIO()
-    save_questions(questions, sink)
-    _atomic_write(args.questions, sink.getvalue())
-    sink = io.BytesIO()
-    save_classes(classes, sink)
-    _atomic_write(args.classes, sink.getvalue())
-    sink = io.BytesIO()
-    save_samples(samples, sink, binary=args.binary)
-    _atomic_write(args.embeddings, sink.getvalue())
-    sink = io.BytesIO()
-    save_ground_truth(truth, sink)
-    _atomic_write(args.ground_truth, sink.getvalue())
+    save_lexicon(lexicon, args.lexicon)
+    save_questions(questions, args.questions)
+    save_classes(classes, args.classes)
+    save_samples(samples, args.embeddings, binary=args.binary)
+    save_ground_truth(truth, args.ground_truth)
     print(
         f"synth: {len(lexicon)} words, {len(samples)} tokens, "
         f"{len(questions)} questions (seed {spec.seed})"

@@ -18,7 +18,6 @@ format selected by sniffing the "PTE1" magic).
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import struct
@@ -28,7 +27,7 @@ from typing import IO, Callable, Sequence
 
 import numpy as np
 
-from ._io import read_bytes, write_bytes
+from ._io import json_lines, read_bytes, write_bytes
 from .errors import DimensionMismatchError, EmptyNodeError, ParseError, ValidationError
 
 __all__ = [
@@ -247,8 +246,6 @@ def _checked_corpus(
 # both by sniffing the magic.
 
 _NUMBER_TYPES = {int, float}
-_JSON_SPACE = " \t\n\r"
-_decode_json = json.JSONDecoder().raw_decode  # json.loads without its whitespace scans
 
 
 def load_samples(source: str | Path | IO[bytes]) -> Corpus:
@@ -271,22 +268,7 @@ def _read_jsonl(data: bytes) -> Corpus:
     word_index: list[int] = []
     linenos: list[int] = []
     position: dict[str, int] = {}
-    for lineno, raw in enumerate(io.BytesIO(data), start=1):
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"line {lineno}: not valid UTF-8: {exc.reason}") from None
-        if not text.strip():
-            continue
-        text = text.strip(_JSON_SPACE)
-        try:
-            obj, end = _decode_json(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
-        if end != len(text):
-            raise ParseError(f"line {lineno}: invalid JSON: Extra data")
-        if not isinstance(obj, dict):
-            raise ParseError(f"line {lineno}: malformed embedding record: not an object")
+    for lineno, obj in json_lines(data):
         try:
             token_id, word, embedding = obj["token_id"], obj["word"], obj["embedding"]
         except KeyError as exc:

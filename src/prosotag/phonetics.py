@@ -13,9 +13,9 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Mapping, Sequence
 
-from ._io import read_bytes, write_bytes
+from ._io import json_lines, read_bytes, read_json, write_bytes
 from .errors import ConfigError, ParseError, ValidationError
 
 __all__ = [
@@ -248,33 +248,58 @@ def describe_question(q: Question) -> str:
 # object. Loaders accept a path or a binary file object.
 
 
-def _json_lines(data: bytes) -> Iterator[tuple[int, dict]]:
-    for lineno, raw in enumerate(data.decode("utf-8").split("\n"), start=1):
-        if not raw.strip():
-            continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
-        if not isinstance(obj, dict):
-            raise ParseError(f"line {lineno}: expected a JSON object")
-        yield lineno, obj
+def _field(obj: Mapping, key: str, kind: type, *, optional: bool = False):
+    """``obj[key]`` if its type is exactly ``kind`` (a bool is not an int, a
+    string not a list); None for an absent or null optional field."""
+    if key not in obj:
+        if optional:
+            return None
+        raise ParseError(f"missing field {key!r}")
+    value = obj[key]
+    if type(value) is kind or (optional and value is None):
+        return value
+    raise ParseError(f"{key} must be {kind.__name__}, got {type(value).__name__}")
+
+
+def _word_from_dict(obj: Mapping) -> WordEntry:
+    """A lexicon record (the ``WordEntry.to_dict`` form) as a ``WordEntry``."""
+    phonemes = _field(obj, "phonemes", list)
+    breaks = _field(obj, "syllable_breaks", list)
+    if not all(type(p) is str for p in phonemes) or not all(type(b) is int for b in breaks):
+        raise ParseError("phonemes must be strings and syllable_breaks integers")
+    return WordEntry(
+        word=_field(obj, "word", str),
+        phonemes=tuple(phonemes),
+        syllable_breaks=tuple(breaks),
+        stress_syllable=_field(obj, "stress_syllable", int, optional=True),
+    )
+
+
+def _question_from_dict(obj: Mapping) -> Question:
+    """A question record (the ``Question.to_dict`` form) as a ``Question``;
+    shared by the question-file and model-file loaders."""
+    kind = _field(obj, "kind", str)
+    try:
+        kind = QuestionKind(kind)
+    except ValueError:
+        raise ParseError(f"unknown question kind {kind!r}") from None
+    return Question(
+        id=_field(obj, "id", int),
+        kind=kind,
+        int_param=_field(obj, "int_param", int, optional=True),
+        class_param=_field(obj, "class_param", str, optional=True),
+    )
 
 
 def load_lexicon(source: str | Path | IO[bytes]) -> list[WordEntry]:
     """Read a JSON-lines lexicon. Duplicate word identifiers are an error."""
     entries: list[WordEntry] = []
     seen: set[str] = set()
-    for lineno, obj in _json_lines(read_bytes(source)):
+    for lineno, obj in json_lines(read_bytes(source)):
         try:
-            entry = WordEntry(
-                word=obj["word"],
-                phonemes=tuple(obj["phonemes"]),
-                syllable_breaks=tuple(obj["syllable_breaks"]),
-                stress_syllable=obj.get("stress_syllable"),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"line {lineno}: malformed lexicon record: {exc}") from exc
+            entry = _word_from_dict(obj)
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: malformed lexicon record: {exc}") from None
         if entry.word in seen:
             raise ParseError(f"line {lineno}: duplicate word {entry.word!r}")
         seen.add(entry.word)
@@ -293,18 +318,11 @@ def load_questions(
     """Read a JSON-lines question set and validate it against the class table."""
     questions: list[Question] = []
     seen: set[int] = set()
-    for lineno, obj in _json_lines(read_bytes(source)):
+    for lineno, obj in json_lines(read_bytes(source)):
         try:
-            q = Question(
-                id=obj["id"],
-                kind=QuestionKind(obj["kind"]),
-                int_param=obj.get("int_param"),
-                class_param=obj.get("class_param"),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"line {lineno}: malformed question record: {exc}") from exc
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: unknown question kind {obj.get('kind')!r}") from exc
+            q = _question_from_dict(obj)
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: malformed question record: {exc}") from None
         if q.id in seen:
             raise ParseError(f"line {lineno}: duplicate question id {q.id}")
         q.validate_against(classes)
@@ -319,10 +337,7 @@ def save_questions(questions: Iterable[Question], sink: str | Path | IO[bytes]) 
 
 
 def load_classes(source: str | Path | IO[bytes]) -> PhonemeClassTable:
-    try:
-        obj = json.loads(read_bytes(source).decode("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"class table: invalid JSON: {exc.msg}") from exc
+    obj = read_json(source, "class table")
     if not isinstance(obj, dict) or not all(
         isinstance(v, list) for v in obj.values()
     ):
@@ -385,10 +400,13 @@ def default_questions(classes: PhonemeClassTable | None = None) -> list[Question
     return questions
 
 
-def question_index(questions: Sequence[Question] | Mapping[int, Question]) -> dict[int, Question]:
-    """Index a question collection by id, rejecting duplicates."""
+def question_index(
+    questions: Sequence[Question] | Mapping[int, Question],
+) -> Mapping[int, Question]:
+    """Index a question collection by id, rejecting duplicates; an index is
+    returned as it is."""
     if isinstance(questions, Mapping):
-        return dict(questions)
+        return questions
     index: dict[int, Question] = {}
     for q in questions:
         if q.id in index:

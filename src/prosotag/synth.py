@@ -19,8 +19,6 @@ the separation. This needs d >= components_per_archetype + 1.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,7 +26,7 @@ from typing import IO, Hashable, Mapping
 
 import numpy as np
 
-from ._io import read_bytes, write_bytes
+from ._io import json_lines, read_bytes, write_bytes
 from .errors import ConfigError, ParseError, ValidationError
 from .gaussian import ProsodySample
 from .phonetics import (
@@ -260,17 +258,14 @@ def growth_report(trace: GrowthTrace) -> list[tuple[int, float, float]]:
     return rows
 
 
-def write_growth_csv(trace: GrowthTrace, sink: str | Path | IO[str]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["num_leaves", "total_leaf_ll", "avg_samples_per_leaf"])
-    for num_leaves, total_ll, avg in growth_report(trace):
-        writer.writerow([num_leaves, repr(total_ll), repr(avg)])
-    text = buf.getvalue()
-    if isinstance(sink, (str, Path)):
-        Path(sink).write_text(text, encoding="utf-8")
-    else:
-        sink.write(text)
+def _growth_csv(trace: GrowthTrace) -> bytes:
+    """``growth_report`` as CSV with a header row; floats in shortest repr."""
+    rows = [f"{leaves},{ll!r},{avg!r}\n" for leaves, ll, avg in growth_report(trace)]
+    return ("num_leaves,total_leaf_ll,avg_samples_per_leaf\n" + "".join(rows)).encode("ascii")
+
+
+def write_growth_csv(trace: GrowthTrace, sink: str | Path | IO[bytes]) -> None:
+    write_bytes(sink, _growth_csv(trace))
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +281,12 @@ def save_ground_truth(truth: GroundTruth, sink: str | Path | IO[bytes]) -> None:
 
 
 def load_ground_truth(source: str | Path | IO[bytes]) -> GroundTruth:
-    data = read_bytes(source)
     labels: dict[str, tuple[int, int]] = {}
-    for lineno, raw in enumerate(data.decode("utf-8").split("\n"), start=1):
-        if not raw.strip():
-            continue
+    for lineno, obj in json_lines(read_bytes(source)):
         try:
-            obj = json.loads(raw)
             token = obj["token_id"]
             pair = (int(obj["archetype"]), int(obj["component"]))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"line {lineno}: malformed ground-truth record: {exc}") from exc
         if token in labels:
             raise ParseError(f"line {lineno}: duplicate token id {token!r}")

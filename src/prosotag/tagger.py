@@ -22,7 +22,7 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from ._io import read_bytes, write_bytes
+from ._io import read_json, write_bytes
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -35,8 +35,8 @@ from .gmm import LeafGmm, _component_scores, fit_gmm
 from .phonetics import (
     PhonemeClassTable,
     Question,
-    QuestionKind,
     WordEntry,
+    _question_from_dict,
     question_index,
 )
 from .tree import (
@@ -454,11 +454,7 @@ def _require(doc: dict, key: str) -> object:
 
 def load_model(source: str | Path | IO[bytes]) -> TaggerModel:
     """Parse and validate a model file; never returns a partial model."""
-    data = read_bytes(source)
-    try:
-        doc = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"model file is not valid JSON: {exc}") from exc
+    doc = read_json(source, "model file")
     if not isinstance(doc, dict):
         raise ModelFormatError("model file must contain a JSON object")
 
@@ -500,14 +496,9 @@ def load_model(source: str | Path | IO[bytes]) -> TaggerModel:
     questions: list[Question] = []
     for obj in raw_questions:
         try:
-            q = Question(
-                id=int(obj["id"]),
-                kind=QuestionKind(obj["kind"]),
-                int_param=obj.get("int_param"),
-                class_param=obj.get("class_param"),
-            )
+            q = _question_from_dict(obj)
             q.validate_against(classes)
-        except (KeyError, TypeError, ValueError, ConfigError, ValidationError) as exc:
+        except (TypeError, ParseError, ConfigError, ValidationError) as exc:
             raise ModelFormatError(f"malformed question record: {exc}") from exc
         questions.append(q)
 

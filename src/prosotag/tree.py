@@ -76,9 +76,6 @@ class DecisionTree:
     def num_leaves(self) -> int:
         return len(self.leaf_letters)
 
-    def letter(self, leaf_index: int) -> str:
-        return self.leaf_letters[leaf_index]
-
     def validate(self) -> None:
         """Structural check for trees read from files."""
         if not self.nodes:
@@ -139,10 +136,8 @@ class GrowthTrace:
 class _Leaf:
     node_pos: int
     widx: np.ndarray
-    n_tokens: int
     ll: float
     best: tuple[int, float] | None = None  # (question column, gain)
-    seq: int = 0
 
 
 class _Growth:
@@ -283,19 +278,12 @@ def grow_tree(
     total_tokens = int(growth.counts.sum())
 
     root_widx = np.arange(len(entries))
-    root = _Leaf(
-        node_pos=0,
-        widx=root_widx,
-        n_tokens=total_tokens,
-        ll=growth.leaf_ll(root_widx),
-        seq=0,
-    )
+    root = _Leaf(node_pos=0, widx=root_widx, ll=growth.leaf_ll(root_widx))
     root.best = growth.best_split(root)
     nodes: list[TreeNode | None] = [None]
     leaves: list[_Leaf] = [root]  # creation order
     records: list[SplitRecord] = []
     total_ll = root.ll
-    next_seq = 1
 
     while len(leaves) < max_leaves:
         best_leaf: _Leaf | None = None
@@ -314,14 +302,7 @@ def grow_tree(
         mask = growth.answers[best_leaf.widx, col]
         children: list[_Leaf] = []
         for side_widx in (best_leaf.widx[mask], best_leaf.widx[~mask]):
-            child = _Leaf(
-                node_pos=len(nodes),
-                widx=side_widx,
-                n_tokens=int(growth.counts[side_widx].sum()),
-                ll=growth.leaf_ll(side_widx),
-                seq=next_seq,
-            )
-            next_seq += 1
+            child = _Leaf(node_pos=len(nodes), widx=side_widx, ll=growth.leaf_ll(side_widx))
             child.best = growth.best_split(child)
             nodes.append(None)
             children.append(child)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -185,6 +187,17 @@ class TestFit:
         assert main(fit_args(corpus, model_path, min_gain="-1.0")) == 2
         assert "invalid configuration" in capsys.readouterr().err
 
+    def test_non_utf8_lexicon_exit_1(self, corpus, tmp_path, capsys):
+        lines = (corpus / "lexicon.jsonl").read_bytes().splitlines()
+        bad = tmp_path / "lexicon.jsonl"
+        bad.write_bytes(b"\n".join(lines[:2] + [lines[2].replace(b"w", b"w\xff", 1)]) + b"\n")
+        model_path = tmp_path / "model.json"
+        args = fit_args(corpus, model_path)
+        args[args.index("--lexicon") + 1] = str(bad)
+        assert main(args) == 1
+        assert "line 3: not valid UTF-8" in capsys.readouterr().err
+        assert not model_path.exists()
+
 
 class TestTag:
     def test_tag_lines_shape(self, corpus, fitted, tmp_path):
@@ -274,6 +287,27 @@ class TestInspect:
     def test_missing_model(self, tmp_path, capsys):
         assert main(["inspect", "--model", str(tmp_path / "nope.json")]) == 1
         assert "error" in capsys.readouterr().err
+
+
+def test_output_files_get_the_umask_mode(tmp_path, capsys):
+    old = os.umask(0o022)
+    try:
+        assert main(synth_args(tmp_path)) == 0
+        model = tmp_path / "model.json"
+        assert main(fit_args(tmp_path, model, out=tmp_path / "fit_tags.jsonl")) == 0
+        assert main(["tag", "--model", str(model),
+                     "--lexicon", str(tmp_path / "lexicon.jsonl"),
+                     "--embeddings", str(tmp_path / "embeddings.jsonl"),
+                     "--out", str(tmp_path / "tags.jsonl")]) == 0
+        assert main(["stats", "--model", str(model), "--out", str(tmp_path / "curve.csv")]) == 0
+    finally:
+        os.umask(old)
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()}
+    assert sorted(modes) == sorted([
+        "lexicon.jsonl", "questions.jsonl", "classes.json", "embeddings.jsonl", "truth.jsonl",
+        "model.json", "model.json.trace.csv", "fit_tags.jsonl", "tags.jsonl", "curve.csv",
+    ])
+    assert set(modes.values()) == {0o644}
 
 
 class TestUsage:

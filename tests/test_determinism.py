@@ -1,9 +1,10 @@
-"""Byte identity of fitted models and tag files, pinned by sha256.
+"""Byte identity of every file the CLI writes, pinned by sha256.
 
-The digests were recorded before the embedding files were read into a
-columnar corpus; any refactor of the load, growth, fitting or tagging path
-must keep them. A change that alters output on purpose updates them and
-says so.
+The model and tag digests were recorded before the embedding files were read
+into a columnar corpus; the ``synth`` output and growth-trace digests before
+every writer went through one atomic file layer. Any refactor of the load,
+growth, fitting, tagging or writing path must keep them. A change that alters
+output on purpose updates them and says so.
 """
 
 from __future__ import annotations
@@ -34,10 +35,29 @@ DIGESTS = {
     "jsonl": {
         "model": "485d9dabfef73ff690c3cd8601787f5ab85e935ef752ef3fc7d2359c9464c0fc",
         "tags": "bead00b57abd1da26bbec53530d4e983d219daaa7b6039bdcac1470162b6553c",
+        "trace": "099ddc306a883dafab24abdeeca43fda59d96f86de13991331ef2cbe36f0a701",
     },
     "binary": {
         "model": "b0c282dca4fba24a4e8215be862f972ab3f2df6728982d60244089c25304ded5",
         "tags": "49c2c3ac9945f223943fd97e5cad795e078d77b148d804f09909619a3bb935e7",
+        "trace": "b3f20fabf4be8330f0b7a9b2fbc8323f649d8cb736831bd3328f110a49d5667e",
+    },
+}
+
+SYNTH_DIGESTS = {
+    "jsonl": {
+        "lexicon.jsonl": "4fbab1e8519c47d44ffde16630694972314fd0b31e43787634f0d4a0b6ac5c94",
+        "questions.jsonl": "629da33ee7aef7ae808d4ff5468fa7c772bd79c946287ec260ed3f5542088c3b",
+        "classes.json": "f34f6cf62817045d7f1d695dafc5c391516ac73deccae9c4a1b462003c5767a8",
+        "embeddings": "d32b4b71998fe6891b194b1d8890597b141c6eb0f1a510fba1d6b5f574d981a0",
+        "truth.jsonl": "6df2e339567563b00f0f6d1921277399a5fe513476efa81be9550cd927ed095a",
+    },
+    "binary": {
+        "lexicon.jsonl": "878c4c156e370d872f08a574abf0d7078726e0981809068358ee8966e76722c6",
+        "questions.jsonl": "bcbe4267195c49daee3cc29ab4a9408b12b508da9d4cbf8f46bae66764830d7f",
+        "classes.json": "f34f6cf62817045d7f1d695dafc5c391516ac73deccae9c4a1b462003c5767a8",
+        "embeddings": "0f68e309b46bcd3f195f25a180150fd3f4e8f350374018c4e1c73e2e09c744cd",
+        "truth.jsonl": "bdc1839987920c6bb6dc6b645d0519451034ba82feed77149f49dbd2c4374ef6",
     },
 }
 
@@ -72,7 +92,14 @@ def _fit_and_tag(root, name: str) -> dict[str, bytes]:
     assert main(["tag", "--model", str(model), "--lexicon", str(root / "lexicon.jsonl"),
                  "--embeddings", str(root / "embeddings"), "--out", str(tags)]) == 0
     return {"model": model.read_bytes(), "fit_tags": fit_tags.read_bytes(),
-            "tags": tags.read_bytes()}
+            "tags": tags.read_bytes(), "trace": (root / "model.json.trace.csv").read_bytes()}
+
+
+@pytest.mark.parametrize("name", sorted(CORPORA))
+def test_synth_outputs_pinned(name, tmp_path, capsys):
+    _synth(tmp_path, name)
+    digests = {file: _sha((tmp_path / file).read_bytes()) for file in SYNTH_DIGESTS[name]}
+    assert digests == SYNTH_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(CORPORA))
@@ -81,6 +108,7 @@ def test_cli_outputs_pinned(name, tmp_path, capsys):
     out = _fit_and_tag(tmp_path, name)
     assert _sha(out["model"]) == DIGESTS[name]["model"]
     assert _sha(out["tags"]) == DIGESTS[name]["tags"]
+    assert _sha(out["trace"]) == DIGESTS[name]["trace"]
     assert out["fit_tags"] == out["tags"]
 
 

@@ -210,6 +210,23 @@ class TestLexiconIO:
         data = b'\n{"word":"x","phonemes":["K"],"syllable_breaks":[0]}\n\n'
         assert len(load_lexicon(io.BytesIO(data))) == 1
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            b'{"word":"y","phonemes":"AAB","syllable_breaks":[0]}',
+            b'{"word":5,"phonemes":["K"],"syllable_breaks":[0]}',
+            b'{"word":"y","phonemes":["K"],"syllable_breaks":0}',
+            b'{"word":"y","phonemes":["K"],"syllable_breaks":"0"}',
+            b'{"word":"y","phonemes":[1],"syllable_breaks":[0]}',
+            b'{"word":"y","phonemes":["K"],"syllable_breaks":[false]}',
+            b'{"word":"y","phonemes":["K"],"syllable_breaks":[0],"stress_syllable":true}',
+        ],
+    )
+    def test_mistyped_field_line_numbered(self, record):
+        data = b'{"word":"x","phonemes":["K"],"syllable_breaks":[0]}\n' + record + b"\n"
+        with pytest.raises(ParseError, match="line 2"):
+            load_lexicon(io.BytesIO(data))
+
 
 class TestQuestionIO:
     def test_round_trip(self, tmp_path, classes):
@@ -226,6 +243,22 @@ class TestQuestionIO:
     def test_unknown_kind_rejected(self, classes):
         with pytest.raises(ParseError):
             load_questions(io.BytesIO(b'{"id":1,"kind":"RhymesWith"}\n'), classes)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            b'{"id":true,"kind":"EndsClosedSyllable"}',
+            b'{"id":1.0,"kind":"EndsClosedSyllable"}',
+            b'{"id":"1","kind":"EndsClosedSyllable"}',
+            b'{"id":1,"kind":"PhonemeCountGt","int_param":2.5}',
+            b'{"id":1,"kind":"PhonemeCountGt","int_param":true}',
+            b'{"id":1,"kind":"ContainsClass","class_param":5}',
+        ],
+    )
+    def test_mistyped_field_line_numbered(self, classes, record):
+        data = b'{"id":0,"kind":"EndsClosedSyllable"}\n' + record + b"\n"
+        with pytest.raises(ParseError, match="line 2"):
+            load_questions(io.BytesIO(data), classes)
 
     def test_unknown_class_rejected(self, classes):
         data = b'{"id":1,"kind":"ContainsClass","class_param":"Sibilant"}\n'

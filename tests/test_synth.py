@@ -251,10 +251,10 @@ class TestGrowthReport:
 
     def test_csv_to_stream(self, classes):
         trace = GrowthTrace(initial_ll=-1.5, num_tokens=4)
-        buf = io.StringIO()
+        buf = io.BytesIO()
         write_growth_csv(trace, buf)
         assert buf.getvalue() == (
-            "num_leaves,total_leaf_ll,avg_samples_per_leaf\n1,-1.5,4.0\n"
+            b"num_leaves,total_leaf_ll,avg_samples_per_leaf\n1,-1.5,4.0\n"
         )
 
 

@@ -379,6 +379,17 @@ class TestModelFiles:
         with pytest.raises(ModelFormatError, match="duplicate question id"):
             load_model(path)
 
+    @pytest.mark.parametrize("field, value", [("id", True), ("id", 1.5), ("int_param", 2.5)])
+    def test_mistyped_question_field(self, tmp_path, field, value):
+        model, _ = self.fitted()
+        doc = json.loads(model_to_json(model))
+        record = next(q for q in doc["questions"] if q["int_param"] is not None)
+        record[field] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=f"{field} must be int"):
+            load_model(path)
+
     def test_serialized_floats_shortest_repr(self):
         model, _ = self.fitted()
         doc = json.loads(model_to_json(model))
