@@ -1,21 +1,24 @@
 """Per-leaf diagonal-covariance Gaussian mixtures.
 
 Each tree leaf gets its own mixture, fit by EM on that leaf's embeddings.
-Initialization runs a few seeded restarts of greedy k-means++ followed by
-at most ten k-means sweeps each (a restart stops early once its labels
-repeat), keeping the restart with the lowest inertia; EM
-then runs in log space (log-sum-exp responsibilities) until the relative
-gain in total log-likelihood falls below ``rel_tol`` or ``max_iters`` is
-hit. Everything downstream of the seed is deterministic.
+Initialization runs ``KMEANS_RESTARTS`` seeded restarts of greedy k-means++
+followed by at most ``KMEANS_SWEEPS`` Lloyd sweeps each (a restart stops
+early once its labels repeat), keeping the restart with the lowest inertia.
+EM then runs in log space (log-sum-exp responsibilities) until the relative
+gain in total log-likelihood falls below ``EM_REL_TOL`` or ``EM_MAX_ITERS``
+M-steps have run. Everything downstream of the seed is deterministic.
 
 A component whose responsibility mass collapses below 1e-8 of the sample
 count is re-seeded at the sample the mixture currently explains worst, with
 the leaf's global variance and a fresh 1/m weight share, so the mixture
 always keeps exactly m live components.
 
-Tagging reduces to the argmax of per-component log density plus log
-weight, ties to the smallest index; ``assign_component`` does it for one
-embedding, ``tagger.tag_tokens`` for a batch.
+One kernel, ``_sq_distances``, gives every row-to-centre squared distance:
+k-means++ seeding, the Lloyd sweeps, the inertia and, divided by the
+variances, the Gaussian quadratic form of ``_log_joint`` (log density plus
+log weight), which scores both EM and tagging. It works one centre at a
+time, so no temporary is larger than the ``(n, d)`` data, and each row
+reduces over ``d`` in the same order alone or inside any batch.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ __all__ = [
 COLLAPSE_FRACTION = 1e-8
 KMEANS_SWEEPS = 10
 KMEANS_RESTARTS = 4
+EM_MAX_ITERS = 200
+EM_REL_TOL = 1e-6
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -102,13 +107,32 @@ class LeafGmm:
         return self.means.shape[1]
 
 
-def _log_densities(x: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """Diagonal Gaussian log densities, (n, m) for (n, d) data."""
-    # broadcast rather than matmul so repeated fits reduce in an identical order
-    diff = x[:, None, :] - means[None, :, :]
-    quad = (diff * diff / variances[None, :, :]).sum(axis=2)
+def _sq_distances(
+    x: np.ndarray, centers: np.ndarray, variances: np.ndarray | None = None
+) -> np.ndarray:
+    """(n, m) squared distances from (n, d) rows to (m, d) centres, each term
+    divided by the centre's variances when given.
+
+    One centre at a time, so the largest temporary is (n, d); a row sums its
+    d terms in the same order as ``((x - c) ** 2).sum(axis=1)``.
+    """
+    out = np.empty((x.shape[0], centers.shape[0]))
+    for k, center in enumerate(centers):
+        diff = x - center
+        diff *= diff
+        if variances is not None:
+            diff /= variances[k]
+        out[:, k] = diff.sum(axis=1)
+    return out
+
+
+def _log_joint(
+    x: np.ndarray, weights: np.ndarray, means: np.ndarray, variances: np.ndarray
+) -> np.ndarray:
+    """Unnormalized log posteriors, (n, m) for (n, d) rows: diagonal Gaussian
+    log density plus log weight."""
     log_norm = np.log(2.0 * np.pi * variances).sum(axis=1)
-    return -0.5 * (log_norm[None, :] + quad)
+    return -0.5 * (log_norm + _sq_distances(x, means, variances)) + np.log(weights)
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -140,59 +164,51 @@ def _kmeans_plus_plus(x: np.ndarray, m: int, rng: np.random.Generator) -> np.nda
     trials = 2 + int(np.log(m))
     centers = np.empty((m, x.shape[1]))
     centers[0] = x[rng.integers(n)]
-    closest = ((x - centers[0]) ** 2).sum(axis=1)
+    closest = _sq_distances(x, centers[:1])[:, 0]
     for k in range(1, m):
         total = closest.sum()
         if total > 0.0:
             candidates = rng.choice(n, size=trials, p=closest / total)
         else:
             candidates = rng.integers(n, size=trials)
-        best: tuple[float, int, np.ndarray] | None = None
-        for idx in candidates:
-            trimmed = np.minimum(closest, ((x - x[idx]) ** 2).sum(axis=1))
-            potential = float(trimmed.sum())
-            if best is None or potential < best[0]:
-                best = (potential, int(idx), trimmed)
-        centers[k] = x[best[1]]
-        closest = best[2]
+        dist = _sq_distances(x, x[candidates])
+        trimmed = [np.minimum(closest, dist[:, j]) for j in range(trials)]
+        best = int(np.argmin([t.sum() for t in trimmed]))  # ties: the earliest candidate
+        centers[k] = x[candidates[best]]
+        closest = trimmed[best]
     return centers
-
-
-def _kmeans_assign(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diff = x[:, None, :] - centers[None, :, :]
-    return np.argmin((diff * diff).sum(axis=2), axis=1)
 
 
 def _run_kmeans(
     x: np.ndarray, m: int, rng: np.random.Generator
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """One seeded restart: (centres, labels, inertia), the labels and inertia
+    those of the returned centres."""
     centers = _kmeans_plus_plus(x, m, rng)
     labels = None
-    for _ in range(KMEANS_SWEEPS):
-        previous, labels = labels, _kmeans_assign(x, centers)
-        if np.array_equal(labels, previous):
-            break  # the centres are the means of these labels already: a fixed point
+    for sweep in range(KMEANS_SWEEPS + 1):
+        dist = _sq_distances(x, centers)
+        previous, labels = labels, np.argmin(dist, axis=1)
+        if sweep == KMEANS_SWEEPS or np.array_equal(labels, previous):
+            break  # repeated labels: the centres are their means already, a fixed point
         for k in range(m):
             member = labels == k
             if member.any():
                 centers[k] = x[member].mean(axis=0)
             # an emptied cluster keeps its previous center
-    diff = x[:, None, :] - centers[None, :, :]
-    inertia = float((diff * diff).sum(axis=2).min(axis=1).sum())
-    return centers, inertia
+    return centers, labels, float(dist.min(axis=1).sum())
 
 
 def _initial_parameters(
     x: np.ndarray, m: int, seed: int, floor: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)
-    centers, best_inertia = _run_kmeans(x, m, rng)
+    centers, labels, best_inertia = _run_kmeans(x, m, rng)
     for _ in range(KMEANS_RESTARTS - 1):
-        other, inertia = _run_kmeans(x, m, rng)
+        other, other_labels, inertia = _run_kmeans(x, m, rng)
         # strict < keeps the earliest restart on ties, for determinism
         if inertia < best_inertia:
-            centers, best_inertia = other, inertia
-    labels = _kmeans_assign(x, centers)
+            centers, labels, best_inertia = other, other_labels, inertia
     global_var = np.maximum(x.var(axis=0), floor)
     variances = np.empty_like(centers)
     for k in range(m):
@@ -211,8 +227,6 @@ def fit_gmm(
     seed: int,
     *,
     leaf: str = "a",
-    max_iters: int = 200,
-    rel_tol: float = 1e-6,
     floor: float = 1e-6,
 ) -> tuple[LeafGmm, list[float]]:
     """Fit an m-component diagonal GMM by EM; deterministic given the seed.
@@ -223,10 +237,6 @@ def fit_gmm(
     """
     if m < 1:
         raise ConfigError(f"component count must be at least 1, got {m}")
-    if max_iters < 1:
-        raise ConfigError(f"max_iters must be at least 1, got {max_iters}")
-    if rel_tol < 0.0:
-        raise ConfigError(f"rel_tol must be non-negative, got {rel_tol}")
     if floor <= 0.0:
         raise ConfigError(f"variance floor must be positive, got {floor}")
     if seed < 0:
@@ -243,14 +253,14 @@ def fit_gmm(
     weights, means, variances = _initial_parameters(x, m, seed, floor)
     global_var = np.maximum(x.var(axis=0), floor)
     trace: list[float] = []
-    for _ in range(max_iters):
-        joint = _log_densities(x, means, variances) + np.log(weights)[None, :]
+    for step in range(EM_MAX_ITERS + 1):
+        joint = _log_joint(x, weights, means, variances)
         per_sample = _logsumexp_rows(joint)
         trace.append(float(per_sample.sum()))
-        if len(trace) >= 2:
-            prev = trace[-2]
-            if trace[-1] - prev < rel_tol * max(abs(prev), 1e-12):
-                break
+        if step == EM_MAX_ITERS:
+            break
+        if step and trace[-1] - trace[-2] < EM_REL_TOL * max(abs(trace[-2]), 1e-12):
+            break
         resp = np.exp(joint - per_sample[:, None])
         mass = resp.sum(axis=0)
         collapsed = mass < COLLAPSE_FRACTION * n
@@ -258,9 +268,7 @@ def fit_gmm(
         weights = np.where(live, mass / n, 1.0 / m)
         weights = weights / weights.sum()
         safe_mass = np.where(live, mass, 1.0)
-        means = np.where(
-            live[:, None], resp.T @ x / safe_mass[:, None], means
-        )
+        means = np.where(live[:, None], resp.T @ x / safe_mass[:, None], means)
         second = resp.T @ (x * x) / safe_mass[:, None]
         variances = np.where(
             live[:, None],
@@ -273,23 +281,11 @@ def fit_gmm(
             for rank, k in enumerate(np.flatnonzero(collapsed)):
                 means[k] = x[worst[rank % n]]
                 variances[k] = global_var
-    else:
-        joint = _log_densities(x, means, variances) + np.log(weights)[None, :]
-        trace.append(float(_logsumexp_rows(joint).sum()))
 
     gmm = LeafGmm(
         leaf=leaf, weights=weights, means=means, variances=variances, n_samples=n
     )
     return gmm, trace
-
-
-def _component_scores(x: np.ndarray, gmm: LeafGmm) -> np.ndarray:
-    """Unnormalized log posteriors, (n, m) for (n, d) rows: log density plus log weight.
-
-    The one scoring kernel for tagging. Each row reduces independently, so a
-    row scores bit-identically alone or inside any batch.
-    """
-    return _log_densities(x, gmm.means, gmm.variances) + np.log(gmm.weights)
 
 
 def posterior_log_scores(e: np.ndarray, gmm: LeafGmm) -> np.ndarray:
@@ -299,7 +295,7 @@ def posterior_log_scores(e: np.ndarray, gmm: LeafGmm) -> np.ndarray:
         raise DimensionMismatchError(
             f"embedding shape {e.shape} does not match mixture dimension {gmm.d}"
         )
-    return _component_scores(e[None, :], gmm)[0]
+    return _log_joint(e[None, :], gmm.weights, gmm.means, gmm.variances)[0]
 
 
 def assign_component(e: np.ndarray, gmm: LeafGmm) -> int:

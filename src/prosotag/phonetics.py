@@ -250,7 +250,8 @@ def describe_question(q: Question) -> str:
 
 def _field(obj: Mapping, key: str, kind: type, *, optional: bool = False):
     """``obj[key]`` if its type is exactly ``kind`` (a bool is not an int, a
-    string not a list); None for an absent or null optional field."""
+    string not a list, but a float field takes a JSON integer as a float);
+    None for an absent or null optional field."""
     if key not in obj:
         if optional:
             return None
@@ -258,6 +259,8 @@ def _field(obj: Mapping, key: str, kind: type, *, optional: bool = False):
     value = obj[key]
     if type(value) is kind or (optional and value is None):
         return value
+    if kind is float and type(value) is int:
+        return float(value)
     raise ParseError(f"{key} must be {kind.__name__}, got {type(value).__name__}")
 
 
@@ -298,7 +301,7 @@ def load_lexicon(source: str | Path | IO[bytes]) -> list[WordEntry]:
     for lineno, obj in json_lines(read_bytes(source)):
         try:
             entry = _word_from_dict(obj)
-        except ParseError as exc:
+        except (ParseError, ValidationError) as exc:
             raise ParseError(f"line {lineno}: malformed lexicon record: {exc}") from None
         if entry.word in seen:
             raise ParseError(f"line {lineno}: duplicate word {entry.word!r}")
@@ -321,7 +324,7 @@ def load_questions(
     for lineno, obj in json_lines(read_bytes(source)):
         try:
             q = _question_from_dict(obj)
-        except ParseError as exc:
+        except (ParseError, ValidationError) as exc:
             raise ParseError(f"line {lineno}: malformed question record: {exc}") from None
         if q.id in seen:
             raise ParseError(f"line {lineno}: duplicate question id {q.id}")

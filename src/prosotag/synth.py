@@ -34,6 +34,7 @@ from .phonetics import (
     Question,
     QuestionKind,
     WordEntry,
+    _field,
     default_classes,
 )
 from .tree import GrowthTrace
@@ -284,10 +285,10 @@ def load_ground_truth(source: str | Path | IO[bytes]) -> GroundTruth:
     labels: dict[str, tuple[int, int]] = {}
     for lineno, obj in json_lines(read_bytes(source)):
         try:
-            token = obj["token_id"]
-            pair = (int(obj["archetype"]), int(obj["component"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"line {lineno}: malformed ground-truth record: {exc}") from exc
+            token = _field(obj, "token_id", str)
+            pair = (_field(obj, "archetype", int), _field(obj, "component", int))
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: malformed ground-truth record: {exc}") from None
         if token in labels:
             raise ParseError(f"line {lineno}: duplicate token id {token!r}")
         labels[token] = pair

@@ -15,8 +15,9 @@ its later tag digits simply never occur.
 from __future__ import annotations
 
 import json
+import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
@@ -31,11 +32,12 @@ from .errors import (
     ValidationError,
 )
 from .gaussian import Corpus, ProsodySample
-from .gmm import LeafGmm, _component_scores, fit_gmm
+from .gmm import LeafGmm, _log_joint, fit_gmm
 from .phonetics import (
     PhonemeClassTable,
     Question,
     WordEntry,
+    _field,
     _question_from_dict,
     question_index,
 )
@@ -96,7 +98,11 @@ class ProsodyTag:
 
 @dataclass(frozen=True)
 class TaggerConfig:
-    """Fit-time knobs. ``d`` may be None before fitting (inferred from data)."""
+    """Fit-time knobs. ``d`` may be None before fitting (inferred from data).
+
+    The one validation site for every knob: counts and the seed are exact
+    ints (a bool is not an int), ``min_gain`` and ``floor`` finite numbers.
+    """
 
     d: int | None = None
     m: int = 5
@@ -107,6 +113,14 @@ class TaggerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("d", "m", "max_leaves", "min_leaf", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "d" and value is None):
+                raise ConfigError(f"{name} must be int, got {type(value).__name__}")
+        for name in ("min_gain", "floor"):
+            value = getattr(self, name)
+            if type(value) not in (int, float) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if self.d is not None and self.d < 1:
             raise ConfigError(f"embedding dimension must be positive, got {self.d}")
         if self.m < 1:
@@ -278,7 +292,9 @@ def _tag_corpus(
     for leaf, rows in enumerate(leaf_rows):
         if rows.size:
             gmm = model.gmms[model.tree.leaf_letters[leaf]]
-            components[rows] = np.argmax(_component_scores(corpus.x[rows], gmm), axis=1)
+            components[rows] = np.argmax(
+                _log_joint(corpus.x[rows], gmm.weights, gmm.means, gmm.variances), axis=1
+            )
     return leaves, components
 
 
@@ -341,16 +357,16 @@ def _node_to_obj(node: TreeNode) -> dict:
 def _node_from_obj(obj: dict, pos: int) -> TreeNode:
     if not isinstance(obj, dict):
         raise ModelFormatError(f"tree node {pos} is not an object")
-    if "leaf_index" in obj:
-        return LeafNode(leaf_index=int(obj["leaf_index"]))
     try:
+        if "leaf_index" in obj:
+            return LeafNode(leaf_index=_field(obj, "leaf_index", int))
         return InternalNode(
-            question_id=int(obj["question_id"]),
-            yes_child=int(obj["yes_child"]),
-            no_child=int(obj["no_child"]),
+            question_id=_field(obj, "question_id", int),
+            yes_child=_field(obj, "yes_child", int),
+            no_child=_field(obj, "no_child", int),
         )
-    except KeyError as exc:
-        raise ModelFormatError(f"tree node {pos} is missing field {exc}") from None
+    except ParseError as exc:
+        raise ModelFormatError(f"tree node {pos}: {exc}") from None
 
 
 def _trace_to_rows(trace: GrowthTrace) -> list[dict]:
@@ -385,41 +401,34 @@ def _trace_from_rows(rows: list) -> GrowthTrace:
     head = rows[0]
     if not isinstance(head, dict) or head.get("step") != 0:
         raise ModelFormatError("growth_trace must start with the step-0 row")
+    pos = 0
     try:
-        records = tuple(
-            SplitRecord(
-                step=int(r["step"]),
-                leaf_split=str(r["leaf_split"]),
-                question_id=int(r["question_id"]),
-                gain=float(r["gain"]),
-                total_leaf_ll=float(r["total_leaf_ll"]),
-                avg_samples_per_leaf=float(r["avg_samples_per_leaf"]),
+        initial_ll = _field(head, "total_leaf_ll", float)
+        num_tokens = _field(head, "num_tokens", int)
+        records = []
+        for pos, r in enumerate(rows[1:], 1):
+            if not isinstance(r, dict):
+                raise ParseError("not an object")
+            records.append(
+                SplitRecord(
+                    step=_field(r, "step", int),
+                    leaf_split=_field(r, "leaf_split", str),
+                    question_id=_field(r, "question_id", int),
+                    gain=_field(r, "gain", float),
+                    total_leaf_ll=_field(r, "total_leaf_ll", float),
+                    avg_samples_per_leaf=_field(r, "avg_samples_per_leaf", float),
+                )
             )
-            for r in rows[1:]
-        )
-        return GrowthTrace(
-            initial_ll=float(head["total_leaf_ll"]),
-            num_tokens=int(head["num_tokens"]),
-            records=records,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"malformed growth_trace row: {exc}") from exc
+    except ParseError as exc:
+        raise ModelFormatError(f"malformed growth_trace row {pos}: {exc}") from None
+    return GrowthTrace(initial_ll=initial_ll, num_tokens=num_tokens, records=tuple(records))
 
 
 def model_to_json(model: TaggerModel) -> str:
     """Canonical JSON text for a model; identical models give identical text."""
-    cfg = model.config
     doc = {
         "format_version": model.format_version,
-        "config": {
-            "d": cfg.d,
-            "m": cfg.m,
-            "max_leaves": cfg.max_leaves,
-            "min_gain": cfg.min_gain,
-            "min_leaf": cfg.min_leaf,
-            "floor": cfg.floor,
-            "seed": cfg.seed,
-        },
+        "config": asdict(model.config),
         "classes": model.classes.to_dict(),
         "questions": [q.to_dict() for q in model.questions],
         "tree": {
@@ -468,16 +477,10 @@ def load_model(source: str | Path | IO[bytes]) -> TaggerModel:
     if not isinstance(raw_cfg, dict):
         raise ModelFormatError("config must be an object")
     try:
-        config = TaggerConfig(
-            d=int(raw_cfg["d"]),
-            m=int(raw_cfg["m"]),
-            max_leaves=int(raw_cfg["max_leaves"]),
-            min_gain=float(raw_cfg["min_gain"]),
-            min_leaf=int(raw_cfg["min_leaf"]),
-            floor=float(raw_cfg["floor"]),
-            seed=int(raw_cfg["seed"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        config = TaggerConfig(**{f.name: raw_cfg[f.name] for f in fields(TaggerConfig)})
+    except KeyError as exc:
+        raise ModelFormatError(f"malformed config: missing field {exc}") from None
+    except ConfigError as exc:
         raise ModelFormatError(f"malformed config: {exc}") from exc
 
     raw_classes = _require(doc, "classes")
@@ -531,9 +534,9 @@ def load_model(source: str | Path | IO[bytes]) -> TaggerModel:
                 weights=np.asarray(obj["weights"], dtype=np.float64),
                 means=np.asarray(obj["means"], dtype=np.float64),
                 variances=np.asarray(obj["vars"], dtype=np.float64),
-                n_samples=int(obj["n_samples"]),
+                n_samples=_field(obj, "n_samples", int),
             )
-        except (KeyError, TypeError, ValueError, ValidationError) as exc:
+        except (KeyError, TypeError, ValueError, ParseError, ValidationError) as exc:
             raise ModelFormatError(f"malformed gmm for leaf {letter!r}: {exc}") from exc
 
     trace = _trace_from_rows(_require(doc, "growth_trace"))

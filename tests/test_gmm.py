@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from prosotag import (
     ConfigError,
+    Corpus,
     DecisionTree,
     DimensionMismatchError,
     GrowthTrace,
@@ -33,6 +35,15 @@ from prosotag import (
 from prosotag import gmm as gmm_module
 from conftest import assert_monotone_trace
 from oracles import diag_gaussian_log_density
+
+
+def broadcast_sq_distances(x, centers, variances=None):
+    """The (n, m, d) broadcast that ``gmm._sq_distances`` stands in for."""
+    diff = x[:, None, :] - centers[None, :, :]
+    sq = diff * diff
+    if variances is not None:
+        sq = sq / variances[None, :, :]
+    return sq.sum(axis=2)
 
 
 def two_cluster_1d(rng, n_per=50, centers=(0.0, 10.0), scale=0.1):
@@ -333,26 +344,95 @@ class TestNumericKernels:
         )
         assert out.stdout.strip() == "False"
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+        m=st.integers(1, 8),
+        d=st.integers(1, 64),
+        scaled=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_sq_distances_match_broadcast_bitwise(self, seed, n, m, d, scaled):
+        rng = np.random.default_rng(seed)
+        scale = float(rng.choice([1e-3, 1.0, 1e3]))
+        x = rng.normal(scale=scale, size=(n, d))
+        centers = rng.normal(scale=scale, size=(m, d))
+        variances = rng.uniform(1e-6, 10.0, size=(m, d)) if scaled else None
+        out = gmm_module._sq_distances(x, centers, variances)
+        np.testing.assert_array_equal(out, broadcast_sq_distances(x, centers, variances))
+        if not scaled:
+            # the per-centre form k-means++ seeding used
+            np.testing.assert_array_equal(out[:, 0], ((x - centers[0]) ** 2).sum(axis=1))
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_kmeans_early_exit_is_exact(self, seed):
         def ten_sweeps(x, m, rng):
             centers = gmm_module._kmeans_plus_plus(x, m, rng)
             for _ in range(gmm_module.KMEANS_SWEEPS):
-                labels = gmm_module._kmeans_assign(x, centers)
+                labels = np.argmin(broadcast_sq_distances(x, centers), axis=1)
                 for k in range(m):
                     member = labels == k
                     if member.any():
                         centers[k] = x[member].mean(axis=0)
-            diff = x[:, None, :] - centers[None, :, :]
-            return centers, float((diff * diff).sum(axis=2).min(axis=1).sum())
+            dist = broadcast_sq_distances(x, centers)
+            return centers, np.argmin(dist, axis=1), float(dist.min(axis=1).sum())
 
         rng = np.random.default_rng(seed)
         x = rng.normal(size=(int(rng.integers(2, 120)), int(rng.integers(1, 5))))
         if rng.random() < 0.3:
             x = np.round(x)  # duplicate points and empty clusters
         m = int(rng.integers(1, min(6, x.shape[0]) + 1))
-        centers, inertia = gmm_module._run_kmeans(x, m, np.random.default_rng(seed))
-        ref_centers, ref_inertia = ten_sweeps(x, m, np.random.default_rng(seed))
+        centers, labels, inertia = gmm_module._run_kmeans(x, m, np.random.default_rng(seed))
+        ref_centers, ref_labels, ref_inertia = ten_sweeps(x, m, np.random.default_rng(seed))
         np.testing.assert_array_equal(centers, ref_centers)
+        np.testing.assert_array_equal(labels, ref_labels)
         assert inertia == ref_inertia
+
+
+class TestBoundedMemory:
+    """Fitting and tagging allocate less than one (n, m, d) float64 array."""
+
+    N, M, D = 20_000, 8, 32
+    LIMIT = N * M * D * 8
+
+    def data(self):
+        rng = np.random.default_rng(0)
+        offsets = rng.normal(scale=6.0, size=(self.M, self.D))
+        return offsets[rng.integers(self.M, size=self.N)] + rng.normal(size=(self.N, self.D))
+
+    def peak_bytes(self, fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_fit_gmm_peak(self):
+        x = self.data()
+        assert self.peak_bytes(fit_gmm, x, self.M, 0) < self.LIMIT
+
+    def test_tag_tokens_peak(self):
+        x = self.data()
+        rng = np.random.default_rng(1)
+        gmm = LeafGmm(
+            leaf="a",
+            weights=np.full(self.M, 1.0 / self.M),
+            means=rng.normal(scale=6.0, size=(self.M, self.D)),
+            variances=rng.uniform(0.5, 2.0, size=(self.M, self.D)),
+            n_samples=self.N,
+        )
+        model = TaggerModel(
+            config=TaggerConfig(d=self.D),
+            classes=default_classes(),
+            questions=(),
+            tree=DecisionTree(nodes=(LeafNode(leaf_index=0),), leaf_letters=("a",)),
+            gmms={"a": gmm},
+            growth_trace=GrowthTrace(initial_ll=0.0, num_tokens=self.N),
+        )
+        corpus = Corpus(
+            [f"t{i}" for i in range(self.N)], ["w"], np.zeros(self.N, dtype=np.int32), x
+        )
+        word = WordEntry("w", ("K",), (0,), None)
+        assert self.peak_bytes(tag_tokens, model, [word], corpus) < self.LIMIT

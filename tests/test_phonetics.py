@@ -220,6 +220,9 @@ class TestLexiconIO:
             b'{"word":"y","phonemes":[1],"syllable_breaks":[0]}',
             b'{"word":"y","phonemes":["K"],"syllable_breaks":[false]}',
             b'{"word":"y","phonemes":["K"],"syllable_breaks":[0],"stress_syllable":true}',
+            # well typed, but breaking a WordEntry rule
+            b'{"word":"y","phonemes":[],"syllable_breaks":[0]}',
+            b'{"word":"y","phonemes":["K"],"syllable_breaks":[0],"stress_syllable":3}',
         ],
     )
     def test_mistyped_field_line_numbered(self, record):
@@ -253,6 +256,7 @@ class TestQuestionIO:
             b'{"id":1,"kind":"PhonemeCountGt","int_param":2.5}',
             b'{"id":1,"kind":"PhonemeCountGt","int_param":true}',
             b'{"id":1,"kind":"ContainsClass","class_param":5}',
+            b'{"id":-1,"kind":"EndsClosedSyllable"}',  # well typed, but breaking a Question rule
         ],
     )
     def test_mistyped_field_line_numbered(self, classes, record):

@@ -278,6 +278,20 @@ class TestGroundTruthIO:
         with pytest.raises(ParseError, match="line 1"):
             load_ground_truth(path)
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"token_id": "t", "archetype": true, "component": 1}',
+            '{"token_id": "t", "archetype": 0, "component": 2.7}',
+            '{"token_id": 7, "archetype": 0, "component": 1}',
+        ],
+    )
+    def test_mistyped_field_line_numbered(self, tmp_path, record):
+        path = tmp_path / "truth.jsonl"
+        path.write_text('{"token_id": "t0", "archetype": 0, "component": 1}\n' + record + "\n")
+        with pytest.raises(ParseError, match="line 2"):
+            load_ground_truth(path)
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "truth.jsonl"
         path.write_text("archetype,component\n")

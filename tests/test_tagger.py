@@ -72,6 +72,10 @@ class TestProsodyTag:
         ]
 
 
+def _leaf_node(doc):
+    return next(n for n in doc["tree"]["nodes"] if "leaf_index" in n)
+
+
 class TestTaggerConfig:
     def test_defaults(self):
         config = TaggerConfig()
@@ -90,6 +94,16 @@ class TestTaggerConfig:
             {"floor": 0.0},
             {"seed": -1},
             {"d": 0},
+            {"seed": 1.5},
+            {"seed": True},
+            {"m": 2.5},
+            {"max_leaves": 2.5},
+            {"min_leaf": True},
+            {"d": 16.9},
+            {"min_gain": "0"},
+            {"min_gain": float("nan")},
+            {"floor": float("inf")},
+            {"floor": None},
         ],
     )
     def test_rejects(self, kwargs):
@@ -388,6 +402,50 @@ class TestModelFiles:
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match=f"{field} must be int"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit, where",
+        [
+            pytest.param(
+                lambda doc: doc["config"].update(d=doc["config"]["d"] + 0.9), "config", id="config-d"
+            ),
+            pytest.param(lambda doc: doc["config"].update(seed=True), "config", id="config-seed"),
+            pytest.param(lambda doc: doc["config"].update(min_gain="0"), "config", id="config-min_gain"),
+            pytest.param(lambda doc: doc["config"].pop("floor"), "config", id="config-missing"),
+            pytest.param(
+                lambda doc: _leaf_node(doc).update(leaf_index=_leaf_node(doc)["leaf_index"] + 0.5),
+                "tree node",
+                id="leaf_index",
+            ),
+            pytest.param(
+                lambda doc: doc["tree"]["nodes"][0].update(yes_child="1"), "tree node 0", id="yes_child"
+            ),
+            pytest.param(
+                lambda doc: doc["gmms"]["a"].update(n_samples=2.5), "gmm for leaf 'a'", id="n_samples"
+            ),
+            pytest.param(
+                lambda doc: doc["growth_trace"][1].update(step=1.7), "growth_trace row 1", id="step"
+            ),
+            pytest.param(
+                lambda doc: doc["growth_trace"][1].update(leaf_split=None),
+                "growth_trace row 1",
+                id="leaf_split",
+            ),
+            pytest.param(
+                lambda doc: doc["growth_trace"][0].update(num_tokens=True),
+                "growth_trace row 0",
+                id="num_tokens",
+            ),
+        ],
+    )
+    def test_mistyped_model_field(self, tmp_path, edit, where):
+        model, _ = self.fitted()
+        doc = json.loads(model_to_json(model))
+        edit(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=where):
             load_model(path)
 
     def test_serialized_floats_shortest_repr(self):
