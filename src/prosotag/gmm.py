@@ -16,14 +16,16 @@ always keeps exactly m live components.
 One kernel, ``_sq_distances``, gives every row-to-centre squared distance:
 k-means++ seeding, the Lloyd sweeps, the inertia and, divided by the
 variances, the Gaussian quadratic form of ``_log_joint`` (log density plus
-log weight), which scores both EM and tagging. It works one centre at a
+log weight), which scores both EM and tagging; a fitted ``LeafGmm`` keeps
+the row-independent terms (``_fixed_terms``), so tagging computes them once
+per mixture, not once per call. ``_sq_distances`` works one centre at a
 time, so no temporary is larger than the ``(n, d)`` data, and each row
 reduces over ``d`` in the same order alone or inside any batch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -61,7 +63,9 @@ class LeafGmm:
 
     Parameters are stored as stacked arrays: ``weights`` (m,), ``means`` and
     ``variances`` (m, d). ``n_samples`` records how many embeddings the fit
-    saw, which reporting tools read back from saved models.
+    saw, which reporting tools read back from saved models. The scoring
+    terms that depend on the parameters alone are computed once, at
+    construction.
     """
 
     leaf: str
@@ -69,6 +73,8 @@ class LeafGmm:
     means: np.ndarray
     variances: np.ndarray
     n_samples: int
+    log_norm: np.ndarray = field(init=False, repr=False, compare=False)
+    log_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", _frozen(self.weights))
@@ -97,6 +103,9 @@ class LeafGmm:
             raise ValidationError("mixture variances must be positive")
         if self.n_samples < 1:
             raise ValidationError(f"n_samples must be at least 1, got {self.n_samples}")
+        log_norm, log_weights = _fixed_terms(self.weights, self.variances)
+        object.__setattr__(self, "log_norm", _frozen(log_norm))
+        object.__setattr__(self, "log_weights", _frozen(log_weights))
 
     @property
     def m(self) -> int:
@@ -105,6 +114,10 @@ class LeafGmm:
     @property
     def d(self) -> int:
         return self.means.shape[1]
+
+    def log_joint(self, x: np.ndarray) -> np.ndarray:
+        """``_log_joint`` of (n, d) rows under this mixture."""
+        return _log_joint(x, self.means, self.variances, self.log_norm, self.log_weights)
 
 
 def _sq_distances(
@@ -126,13 +139,24 @@ def _sq_distances(
     return out
 
 
+def _fixed_terms(
+    weights: np.ndarray, variances: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The row-independent terms of ``_log_joint``: each component's log
+    normaliser ``log(2*pi*var).sum()`` and its log weight."""
+    return np.log(2.0 * np.pi * variances).sum(axis=1), np.log(weights)
+
+
 def _log_joint(
-    x: np.ndarray, weights: np.ndarray, means: np.ndarray, variances: np.ndarray
+    x: np.ndarray,
+    means: np.ndarray,
+    variances: np.ndarray,
+    log_norm: np.ndarray,
+    log_weights: np.ndarray,
 ) -> np.ndarray:
     """Unnormalized log posteriors, (n, m) for (n, d) rows: diagonal Gaussian
-    log density plus log weight."""
-    log_norm = np.log(2.0 * np.pi * variances).sum(axis=1)
-    return -0.5 * (log_norm + _sq_distances(x, means, variances)) + np.log(weights)
+    log density plus log weight, given the ``_fixed_terms``."""
+    return -0.5 * (log_norm + _sq_distances(x, means, variances)) + log_weights
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -254,7 +278,7 @@ def fit_gmm(
     global_var = np.maximum(x.var(axis=0), floor)
     trace: list[float] = []
     for step in range(EM_MAX_ITERS + 1):
-        joint = _log_joint(x, weights, means, variances)
+        joint = _log_joint(x, means, variances, *_fixed_terms(weights, variances))
         per_sample = _logsumexp_rows(joint)
         trace.append(float(per_sample.sum()))
         if step == EM_MAX_ITERS:
@@ -295,7 +319,7 @@ def posterior_log_scores(e: np.ndarray, gmm: LeafGmm) -> np.ndarray:
         raise DimensionMismatchError(
             f"embedding shape {e.shape} does not match mixture dimension {gmm.d}"
         )
-    return _log_joint(e[None, :], gmm.weights, gmm.means, gmm.variances)[0]
+    return gmm.log_joint(e[None, :])[0]
 
 
 def assign_component(e: np.ndarray, gmm: LeafGmm) -> int:

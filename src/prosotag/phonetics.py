@@ -2,18 +2,26 @@
 
 A word is represented by its phoneme string plus syllable structure; questions
 are boolean predicates over that structure (counts, class membership, stress
-placement). All types here are immutable after construction and question
-evaluation is stateless, so everything in this module is safe to share across
-threads.
+placement). ``answer_question`` asks one word; ``WordColumns`` holds a word
+list as numpy columns and answers a question for all of its words, or a subset,
+at once. All types here except ``WordColumns`` are immutable after
+construction, and question evaluation is stateless. ``WordColumns`` builds
+each column on first use from its fixed word list, so concurrent use at worst
+builds one twice: everything in this module is safe to share across threads.
 """
 
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from ._io import json_lines, read_bytes, read_json, write_bytes
 from .errors import ConfigError, ParseError, ValidationError
@@ -24,6 +32,7 @@ __all__ = [
     "Question",
     "PhonemeClassTable",
     "answer_question",
+    "WordColumns",
     "describe_question",
     "load_lexicon",
     "save_lexicon",
@@ -223,6 +232,106 @@ def answer_question(q: Question, w: WordEntry, classes: PhonemeClassTable) -> bo
     raise ConfigError(f"unhandled question kind {kind!r}")
 
 
+# a count or stress parameter above every int64 answers like int64's maximum
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+class WordColumns:
+    """A word list as columns, so that a question is answered for many words
+    with one numpy expression.
+
+    Per word: phoneme and syllable counts, the stress syllable (-1 when
+    unmarked), the start offset of its phonemes in the flat ``ids`` and its
+    first and last phoneme. Phonemes are int32 ids into ``symbols``. Every
+    word has at least one phoneme, so ``starts`` strictly increases. Each
+    column is built once, when a question first needs it.
+    """
+
+    def __init__(self, entries: Sequence[WordEntry]) -> None:
+        self.entries = entries
+
+    def _ints(self, values: Iterable[int]) -> np.ndarray:
+        return np.fromiter(values, np.int64, len(self.entries))
+
+    @cached_property
+    def num_phonemes(self) -> np.ndarray:
+        return self._ints(len(e.phonemes) for e in self.entries)
+
+    @cached_property
+    def num_syllables(self) -> np.ndarray:
+        return self._ints(len(e.syllable_breaks) for e in self.entries)
+
+    @cached_property
+    def stress(self) -> np.ndarray:
+        return self._ints(
+            -1 if e.stress_syllable is None else e.stress_syllable for e in self.entries
+        )
+
+    @cached_property
+    def _coded(self) -> tuple[tuple[str, ...], np.ndarray]:
+        codes: defaultdict[str, int] = defaultdict()
+        codes.default_factory = codes.__len__  # a new symbol gets the next id
+        ids = np.fromiter(
+            map(codes.__getitem__, chain.from_iterable(e.phonemes for e in self.entries)),
+            np.int32,
+            int(self.num_phonemes.sum()),
+        )
+        return tuple(codes), ids
+
+    @property
+    def symbols(self) -> tuple[str, ...]:
+        return self._coded[0]
+
+    @property
+    def ids(self) -> np.ndarray:
+        return self._coded[1]
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        return np.cumsum(self.num_phonemes) - self.num_phonemes
+
+    @cached_property
+    def first(self) -> np.ndarray:
+        return self.ids[self.starts]
+
+    @cached_property
+    def last(self) -> np.ndarray:
+        return self.ids[self.starts + self.num_phonemes - 1]
+
+    def _member(self, classes: PhonemeClassTable, name: str) -> np.ndarray:
+        """Whether each symbol id is in the named class."""
+        members = classes.members(name)
+        return np.fromiter((s in members for s in self.symbols), bool, len(self.symbols))
+
+    def answer(
+        self, q: Question, classes: PhonemeClassTable, rows: np.ndarray | None = None
+    ) -> np.ndarray:
+        """``answer_question`` for every word, or for the word indices
+        ``rows``, as a boolean array."""
+
+        def pick(column: np.ndarray) -> np.ndarray:
+            return column if rows is None else column[rows]
+
+        kind = q.kind
+        param = None if q.int_param is None else min(q.int_param, _INT64_MAX)
+        if kind is QuestionKind.PHONEME_COUNT_GT:
+            return pick(self.num_phonemes) > param
+        if kind is QuestionKind.SYLLABLE_COUNT_GT:
+            return pick(self.num_syllables) > param
+        if kind is QuestionKind.ENDS_CLOSED_SYLLABLE:
+            return ~self._member(classes, "Vowel")[pick(self.last)]
+        if kind is QuestionKind.STARTS_WITH_CLASS:
+            return self._member(classes, q.class_param)[pick(self.first)]
+        if kind is QuestionKind.ENDS_WITH_CLASS:
+            return self._member(classes, q.class_param)[pick(self.last)]
+        if kind is QuestionKind.CONTAINS_CLASS:
+            hits = self._member(classes, q.class_param)[self.ids]
+            return pick(np.logical_or.reduceat(hits, self.starts))
+        if kind is QuestionKind.STRESS_ON_SYLLABLE:
+            return pick(self.stress) == param
+        raise ConfigError(f"unhandled question kind {kind!r}")
+
+
 def describe_question(q: Question) -> str:
     """Short human-readable rendering, used by the tree inspector."""
     kind = q.kind
@@ -328,7 +437,10 @@ def load_questions(
             raise ParseError(f"line {lineno}: malformed question record: {exc}") from None
         if q.id in seen:
             raise ParseError(f"line {lineno}: duplicate question id {q.id}")
-        q.validate_against(classes)
+        try:
+            q.validate_against(classes)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
         seen.add(q.id)
         questions.append(q)
     return questions
@@ -339,13 +451,19 @@ def save_questions(questions: Iterable[Question], sink: str | Path | IO[bytes]) 
     write_bytes(sink, ("\n".join(lines) + "\n" if lines else "").encode("utf-8"))
 
 
-def load_classes(source: str | Path | IO[bytes]) -> PhonemeClassTable:
-    obj = read_json(source, "class table")
-    if not isinstance(obj, dict) or not all(
-        isinstance(v, list) for v in obj.values()
-    ):
+def _classes_from_dict(obj: object) -> PhonemeClassTable:
+    """A class table (the ``PhonemeClassTable.to_dict`` form); shared by the
+    class-file and model-file loaders. Members must be phoneme strings."""
+    if not isinstance(obj, dict):
         raise ParseError("class table must be a JSON object of name -> [phonemes]")
+    for name, members in obj.items():
+        if type(members) is not list or not all(type(m) is str for m in members):
+            raise ParseError(f"class {name!r} must be a list of phoneme strings")
     return PhonemeClassTable({name: frozenset(members) for name, members in obj.items()})
+
+
+def load_classes(source: str | Path | IO[bytes]) -> PhonemeClassTable:
+    return _classes_from_dict(read_json(source, "class table"))
 
 
 def save_classes(classes: PhonemeClassTable, sink: str | Path | IO[bytes]) -> None:

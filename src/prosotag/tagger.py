@@ -31,12 +31,14 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .gaussian import Corpus, ProsodySample
-from .gmm import LeafGmm, _log_joint, fit_gmm
+from .gaussian import _NUMBER_TYPES, Corpus, ProsodySample
+from .gmm import LeafGmm, fit_gmm
 from .phonetics import (
     PhonemeClassTable,
     Question,
+    WordColumns,
     WordEntry,
+    _classes_from_dict,
     _field,
     _question_from_dict,
     question_index,
@@ -51,8 +53,9 @@ from .tree import (
     _grouped,
     _word_entries,
     grow_tree,
-    route_word,
 )
+# route_word is the scalar reference and no longer runs here; perfbench/traced.py wraps it by name
+from .tree import route_word  # noqa: F401
 
 __all__ = [
     "FORMAT_VERSION",
@@ -261,16 +264,34 @@ def _route_tokens(
     entries: Sequence[WordEntry],
     word_index: np.ndarray,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Route each distinct word once.
+    """Route every distinct word at once, as index sets down the tree.
 
     ``entries[w]`` is word w's lexicon entry and ``word_index`` gives each
-    token's word. Returns each token's leaf index and, per leaf index, its
-    token rows in token order.
+    token's word. Each internal node answers its question for the words that
+    reached it only, and an empty side goes no further. Returns each token's
+    leaf index and, per leaf index, its token rows in token order.
     """
-    word_leaf = np.array(
-        [tree.leaf_letters.index(route_word(tree, e, questions, classes)) for e in entries],
-        dtype=np.intp,
-    )
+    columns = WordColumns(entries)
+    word_leaf = np.empty(len(entries), dtype=np.intp)
+    pending = [(0, np.arange(len(entries)))]
+    for _ in range(len(tree.nodes)):  # a node is reached at most once
+        if not pending:
+            break
+        pos, rows = pending.pop()
+        node = tree.nodes[pos]
+        if isinstance(node, LeafNode):
+            word_leaf[rows] = node.leaf_index
+            continue
+        yes = columns.answer(questions[node.question_id], classes, rows)
+        count = np.count_nonzero(yes)
+        if count == rows.size:
+            pending.append((node.yes_child, rows))
+        elif count == 0:
+            pending.append((node.no_child, rows))
+        else:
+            pending.extend(((node.yes_child, rows[yes]), (node.no_child, rows[~yes])))
+    if pending:
+        raise ModelFormatError("tree walk did not terminate; node graph is cyclic")
     leaves = word_leaf[word_index]
     order, spans = _grouped(leaves, tree.num_leaves)
     return leaves, [order[start:end] for start, end in spans]
@@ -292,9 +313,7 @@ def _tag_corpus(
     for leaf, rows in enumerate(leaf_rows):
         if rows.size:
             gmm = model.gmms[model.tree.leaf_letters[leaf]]
-            components[rows] = np.argmax(
-                _log_joint(corpus.x[rows], gmm.weights, gmm.means, gmm.variances), axis=1
-            )
+            components[rows] = np.argmax(gmm.log_joint(corpus.x[rows]), axis=1)
     return leaves, components
 
 
@@ -461,6 +480,22 @@ def _require(doc: dict, key: str) -> object:
         raise ModelFormatError(f"model file is missing {key!r}") from None
 
 
+def _numbers(value: object, ndim: int) -> bool:
+    """Whether ``value`` is a JSON array of numbers nested ``ndim`` deep; a
+    bool or a string is not a number."""
+    if ndim == 0:
+        return type(value) in _NUMBER_TYPES
+    return type(value) is list and all(_numbers(v, ndim - 1) for v in value)
+
+
+def _number_array(obj: Mapping, key: str, ndim: int) -> np.ndarray:
+    """``obj[key]`` as a float64 array, if it holds numbers only."""
+    value = obj[key]
+    if not _numbers(value, ndim):
+        raise ParseError(f"{key} must be a {ndim}-d array of numbers")
+    return np.asarray(value, dtype=np.float64)
+
+
 def load_model(source: str | Path | IO[bytes]) -> TaggerModel:
     """Parse and validate a model file; never returns a partial model."""
     doc = read_json(source, "model file")
@@ -483,14 +518,9 @@ def load_model(source: str | Path | IO[bytes]) -> TaggerModel:
     except ConfigError as exc:
         raise ModelFormatError(f"malformed config: {exc}") from exc
 
-    raw_classes = _require(doc, "classes")
-    if not isinstance(raw_classes, dict):
-        raise ModelFormatError("classes must be an object")
     try:
-        classes = PhonemeClassTable(
-            {name: frozenset(members) for name, members in raw_classes.items()}
-        )
-    except (TypeError, ValidationError) as exc:
+        classes = _classes_from_dict(_require(doc, "classes"))
+    except (ParseError, ValidationError) as exc:
         raise ModelFormatError(f"malformed class table: {exc}") from exc
 
     raw_questions = _require(doc, "questions")
@@ -531,12 +561,14 @@ def load_model(source: str | Path | IO[bytes]) -> TaggerModel:
         try:
             gmms[letter] = LeafGmm(
                 leaf=letter,
-                weights=np.asarray(obj["weights"], dtype=np.float64),
-                means=np.asarray(obj["means"], dtype=np.float64),
-                variances=np.asarray(obj["vars"], dtype=np.float64),
+                weights=_number_array(obj, "weights", 1),
+                means=_number_array(obj, "means", 2),
+                variances=_number_array(obj, "vars", 2),
                 n_samples=_field(obj, "n_samples", int),
             )
-        except (KeyError, TypeError, ValueError, ParseError, ValidationError) as exc:
+        except (
+            KeyError, TypeError, ValueError, OverflowError, ParseError, ValidationError
+        ) as exc:
             raise ModelFormatError(f"malformed gmm for leaf {letter!r}: {exc}") from exc
 
     trace = _trace_from_rows(_require(doc, "growth_trace"))

@@ -23,7 +23,14 @@ import numpy as np
 
 from .errors import ConfigError, ModelFormatError, ValidationError
 from .gaussian import Corpus, ProsodySample, _ll_from_moments
-from .phonetics import PhonemeClassTable, Question, WordEntry, answer_question, question_index
+from .phonetics import (
+    PhonemeClassTable,
+    Question,
+    WordColumns,
+    WordEntry,
+    answer_question,
+    question_index,
+)
 
 __all__ = [
     "InternalNode",
@@ -159,15 +166,17 @@ class _Growth:
         # each word's rows as one contiguous block in token order, summed over
         # axis 0 like a stacked per-word matrix: numpy sums that axis pairwise
         # when d == 1, so np.add.at (row by row) would differ in the last bit
-        rows = corpus.x[order]
-        squares = rows * rows
-        self.sums = np.array([rows[start:end].sum(axis=0) for start, end in spans])
-        self.sumsqs = np.array([squares[start:end].sum(axis=0) for start, end in spans])
+        self.sums = np.empty((len(entries), corpus.dim))
+        self.sumsqs = np.empty((len(entries), corpus.dim))
+        for w, (start, end) in enumerate(spans):
+            block = corpus.x[order[start:end]]
+            block.sum(axis=0, out=self.sums[w])
+            (block * block).sum(axis=0, out=self.sumsqs[w])
         self.qids = np.array([q.id for q in questions], dtype=np.int64)
-        self.answers = np.zeros((len(entries), len(questions)), dtype=bool)
-        for wi, entry in enumerate(entries):
-            for qi, q in enumerate(questions):
-                self.answers[wi, qi] = answer_question(q, entry, classes)
+        columns = WordColumns(entries)
+        self.answers = np.empty((len(entries), len(questions)), dtype=bool)
+        for qi, q in enumerate(questions):
+            self.answers[:, qi] = columns.answer(q, classes)
 
     def leaf_stats(self, widx: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
         return (

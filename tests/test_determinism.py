@@ -2,9 +2,12 @@
 
 The model and tag digests were recorded before the embedding files were read
 into a columnar corpus; the ``synth`` output and growth-trace digests before
-every writer went through one atomic file layer. Any refactor of the load,
-growth, fitting, tagging or writing path must keep them. A change that alters
-output on purpose updates them and says so.
+every writer went through one atomic file layer. The ``kinds`` corpus, whose
+question file also carries the shipped default questions so that growth asks
+all seven question kinds, was recorded before questions were answered by
+column. Any refactor of the load, growth, fitting, tagging or writing path
+must keep them. A change that alters output on purpose updates them and says
+so.
 """
 
 from __future__ import annotations
@@ -16,7 +19,15 @@ import pytest
 from prosotag import ProsodySample, TaggerConfig, fit, model_to_json
 from prosotag.cli import main
 from prosotag.gaussian import load_samples
-from prosotag.phonetics import load_classes, load_lexicon, load_questions
+from prosotag.phonetics import (
+    Question,
+    QuestionKind,
+    default_questions,
+    load_classes,
+    load_lexicon,
+    load_questions,
+    save_questions,
+)
 
 CORPORA = {
     "jsonl": (
@@ -29,7 +40,15 @@ CORPORA = {
          "--components", "2", "--d", "7", "--seed", "11", "--binary"],
         ["--max-leaves", "4", "--components", "2", "--min-leaf", "3"],
     ),
+    "kinds": (
+        ["--archetypes", "6", "--words-per-archetype", "12", "--tokens-per-word", "3",
+         "--components", "2", "--d", "4", "--seed", "4", "--class-distinctions"],
+        ["--max-leaves", "24", "--components", "2", "--min-leaf", "2", "--seed", "1"],
+    ),
 }
+
+# corpora whose synth question file is extended with the default questions
+EXTENDED = {"kinds"}
 
 DIGESTS = {
     "jsonl": {
@@ -41,6 +60,11 @@ DIGESTS = {
         "model": "b0c282dca4fba24a4e8215be862f972ab3f2df6728982d60244089c25304ded5",
         "tags": "49c2c3ac9945f223943fd97e5cad795e078d77b148d804f09909619a3bb935e7",
         "trace": "b3f20fabf4be8330f0b7a9b2fbc8323f649d8cb736831bd3328f110a49d5667e",
+    },
+    "kinds": {
+        "model": "ceddc5918aba16aff4d77ccccdd64b11457d455a4acd566907edccf4d04062e2",
+        "tags": "e22528794aff9de1bc95e61bb1be729fceca11f76ea0bcb3def4fed51a1f97a6",
+        "trace": "64e1b28c9a8435649699b7de297a58cc1072eb08e4cbb9fc84760c98ec4a2b52",
     },
 }
 
@@ -59,6 +83,13 @@ SYNTH_DIGESTS = {
         "embeddings": "0f68e309b46bcd3f195f25a180150fd3f4e8f350374018c4e1c73e2e09c744cd",
         "truth.jsonl": "bdc1839987920c6bb6dc6b645d0519451034ba82feed77149f49dbd2c4374ef6",
     },
+    "kinds": {
+        "lexicon.jsonl": "c151a0419b3e84139497ef2b219dde04b365f2ab7966c5e4780c813efa791329",
+        "questions.jsonl": "8f584d2645b2801d932956f77398e256cc614b9a8078d4be4786bdf3f5fc8972",
+        "classes.json": "f34f6cf62817045d7f1d695dafc5c391516ac73deccae9c4a1b462003c5767a8",
+        "embeddings": "3cb1718d78d49c5047a08f7f5c4abf48504c764cee01fcd4aaa10d13f2515553",
+        "truth.jsonl": "794c6fbf95442fd6474a615296051ecccfa2fae214cb8a967754a9f0bc810c11",
+    },
 }
 
 
@@ -75,10 +106,24 @@ def _inputs(root) -> list[str]:
     ]
 
 
+def _extend_questions(root) -> None:
+    """Append the default questions, ids offset past the synth set."""
+    classes = load_classes(root / "classes.json")
+    questions = load_questions(root / "questions.jsonl", classes)
+    offset = max(q.id for q in questions) + 1
+    extra = [
+        Question(id=offset + q.id, kind=q.kind, int_param=q.int_param, class_param=q.class_param)
+        for q in default_questions(classes)
+    ]
+    save_questions(questions + extra, root / "questions.jsonl")
+
+
 def _synth(root, name: str) -> None:
     flags = CORPORA[name][0]
     args = ["synth", *_inputs(root), "--ground-truth", str(root / "truth.jsonl"), *flags]
     assert main(args) == 0
+    if name in EXTENDED:
+        _extend_questions(root)
 
 
 def _fit_and_tag(root, name: str) -> dict[str, bytes]:
@@ -93,6 +138,13 @@ def _fit_and_tag(root, name: str) -> dict[str, bytes]:
                  "--embeddings", str(root / "embeddings"), "--out", str(tags)]) == 0
     return {"model": model.read_bytes(), "fit_tags": fit_tags.read_bytes(),
             "tags": tags.read_bytes(), "trace": (root / "model.json.trace.csv").read_bytes()}
+
+
+def test_extended_corpus_asks_every_kind(tmp_path, capsys):
+    _synth(tmp_path, "kinds")
+    classes = load_classes(tmp_path / "classes.json")
+    questions = load_questions(tmp_path / "questions.jsonl", classes)
+    assert {q.kind for q in questions} == set(QuestionKind)
 
 
 @pytest.mark.parametrize("name", sorted(CORPORA))

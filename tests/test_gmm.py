@@ -181,6 +181,21 @@ class TestLeafGmmValidation:
         with pytest.raises(ValueError):
             gmm.weights[0] = 0.9
 
+    def test_scoring_terms_cached(self):
+        rng = np.random.default_rng(3)
+        variances = rng.uniform(0.1, 4.0, size=(2, 3))
+        gmm = LeafGmm(**{**self.good_kwargs(), "variances": variances})
+        log_norm = np.log(2.0 * np.pi * variances).sum(axis=1)
+        np.testing.assert_array_equal(gmm.log_norm, log_norm)
+        np.testing.assert_array_equal(gmm.log_weights, np.log(gmm.weights))
+        with pytest.raises(ValueError):
+            gmm.log_norm[0] = 0.0
+        x = rng.normal(size=(7, 3))
+        uncached = -0.5 * (
+            log_norm + gmm_module._sq_distances(x, gmm.means, variances)
+        ) + np.log(gmm.weights)
+        np.testing.assert_array_equal(gmm.log_joint(x), uncached)
+
     def test_weights_must_sum_to_one(self):
         kwargs = self.good_kwargs()
         kwargs["weights"] = np.array([0.6, 0.6])

@@ -6,7 +6,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from prosotag import (
     ConfigError,
@@ -27,6 +27,7 @@ from prosotag import (
     save_lexicon,
     save_questions,
 )
+from prosotag.phonetics import WordColumns
 from conftest import random_question, random_word
 
 
@@ -181,6 +182,81 @@ def test_answer_question_total_over_random_inputs(seed):
     assert result in (True, False)
 
 
+def every_kind(classes, big_param):
+    """Questions of all seven kinds: every class, count thresholds 0..10 and
+    one parameter past int64."""
+    kinds = []
+    for kind in (
+        QuestionKind.PHONEME_COUNT_GT,
+        QuestionKind.SYLLABLE_COUNT_GT,
+        QuestionKind.STRESS_ON_SYLLABLE,
+    ):
+        kinds += [(kind, param, None) for param in [*range(11), big_param]]
+    kinds.append((QuestionKind.ENDS_CLOSED_SYLLABLE, None, None))
+    for kind in (
+        QuestionKind.STARTS_WITH_CLASS,
+        QuestionKind.ENDS_WITH_CLASS,
+        QuestionKind.CONTAINS_CLASS,
+    ):
+        kinds += [(kind, None, name) for name in sorted(classes.classes)]
+    return [
+        Question(id=i, kind=kind, int_param=ip, class_param=cp)
+        for i, (kind, ip, cp) in enumerate(kinds)
+    ]
+
+
+class TestWordColumns:
+    @given(
+        seed=st.integers(0, 10_000),
+        big_param=st.integers(2**63 - 1, 2**70),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_columns_equal_scalar_answers(self, seed, big_param, classes):
+        rng = np.random.default_rng(seed)
+        words = [random_word(rng, f"w{i}", classes) for i in range(int(rng.integers(0, 30)))]
+        # one phoneme, outside every class, stress unmarked
+        words.insert(int(rng.integers(len(words) + 1)), make_word(["ZZ"], name="zz"))
+        columns = WordColumns(words)
+        rows = rng.permutation(len(words))[: int(rng.integers(len(words) + 1))]
+        for q in every_kind(classes, big_param):
+            expected = np.array([answer_question(q, w, classes) for w in words], dtype=bool)
+            full = columns.answer(q, classes)
+            assert full.dtype == bool
+            np.testing.assert_array_equal(full, expected)
+            subset = columns.answer(q, classes, rows)
+            assert subset.dtype == bool
+            np.testing.assert_array_equal(subset, expected[rows])
+
+    def test_columns(self):
+        words = [
+            make_word(["K", "AE", "T"], (0,), 0, name="cat"),
+            make_word(["S"], name="s"),
+            make_word(["B", "AH", "T", "ER"], (0, 2), 1, name="butter"),
+        ]
+        columns = WordColumns(words)
+        np.testing.assert_array_equal(columns.num_phonemes, [3, 1, 4])
+        np.testing.assert_array_equal(columns.num_syllables, [1, 1, 2])
+        np.testing.assert_array_equal(columns.stress, [0, -1, 1])
+        np.testing.assert_array_equal(columns.starts, [0, 3, 4])
+        assert columns.ids.dtype == np.int32
+        assert [columns.symbols[i] for i in columns.ids] == [
+            p for w in words for p in w.phonemes
+        ]
+        assert [columns.symbols[i] for i in columns.first] == ["K", "S", "B"]
+        assert [columns.symbols[i] for i in columns.last] == ["T", "S", "ER"]
+
+    def test_empty_word_list(self, classes):
+        columns = WordColumns([])
+        for q in every_kind(classes, 2**64):
+            assert columns.answer(q, classes).shape == (0,)
+
+    def test_unknown_class_at_answer_time(self):
+        table = PhonemeClassTable({"Vowel": frozenset({"AA"})})
+        q = Question(id=0, kind=QuestionKind.CONTAINS_CLASS, class_param="Nasal")
+        with pytest.raises(ConfigError):
+            WordColumns([make_word(["AA"])]).answer(q, table)
+
+
 class TestLexiconIO:
     def test_round_trip(self, tmp_path):
         entries = [
@@ -269,6 +345,14 @@ class TestQuestionIO:
         with pytest.raises(ConfigError):
             load_questions(io.BytesIO(data), classes)
 
+    def test_unknown_class_names_line(self, classes):
+        data = (
+            b'{"id":0,"kind":"EndsClosedSyllable"}\n'
+            b'{"id":1,"kind":"ContainsClass","class_param":"Sibilant"}\n'
+        )
+        with pytest.raises(ConfigError, match="line 2: .*'Sibilant'"):
+            load_questions(io.BytesIO(data), classes)
+
 
 class TestClassIO:
     def test_round_trip(self, tmp_path, classes):
@@ -283,6 +367,14 @@ class TestClassIO:
     def test_invalid_json(self):
         with pytest.raises(ParseError):
             load_classes(io.BytesIO(b"{not json"))
+
+    @pytest.mark.parametrize(
+        "data",
+        [b'{"Vowel": ["AA", 1, true]}', b'{"Vowel": ["AA", null]}', b'{"Vowel": "AA"}'],
+    )
+    def test_members_must_be_strings(self, data):
+        with pytest.raises(ParseError, match="'Vowel'"):
+            load_classes(io.BytesIO(data))
 
 
 class TestDefaults:

@@ -22,10 +22,15 @@ from prosotag import (
     SynthSpec,
     TaggerConfig,
     ValidationError,
+    DecisionTree,
+    InternalNode,
+    LeafNode,
     WordEntry,
     default_classes,
+    default_questions,
     fit,
     generate,
+    leaf_letter,
     load_model,
     model_to_json,
     posterior_log_scores,
@@ -35,7 +40,8 @@ from prosotag import (
     tag_inventory,
     tag_tokens,
 )
-from conftest import random_instance, random_word
+from prosotag.tagger import _route_tokens
+from conftest import random_instance, random_question, random_word
 
 
 class TestProsodyTag:
@@ -293,6 +299,90 @@ class TestTagging:
                 assert result == ProsodyTag(letter, k)
 
 
+def random_tree(rng, questions, num_leaves):
+    """A random tree: a random leaf split on a random question until there
+    are ``num_leaves``; a path may ask one question twice."""
+    nodes = [None]
+    leaves = [0]
+    while len(leaves) < num_leaves:
+        pos = leaves.pop(int(rng.integers(len(leaves))))
+        question = questions[int(rng.integers(len(questions)))]
+        nodes[pos] = InternalNode(question.id, len(nodes), len(nodes) + 1)
+        leaves += [len(nodes), len(nodes) + 1]
+        nodes += [None, None]
+    for index, pos in enumerate(rng.permutation(leaves)):
+        nodes[pos] = LeafNode(index)
+    tree = DecisionTree(tuple(nodes), tuple(leaf_letter(i) for i in range(num_leaves)))
+    tree.validate()
+    return tree
+
+
+def assert_routes_like_route_word(tree, questions, classes, words, word_index):
+    leaves, leaf_rows = _route_tokens(
+        tree, {q.id: q for q in questions}, classes, words, word_index
+    )
+    expected = [
+        tree.leaf_letters.index(route_word(tree, w, questions, classes)) for w in words
+    ]
+    np.testing.assert_array_equal(leaves, np.array(expected, dtype=np.intp)[word_index])
+    assert len(leaf_rows) == tree.num_leaves
+    for leaf, rows in enumerate(leaf_rows):
+        np.testing.assert_array_equal(rows, np.flatnonzero(leaves == leaf))
+
+
+class TestRouting:
+    """``_route_tokens`` (word index sets down the tree) against the scalar
+    ``route_word``."""
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_random_trees(self, seed, classes):
+        rng = np.random.default_rng(seed)
+        questions = [random_question(rng, 3 * i + 1, classes) for i in range(6)]
+        tree = random_tree(rng, questions, int(rng.integers(1, 12)))
+        words = [random_word(rng, f"w{i}", classes) for i in range(int(rng.integers(1, 40)))]
+        word_index = rng.integers(len(words), size=int(rng.integers(0, 100)), dtype=np.int32)
+        assert_routes_like_route_word(tree, questions, classes, words, word_index)
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=20, deadline=None)
+    def test_grown_trees_with_unseen_words(self, seed, classes):
+        rng = np.random.default_rng(seed)
+        words, samples, _, questions = random_instance(rng, classes, max_words=20, max_tokens=150)
+        model = fit(words, samples, questions, classes, TaggerConfig(max_leaves=6, m=1, min_leaf=1))
+        unseen = [random_word(rng, f"unseen{i}", classes) for i in range(10)]
+        lexicon = words + unseen
+        word_index = rng.integers(len(lexicon), size=200, dtype=np.int32)
+        assert_routes_like_route_word(model.tree, questions, classes, lexicon, word_index)
+
+    def test_cyclic_tree_rejected(self, classes):
+        question = Question(id=0, kind=QuestionKind.PHONEME_COUNT_GT, int_param=0)
+        tree = DecisionTree((InternalNode(0, 1, 2), InternalNode(0, 0, 2), LeafNode(0)), ("a",))
+        word = WordEntry("w", ("K",), (0,))
+        with pytest.raises(ModelFormatError, match="cyclic"):
+            route_word(tree, word, [question], classes)
+        with pytest.raises(ModelFormatError, match="cyclic"):
+            _route_tokens(tree, {0: question}, classes, [word], np.zeros(1, dtype=np.int32))
+
+    def test_fit_and_tag_ask_no_scalar_question(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a question was answered one word at a time")
+
+        monkeypatch.setattr(prosotag.tree, "answer_question", refuse)
+        monkeypatch.setattr(prosotag.tagger, "route_word", refuse)
+        lexicon, questions, samples = small_corpus(2)
+        classes = default_classes()
+        questions += [
+            Question(id=10 + q.id, kind=q.kind, int_param=q.int_param, class_param=q.class_param)
+            for q in default_questions(classes)
+        ]
+        model = fit(lexicon, samples, questions, classes, TaggerConfig(max_leaves=4, m=2, min_leaf=1))
+        assert model.num_leaves == 4
+        leaves, _ = tag_tokens(model, lexicon, samples)
+        assert leaves.shape == (len(samples),)
+        assert tag(model, lexicon[0], samples[0].embedding).leaf in model.tree.leaf_letters
+
+
 class TestModelFiles:
     def fitted(self):
         lexicon, questions, samples = small_corpus(4)
@@ -446,6 +536,36 @@ class TestModelFiles:
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match=where):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda gmm: gmm.update(weights=[str(w) for w in gmm["weights"]]), id="string-weights"),
+            pytest.param(lambda gmm: gmm["weights"].__setitem__(0, True), id="bool-weight"),
+            pytest.param(lambda gmm: gmm["means"][0].__setitem__(0, True), id="bool-mean"),
+            pytest.param(lambda gmm: gmm["vars"][0].__setitem__(0, "1.0"), id="string-var"),
+            pytest.param(lambda gmm: gmm["means"].__setitem__(0, 1.0), id="flat-means"),
+            pytest.param(lambda gmm: gmm["means"][0].__setitem__(0, 10**400), id="huge-mean"),
+        ],
+    )
+    def test_non_numeric_mixture_rejected(self, tmp_path, edit):
+        model, _ = self.fitted()
+        doc = json.loads(model_to_json(model))
+        edit(doc["gmms"]["b"])
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="gmm for leaf 'b'"):
+            load_model(path)
+
+    @pytest.mark.parametrize("members", ["MN", ["M", 1], ["M", None]], ids=["string", "int", "null"])
+    def test_class_members_must_be_strings(self, tmp_path, members):
+        model, _ = self.fitted()
+        doc = json.loads(model_to_json(model))
+        doc["classes"]["Nasal"] = members
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="class table.*'Nasal'"):
             load_model(path)
 
     def test_serialized_floats_shortest_repr(self):
