@@ -18,10 +18,11 @@ format selected by sniffing the "PTE1" magic).
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Callable, Sequence
 
@@ -361,38 +362,44 @@ def save_samples(
     *,
     binary: bool = False,
 ) -> None:
-    if binary:
-        payload = _encode_binary(samples)
-    else:
-        lines = [
-            json.dumps(
-                {
-                    "token_id": s.token_id,
-                    "word": s.word,
-                    "embedding": s.embedding.tolist(),
-                }
-            )
-            for s in samples
-        ]
-        payload = ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
-    write_bytes(sink, payload)
+    """Write tokens as JSON lines, byte for byte as ``json.dumps`` writes each
+    record, or in the binary format. All tokens must share one dimension."""
+    corpus = Corpus.of(samples)
+    write_bytes(sink, _encode_binary(corpus) if binary else _encode_jsonl(corpus))
 
 
-def _encode_binary(samples: Sequence[ProsodySample]) -> bytes:
-    if not samples:
+def _encode_jsonl(corpus: Corpus) -> bytes:
+    # the repr of a list of finite floats is json.dumps's text for it
+    words = [encode_basestring_ascii(word) for word in corpus.words]
+    lines = [
+        f'{{"token_id": {encode_basestring_ascii(token_id)}, "word": {words[w]}, '
+        f'"embedding": {row!r}}}'
+        for token_id, w, row in zip(
+            corpus.token_ids, corpus.word_index.tolist(), corpus.x.tolist()
+        )
+    ]
+    return ("\n".join(lines) + "\n" if lines else "").encode("ascii")
+
+
+def _counted(text: str) -> bytes:
+    """``text`` as UTF-8 after its u16 LE byte length."""
+    encoded = text.encode("utf-8")
+    if len(encoded) > 0xFFFF:
+        raise ValidationError(f"string too long for binary format: {text[:32]!r}...")
+    return len(encoded).to_bytes(2, "little") + encoded
+
+
+def _encode_binary(corpus: Corpus) -> bytes:
+    if not len(corpus):
         raise ValidationError("binary embedding files cannot be empty")
-    dim = samples[0].dim
-    parts = [EMBEDDING_MAGIC, struct.pack("<I", dim)]
-    for s in samples:
-        if s.dim != dim:
-            raise DimensionMismatchError(
-                f"token {s.token_id!r} has dimension {s.dim}, expected {dim}"
-            )
-        for text in (s.word, s.token_id):
-            encoded = text.encode("utf-8")
-            if len(encoded) > 0xFFFF:
-                raise ValidationError(f"string too long for binary format: {text[:32]!r}...")
-            parts.append(struct.pack("<H", len(encoded)))
-            parts.append(encoded)
-        parts.append(s.embedding.astype("<f4").tobytes())
+    words = [_counted(word) for word in corpus.words]
+    heads = [
+        words[w] + _counted(token_id)
+        for w, token_id in zip(corpus.word_index.tolist(), corpus.token_ids)
+    ]
+    payload = corpus.x.astype("<f4").tobytes()
+    width = 4 * corpus.dim
+    rows = [payload[i : i + width] for i in range(0, len(payload), width)]
+    parts = [EMBEDDING_MAGIC, struct.pack("<I", corpus.dim)]
+    parts += chain.from_iterable(zip(heads, rows))
     return b"".join(parts)

@@ -377,7 +377,7 @@ def _word_from_dict(obj: Mapping) -> WordEntry:
     """A lexicon record (the ``WordEntry.to_dict`` form) as a ``WordEntry``."""
     phonemes = _field(obj, "phonemes", list)
     breaks = _field(obj, "syllable_breaks", list)
-    if not all(type(p) is str for p in phonemes) or not all(type(b) is int for b in breaks):
+    if not set(map(type, phonemes)) <= {str} or not set(map(type, breaks)) <= {int}:
         raise ParseError("phonemes must be strings and syllable_breaks integers")
     return WordEntry(
         word=_field(obj, "word", str),

@@ -19,8 +19,8 @@ the separation. This needs d >= components_per_archetype + 1.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Hashable, Mapping
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from ._io import json_lines, read_bytes, write_bytes
 from .errors import ConfigError, ParseError, ValidationError
-from .gaussian import ProsodySample
+from .gaussian import Corpus
 from .phonetics import (
     PhonemeClassTable,
     Question,
@@ -106,11 +106,7 @@ class GroundTruth:
     labels: Mapping[str, tuple[int, int]]
 
     def __post_init__(self) -> None:
-        frozen = {
-            token: (int(a), int(c)) for token, (a, c) in self.labels.items()
-        }
-        object.__setattr__(self, "labels", frozen)
-        if not frozen:
+        if not self.labels:
             raise ValidationError("ground truth has no tokens")
 
     def __len__(self) -> int:
@@ -153,20 +149,23 @@ def _component_means(spec: SynthSpec) -> np.ndarray:
 
 def _make_word(
     name: str,
-    archetype: int,
     rng: np.random.Generator,
+    highs: np.ndarray,
+    shift: np.ndarray,
+    symbols: list[str],
     vowels: list[str],
-    consonants: list[str],
     vowel_initial: bool,
 ) -> WordEntry:
-    count = _phoneme_count(archetype)
-    phonemes: list[str] = []
-    for j in range(count):
-        pool = vowels if j % 3 == 1 else consonants
-        phonemes.append(pool[rng.integers(len(pool))])
+    """One word; all its phonemes come from one bounded draw.
+
+    ``symbols`` is the consonant pool followed by the vowel pool. Position j
+    draws below ``highs[j]`` (the size of its pool) and ``shift[j]`` moves
+    the draw into that pool, so the stream equals one draw per phoneme.
+    """
+    phonemes = [symbols[i] for i in (rng.integers(0, highs) + shift).tolist()]
     if vowel_initial:
         phonemes[0] = vowels[rng.integers(len(vowels))]
-    breaks = tuple(range(0, count, 3))
+    breaks = tuple(range(0, len(phonemes), 3))
     stress = int(rng.integers(len(breaks)))
     return WordEntry(
         word=name,
@@ -178,8 +177,12 @@ def _make_word(
 
 def generate(
     spec: SynthSpec, classes: PhonemeClassTable | None = None
-) -> tuple[list[WordEntry], list[Question], list[ProsodySample], GroundTruth]:
-    """Build a corpus with planted structure; identical bytes for one seed."""
+) -> tuple[list[WordEntry], list[Question], Corpus, GroundTruth]:
+    """Build a corpus with planted structure; identical bytes for one seed.
+
+    Each word draws its phonemes, then its ``tokens_per_word x d`` normals in
+    one call; token t of a word has planted component ``t % components``.
+    """
     if classes is None:
         classes = default_classes()
     vowels = sorted(classes.members("Vowel"))
@@ -190,27 +193,41 @@ def generate(
     consonants = sorted(consonant_set - set(vowels))
     if not consonants:
         raise ConfigError("class table has no consonant phonemes to build words from")
+    symbols = consonants + vowels
 
     rng = np.random.default_rng(spec.seed)
-    comp_means = _component_means(spec)
+    per_word, d = spec.tokens_per_word, spec.d
+    comps = np.arange(per_word) % spec.components_per_archetype
+    comp_rows = _component_means(spec)[comps]
+    x = np.empty((spec.total_tokens, d))
     lexicon: list[WordEntry] = []
-    samples: list[ProsodySample] = []
-    labels: dict[str, tuple[int, int]] = {}
     for a in range(spec.num_leaf_archetypes):
-        base = np.zeros(spec.d)
+        base = np.zeros(d)
         base[0] = a * spec.component_separation
+        means = base + comp_rows  # per-token planted means of one word
+        vowel_pos = np.arange(_phoneme_count(a)) % 3 == 1
+        highs = np.where(vowel_pos, len(vowels), len(consonants))
+        shift = np.where(vowel_pos, len(consonants), 0)
         vowel_initial = spec.class_distinctions and a % 2 == 1
         for w in range(spec.words_per_archetype):
-            name = f"w{a:02d}_{w:03d}"
-            entry = _make_word(name, a, rng, vowels, consonants, vowel_initial)
-            lexicon.append(entry)
-            for t in range(spec.tokens_per_word):
-                comp = t % spec.components_per_archetype
-                token_id = f"{name}:{t:03d}"
-                vec = base + comp_means[comp] + rng.standard_normal(spec.d)
-                samples.append(ProsodySample(token_id=token_id, word=name, embedding=vec))
-                labels[token_id] = (a, comp)
-    return lexicon, _planted_questions(spec), samples, GroundTruth(labels)
+            row = len(lexicon) * per_word
+            lexicon.append(
+                _make_word(f"w{a:02d}_{w:03d}", rng, highs, shift, symbols, vowels, vowel_initial)
+            )
+            np.add(means, rng.standard_normal((per_word, d)), out=x[row : row + per_word])
+
+    words = [entry.word for entry in lexicon]
+    suffixes = [f":{t:03d}" for t in range(per_word)]
+    token_ids = [word + suffix for word in words for suffix in suffixes]
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise ValidationError(f"token {token_ids[int(bad[0])]!r}: embedding has non-finite values")
+    word_index = np.repeat(np.arange(len(words), dtype=np.int32), per_word)
+    tokens_per_archetype = spec.words_per_archetype * per_word
+    archetypes = [a for a in range(spec.num_leaf_archetypes) for _ in range(tokens_per_archetype)]
+    labels = dict(zip(token_ids, zip(archetypes, comps.tolist() * len(words))))
+    corpus = Corpus(token_ids, words, word_index, x)
+    return lexicon, _planted_questions(spec), corpus, GroundTruth(labels)
 
 
 # ---------------------------------------------------------------------------
@@ -274,11 +291,12 @@ def write_growth_csv(trace: GrowthTrace, sink: str | Path | IO[bytes]) -> None:
 
 
 def save_ground_truth(truth: GroundTruth, sink: str | Path | IO[bytes]) -> None:
+    """One JSON line per token, as ``json.dumps`` writes it."""
     lines = [
-        json.dumps({"token_id": token, "archetype": a, "component": c})
+        f'{{"token_id": {encode_basestring_ascii(token)}, "archetype": {a}, "component": {c}}}'
         for token, (a, c) in truth.labels.items()
     ]
-    write_bytes(sink, ("\n".join(lines) + "\n").encode("utf-8"))
+    write_bytes(sink, ("\n".join(lines) + "\n").encode("ascii"))
 
 
 def load_ground_truth(source: str | Path | IO[bytes]) -> GroundTruth:

@@ -111,6 +111,13 @@ class TestSynth:
         assert "invalid configuration" in err
         assert not (tmp_path / "lexicon.jsonl").exists()
 
+    def test_non_finite_embedding_exits_1_before_writing(self, tmp_path, capsys):
+        # archetype 2's base mean is 2 * 1e308, which overflows to inf
+        assert main(synth_args(tmp_path, separation="1e308", archetypes=3)) == 1
+        err = capsys.readouterr().err
+        assert "token 'w02_000:000': embedding has non-finite values" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestFit:
     def test_outputs_and_summary(self, corpus, tmp_path, capsys):

@@ -5,9 +5,10 @@ into a columnar corpus; the ``synth`` output and growth-trace digests before
 every writer went through one atomic file layer. The ``kinds`` corpus, whose
 question file also carries the shipped default questions so that growth asks
 all seven question kinds, was recorded before questions were answered by
-column. Any refactor of the load, growth, fitting, tagging or writing path
-must keep them. A change that alters output on purpose updates them and says
-so.
+column; the ``long`` synth corpus before ``synth`` drew each word's phonemes
+and normals in one call. Any refactor of the load, growth, fitting, tagging
+or writing path must keep them. A change that alters output on purpose
+updates them and says so.
 """
 
 from __future__ import annotations
@@ -45,6 +46,13 @@ CORPORA = {
          "--components", "2", "--d", "4", "--seed", "4", "--class-distinctions"],
         ["--max-leaves", "24", "--components", "2", "--min-leaf", "2", "--seed", "1"],
     ),
+}
+
+# corpora whose synth outputs alone are pinned; "long" has words of up to 78
+# phonemes, whose draws alternate between the consonant and vowel pool bounds
+SYNTH_ONLY = {
+    "long": ["--archetypes", "26", "--words-per-archetype", "3", "--tokens-per-word", "2",
+             "--components", "1", "--binary"],
 }
 
 # corpora whose synth question file is extended with the default questions
@@ -90,6 +98,13 @@ SYNTH_DIGESTS = {
         "embeddings": "3cb1718d78d49c5047a08f7f5c4abf48504c764cee01fcd4aaa10d13f2515553",
         "truth.jsonl": "794c6fbf95442fd6474a615296051ecccfa2fae214cb8a967754a9f0bc810c11",
     },
+    "long": {
+        "lexicon.jsonl": "cc9f9fcd2d01be14ed52dddda1bf14942d277d9058fed5e00501d2b0a9fb3b84",
+        "questions.jsonl": "f26e3d17ce23126b4a780c296e70384e352e79e19bfca431d65bfeed241c501f",
+        "classes.json": "f34f6cf62817045d7f1d695dafc5c391516ac73deccae9c4a1b462003c5767a8",
+        "embeddings": "2a3dea4b7862c88c2a303ac614e37d67dcf057e9ea45e188057004e918316ccd",
+        "truth.jsonl": "5007932e991ea914703a53cfc48b91855330c92fb801a3ecd3ee4e21774c95e4",
+    },
 }
 
 
@@ -119,7 +134,7 @@ def _extend_questions(root) -> None:
 
 
 def _synth(root, name: str) -> None:
-    flags = CORPORA[name][0]
+    flags = CORPORA[name][0] if name in CORPORA else SYNTH_ONLY[name]
     args = ["synth", *_inputs(root), "--ground-truth", str(root / "truth.jsonl"), *flags]
     assert main(args) == 0
     if name in EXTENDED:
@@ -147,11 +162,25 @@ def test_extended_corpus_asks_every_kind(tmp_path, capsys):
     assert {q.kind for q in questions} == set(QuestionKind)
 
 
-@pytest.mark.parametrize("name", sorted(CORPORA))
+def _synth_digests(root) -> dict[str, str]:
+    return {file: _sha((root / file).read_bytes()) for file in SYNTH_DIGESTS["jsonl"]}
+
+
+def _refuse(self):
+    raise AssertionError("a per-token ProsodySample was built")
+
+
+@pytest.mark.parametrize("name", sorted(SYNTH_DIGESTS))
 def test_synth_outputs_pinned(name, tmp_path, capsys):
     _synth(tmp_path, name)
-    digests = {file: _sha((tmp_path / file).read_bytes()) for file in SYNTH_DIGESTS[name]}
-    assert digests == SYNTH_DIGESTS[name]
+    assert _synth_digests(tmp_path) == SYNTH_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["binary", "jsonl"])
+def test_synth_builds_no_token_objects(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(ProsodySample, "__post_init__", _refuse)
+    _synth(tmp_path, name)
+    assert _synth_digests(tmp_path) == SYNTH_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(CORPORA))
@@ -189,10 +218,6 @@ def test_api_model_pinned(name, tmp_path, capsys):
 @pytest.mark.parametrize("name", sorted(CORPORA))
 def test_cli_builds_no_token_objects(name, tmp_path, monkeypatch, capsys):
     _synth(tmp_path, name)
-
-    def refuse(self):
-        raise AssertionError("a per-token ProsodySample was built")
-
-    monkeypatch.setattr(ProsodySample, "__post_init__", refuse)
+    monkeypatch.setattr(ProsodySample, "__post_init__", _refuse)
     out = _fit_and_tag(tmp_path, name)
     assert _sha(out["tags"]) == DIGESTS[name]["tags"]

@@ -7,6 +7,7 @@ pure-Python implementation (tests/oracles.py) and frozen here.
 from __future__ import annotations
 
 import io
+import json
 import struct
 
 import numpy as np
@@ -68,6 +69,58 @@ BAD_RECORDS = {
     "truncated string": (binary_file((b"w", b"a", [1.0, 2.0])) + b"\x09\x00abc", ParseError),
     "truncated header": (binary_file((b"w", b"a", [1.0, 2.0])) + b"\x01", ParseError),
 }
+
+
+# text that needs escaping in JSON, plus any other code point but surrogates
+TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\x00\x1f\x7f\u2028\u00e9\U0001f600'),
+        st.characters(exclude_categories=("Cs",)),
+    ),
+    max_size=8,
+)
+EDGE_FLOATS = [0.0, -0.0, 5e-324, 2.2e-308, 1e-45, 1.0, -3.0, 2.0**53, 1e16, 1e308, -1e308]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+# floats that round to a finite float32, so ``struct`` can pack them
+FLOAT32S = st.one_of(
+    st.sampled_from([x for x in EDGE_FLOATS if abs(x) < 3e38]),
+    st.floats(min_value=-3.4e38, max_value=3.4e38),
+)
+
+
+@st.composite
+def sample_lists(draw, floats, min_size=0):
+    """Samples of one dimension whose words repeat across tokens."""
+    d = draw(st.integers(1, 4))
+    words = draw(st.lists(TEXT, min_size=1, max_size=3))
+    records = draw(
+        st.lists(
+            st.tuples(TEXT, st.sampled_from(words), st.lists(floats, min_size=d, max_size=d)),
+            min_size=min_size,
+            max_size=6,
+        )
+    )
+    return [ProsodySample(t, w, np.array(v)) for t, w, v in records]
+
+
+def jsonl_oracle(samples) -> bytes:
+    """The per-record ``json.dumps`` form of an embedding file."""
+    lines = [
+        json.dumps({"token_id": s.token_id, "word": s.word, "embedding": s.embedding.tolist()})
+        for s in samples
+    ]
+    return ("\n".join(lines) + "\n" if lines else "").encode("utf-8")
+
+
+def binary_oracle(samples) -> bytes:
+    """The per-record ``struct`` form of a binary embedding file."""
+    parts = [b"PTE1", struct.pack("<I", samples[0].dim)]
+    for s in samples:
+        for text in (s.word, s.token_id):
+            encoded = text.encode("utf-8")
+            parts += [struct.pack("<H", len(encoded)), encoded]
+        parts.append(struct.pack(f"<{s.dim}f", *s.embedding.tolist()))
+    return b"".join(parts)
 
 
 def stats_of(values) -> SufficientStats:
@@ -303,6 +356,44 @@ class TestEmbeddingIO:
     def test_empty_file_is_empty_corpus(self):
         assert len(load_samples(io.BytesIO(b""))) == 0
         assert len(load_samples(io.BytesIO(b"PTE1\x02\x00\x00\x00"))) == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(sample_lists(FLOATS))
+    def test_jsonl_writer_matches_json_dumps(self, samples):
+        buf = io.BytesIO()
+        save_samples(samples, buf)
+        assert buf.getvalue() == jsonl_oracle(samples)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sample_lists(FLOAT32S, min_size=1))
+    def test_binary_writer_matches_struct_packing(self, samples):
+        buf = io.BytesIO()
+        save_samples(samples, buf, binary=True)
+        assert buf.getvalue() == binary_oracle(samples)
+
+    @pytest.mark.parametrize("field", ["token_id", "word"])
+    def test_binary_string_limit(self, field):
+        def sample(text):
+            names = {"token_id": "t", "word": "w", field: text}
+            return ProsodySample(names["token_id"], names["word"], np.array([1.0]))
+
+        longest = sample("\u00e9" * 0x7FFF + "x")  # 0xFFFF bytes
+        buf = io.BytesIO()
+        save_samples([longest], buf, binary=True)
+        assert getattr(load_samples(io.BytesIO(buf.getvalue()))[0], field) == getattr(longest, field)
+        with pytest.raises(ValidationError, match="string too long"):
+            save_samples([sample("\u00e9" * 0x8000)], io.BytesIO(), binary=True)
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_mixed_dimension_not_written(self, binary):
+        samples = [ProsodySample("a", "w", np.array([1.0])), ProsodySample("b", "w", np.array([1.0, 2.0]))]
+        with pytest.raises(DimensionMismatchError, match="'b'"):
+            save_samples(samples, io.BytesIO(), binary=binary)
+
+    def test_empty_jsonl_is_empty_file(self):
+        buf = io.BytesIO()
+        save_samples([], buf)
+        assert buf.getvalue() == b""
 
     def test_unicode_words_binary(self):
         samples = [ProsodySample("t0", "naïve", np.array([1.5, -2.5]))]

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import io
+import json
 
 import numpy as np
 import pytest
 
 from prosotag import (
     ConfigError,
+    Corpus,
     GroundTruth,
     GrowthTrace,
     ParseError,
@@ -97,6 +99,19 @@ class TestGenerate:
         assert len(samples) == spec.total_tokens
         assert len(truth) == spec.total_tokens
         assert len(questions) == spec.num_leaf_archetypes - 1
+
+    def test_tokens_are_a_corpus(self):
+        spec = tiny_spec()
+        lexicon, _, samples, _ = generate(spec)
+        assert isinstance(samples, Corpus)
+        assert samples.words == [w.word for w in lexicon]
+        assert samples.word_index.dtype == np.int32
+        assert samples.word_index.tolist() == [i // 4 for i in range(48)]
+        assert samples.token_ids[:5] == [f"w00_000:00{t}" for t in range(4)] + ["w00_001:000"]
+        assert samples.x.shape == (48, 3) and not samples.x.flags.writeable
+        rebuilt = Corpus.of(list(samples))
+        assert rebuilt.token_ids == samples.token_ids and rebuilt.words == samples.words
+        np.testing.assert_array_equal(rebuilt.x, samples.x)
 
     def test_two_archetypes_separated_by_planted_question(self, classes):
         spec = tiny_spec(num_leaf_archetypes=2)
@@ -264,6 +279,16 @@ class TestGroundTruthIO:
         path = tmp_path / "truth.jsonl"
         save_ground_truth(truth, path)
         assert load_ground_truth(path).labels == truth.labels
+
+    def test_lines_match_json_dumps(self):
+        labels = {"w00_000:000": (0, 1), 'q"\\\n\u00e9\U0001f600': (12, 0), "": (3, 25)}
+        buf = io.BytesIO()
+        save_ground_truth(GroundTruth(labels), buf)
+        expected = "".join(
+            json.dumps({"token_id": t, "archetype": a, "component": c}) + "\n"
+            for t, (a, c) in labels.items()
+        )
+        assert buf.getvalue() == expected.encode("utf-8")
 
     def test_duplicate_token(self, tmp_path):
         path = tmp_path / "truth.jsonl"
