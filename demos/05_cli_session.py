@@ -11,7 +11,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-root = Path(tempfile.mkdtemp(prefix="prosotag_demo_"))
+# removed with everything in it when the script exits, also on an error
+workdir = tempfile.TemporaryDirectory(prefix="prosotag_demo_")
+root = Path(workdir.name)
 print(f"working in {root}\n")
 
 

@@ -130,12 +130,13 @@ def _sq_distances(
     d terms in the same order as ``((x - c) ** 2).sum(axis=1)``.
     """
     out = np.empty((x.shape[0], centers.shape[0]))
+    diff = np.empty(x.shape)
     for k, center in enumerate(centers):
-        diff = x - center
+        np.subtract(x, center, out=diff)
         diff *= diff
         if variances is not None:
             diff /= variances[k]
-        out[:, k] = diff.sum(axis=1)
+        diff.sum(axis=1, out=out[:, k])
     return out
 
 
@@ -181,14 +182,19 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kmeans_plus_plus(x: np.ndarray, m: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_plus_plus(
+    x: np.ndarray, m: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
     """Greedy k-means++: several D^2-sampled candidates per center, keeping
-    the one that lowers the potential most."""
+    the one that lowers the potential most. Returns the centres and the
+    (n, m) ``_sq_distances`` to them, each column the chosen candidate's."""
     n = x.shape[0]
     trials = 2 + int(np.log(m))
     centers = np.empty((m, x.shape[1]))
+    distances = np.empty((n, m))
     centers[0] = x[rng.integers(n)]
     closest = _sq_distances(x, centers[:1])[:, 0]
+    distances[:, 0] = closest
     for k in range(1, m):
         total = closest.sum()
         if total > 0.0:
@@ -199,27 +205,36 @@ def _kmeans_plus_plus(x: np.ndarray, m: int, rng: np.random.Generator) -> np.nda
         trimmed = [np.minimum(closest, dist[:, j]) for j in range(trials)]
         best = int(np.argmin([t.sum() for t in trimmed]))  # ties: the earliest candidate
         centers[k] = x[candidates[best]]
+        distances[:, k] = dist[:, best]
         closest = trimmed[best]
-    return centers
+    return centers, distances
 
 
 def _run_kmeans(
     x: np.ndarray, m: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """One seeded restart: (centres, labels, inertia), the labels and inertia
-    those of the returned centres."""
-    centers = _kmeans_plus_plus(x, m, rng)
-    labels = None
-    for sweep in range(KMEANS_SWEEPS + 1):
-        dist = _sq_distances(x, centers)
-        previous, labels = labels, np.argmin(dist, axis=1)
-        if sweep == KMEANS_SWEEPS or np.array_equal(labels, previous):
-            break  # repeated labels: the centres are their means already, a fixed point
-        for k in range(m):
+    those of the returned centres.
+
+    A sweep recomputes the mean and the distance column of a cluster only if
+    its members changed: the same members give the same mean, bit for bit,
+    and the same centre the same distances.
+    """
+    centers, dist = _kmeans_plus_plus(x, m, rng)
+    labels = np.argmin(dist, axis=1)
+    stale = np.arange(m)
+    for _ in range(KMEANS_SWEEPS):
+        for k in stale:
             member = labels == k
             if member.any():
                 centers[k] = x[member].mean(axis=0)
             # an emptied cluster keeps its previous center
+        dist[:, stale] = _sq_distances(x, centers[stale])
+        previous, labels = labels, np.argmin(dist, axis=1)
+        changed = labels != previous
+        if not changed.any():
+            break  # repeated labels: the centres are their means already, a fixed point
+        stale = np.union1d(previous[changed], labels[changed])
     return centers, labels, float(dist.min(axis=1).sum())
 
 

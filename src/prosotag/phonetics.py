@@ -4,10 +4,11 @@ A word is represented by its phoneme string plus syllable structure; questions
 are boolean predicates over that structure (counts, class membership, stress
 placement). ``answer_question`` asks one word; ``WordColumns`` holds a word
 list as numpy columns and answers a question for all of its words, or a subset,
-at once. All types here except ``WordColumns`` are immutable after
-construction, and question evaluation is stateless. ``WordColumns`` builds
-each column on first use from its fixed word list, so concurrent use at worst
-builds one twice: everything in this module is safe to share across threads.
+at once. ``load_lexicon`` reads a lexicon file straight into ``WordColumns``.
+All types here except ``WordColumns`` are immutable after construction, and
+question evaluation is stateless. ``WordColumns`` builds each column on first
+use from its fixed word list, so concurrent use at worst builds one twice:
+everything in this module is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -236,22 +237,100 @@ def answer_question(q: Question, w: WordEntry, classes: PhonemeClassTable) -> bo
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-class WordColumns:
+def _symbol_coder() -> defaultdict[str, int]:
+    """A phoneme -> id map that gives a new symbol the next id."""
+    codes: defaultdict[str, int] = defaultdict()
+    codes.default_factory = codes.__len__
+    return codes
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """Where each of consecutive runs of ``counts`` items starts."""
+    return np.cumsum(counts) - counts
+
+
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions ``starts[i]:starts[i] + lengths[i]`` of every i, in order."""
+    return np.arange(int(lengths.sum())) + np.repeat(starts - _offsets(lengths), lengths)
+
+
+class WordColumns(Sequence[WordEntry]):
     """A word list as columns, so that a question is answered for many words
     with one numpy expression.
 
     Per word: phoneme and syllable counts, the stress syllable (-1 when
     unmarked), the start offset of its phonemes in the flat ``ids`` and its
-    first and last phoneme. Phonemes are int32 ids into ``symbols``. Every
-    word has at least one phoneme, so ``starts`` strictly increases. Each
-    column is built once, when a question first needs it.
+    first and last phoneme, and its syllable breaks in the flat ``breaks``.
+    Phonemes are int32 ids into ``symbols``, numbered in order of first
+    appearance. Every word has at least one phoneme, so ``starts`` strictly
+    increases. ``row_of`` maps each word to its row.
+
+    ``WordColumns(entries)`` wraps a list of entries and builds each column
+    once, when a question first needs it. ``load_lexicon`` and ``take`` fill
+    the columns directly; indexing them builds a ``WordEntry`` only for the
+    word asked for.
     """
 
     def __init__(self, entries: Sequence[WordEntry]) -> None:
-        self.entries = entries
+        self.entries: Sequence[WordEntry] | None = entries
+
+    @classmethod
+    def _filled(
+        cls,
+        words: list[str],
+        symbols: tuple[str, ...],
+        ids: np.ndarray,
+        num_phonemes: np.ndarray,
+        breaks: np.ndarray,
+        num_syllables: np.ndarray,
+        stress: np.ndarray,
+    ) -> "WordColumns":
+        columns = cls.__new__(cls)
+        columns.entries = None
+        columns.words = words
+        columns._coded = (symbols, ids)
+        columns.num_phonemes = num_phonemes
+        columns.breaks = breaks
+        columns.num_syllables = num_syllables
+        columns.stress = stress
+        return columns
+
+    def __len__(self) -> int:
+        return len(self.words if self.entries is None else self.entries)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        if self.entries is not None:
+            return self.entries[index]
+        word = self.words[index]
+        start, stop = self.starts[index], self.starts[index] + self.num_phonemes[index]
+        first = self.break_starts[index]
+        stress = int(self.stress[index])
+        return WordEntry(
+            word,
+            tuple(map(self.symbols.__getitem__, self.ids[start:stop].tolist())),
+            tuple(self.breaks[first : first + self.num_syllables[index]].tolist()),
+            None if stress < 0 else stress,
+        )
 
     def _ints(self, values: Iterable[int]) -> np.ndarray:
-        return np.fromiter(values, np.int64, len(self.entries))
+        return np.fromiter(values, np.int64, len(self))
+
+    @cached_property
+    def words(self) -> list[str]:
+        return [e.word for e in self.entries]
+
+    @cached_property
+    def row_of(self) -> dict[str, int]:
+        row_of = dict(zip(self.words, range(len(self))))
+        if len(row_of) != len(self):
+            seen: set[str] = set()
+            for word in self.words:
+                if word in seen:
+                    raise ValidationError(f"duplicate word {word!r} in lexicon")
+                seen.add(word)
+        return row_of
 
     @cached_property
     def num_phonemes(self) -> np.ndarray:
@@ -268,9 +347,16 @@ class WordColumns:
         )
 
     @cached_property
+    def breaks(self) -> np.ndarray:
+        return np.fromiter(
+            chain.from_iterable(e.syllable_breaks for e in self.entries),
+            np.int64,
+            int(self.num_syllables.sum()),
+        )
+
+    @cached_property
     def _coded(self) -> tuple[tuple[str, ...], np.ndarray]:
-        codes: defaultdict[str, int] = defaultdict()
-        codes.default_factory = codes.__len__  # a new symbol gets the next id
+        codes = _symbol_coder()
         ids = np.fromiter(
             map(codes.__getitem__, chain.from_iterable(e.phonemes for e in self.entries)),
             np.int32,
@@ -288,7 +374,11 @@ class WordColumns:
 
     @cached_property
     def starts(self) -> np.ndarray:
-        return np.cumsum(self.num_phonemes) - self.num_phonemes
+        return _offsets(self.num_phonemes)
+
+    @cached_property
+    def break_starts(self) -> np.ndarray:
+        return _offsets(self.num_syllables)
 
     @cached_property
     def first(self) -> np.ndarray:
@@ -297,6 +387,33 @@ class WordColumns:
     @cached_property
     def last(self) -> np.ndarray:
         return self.ids[self.starts + self.num_phonemes - 1]
+
+    def rows(self, words: Sequence[str]) -> np.ndarray:
+        """The row of each of ``words``; a word not in the list is an error."""
+        try:
+            return np.fromiter(map(self.row_of.__getitem__, words), np.intp, len(words))
+        except KeyError as exc:
+            raise ValidationError(f"word {exc.args[0]!r} is not in the lexicon") from None
+
+    def take(self, rows: np.ndarray) -> "WordColumns":
+        """The words at ``rows``, in that order: their entries, if these
+        columns wrap entries, else their columns gathered. All words in order
+        are these columns themselves."""
+        if rows.size == len(self) and np.array_equal(rows, np.arange(len(self))):
+            return self
+        if self.entries is not None:
+            return WordColumns([self.entries[r] for r in rows.tolist()])
+        num_phonemes = self.num_phonemes[rows]
+        num_syllables = self.num_syllables[rows]
+        return WordColumns._filled(
+            words=[self.words[r] for r in rows.tolist()],
+            symbols=self.symbols,
+            ids=self.ids[_spans(self.starts[rows], num_phonemes)],
+            num_phonemes=num_phonemes,
+            breaks=self.breaks[_spans(self.break_starts[rows], num_syllables)],
+            num_syllables=num_syllables,
+            stress=self.stress[rows],
+        )
 
     def _member(self, classes: PhonemeClassTable, name: str) -> np.ndarray:
         """Whether each symbol id is in the named class."""
@@ -373,20 +490,6 @@ def _field(obj: Mapping, key: str, kind: type, *, optional: bool = False):
     raise ParseError(f"{key} must be {kind.__name__}, got {type(value).__name__}")
 
 
-def _word_from_dict(obj: Mapping) -> WordEntry:
-    """A lexicon record (the ``WordEntry.to_dict`` form) as a ``WordEntry``."""
-    phonemes = _field(obj, "phonemes", list)
-    breaks = _field(obj, "syllable_breaks", list)
-    if not set(map(type, phonemes)) <= {str} or not set(map(type, breaks)) <= {int}:
-        raise ParseError("phonemes must be strings and syllable_breaks integers")
-    return WordEntry(
-        word=_field(obj, "word", str),
-        phonemes=tuple(phonemes),
-        syllable_breaks=tuple(breaks),
-        stress_syllable=_field(obj, "stress_syllable", int, optional=True),
-    )
-
-
 def _question_from_dict(obj: Mapping) -> Question:
     """A question record (the ``Question.to_dict`` form) as a ``Question``;
     shared by the question-file and model-file loaders."""
@@ -403,20 +506,106 @@ def _question_from_dict(obj: Mapping) -> Question:
     )
 
 
-def load_lexicon(source: str | Path | IO[bytes]) -> list[WordEntry]:
-    """Read a JSON-lines lexicon. Duplicate word identifiers are an error."""
-    entries: list[WordEntry] = []
-    seen: set[str] = set()
+def _rule_breakers(
+    row_of: Mapping[str, int],
+    num_phonemes: np.ndarray,
+    breaks: np.ndarray,
+    num_syllables: np.ndarray,
+    stress: np.ndarray,
+    marked: np.ndarray,
+) -> np.ndarray:
+    """The rows, ascending, of records that break a rule of
+    ``WordEntry.__post_init__``, checked over all records at once: a
+    non-empty word and phoneme list, breaks from 0 strictly increasing and
+    below the phoneme count, and a marked stress syllable in range."""
+    bad = (num_phonemes == 0) | (num_syllables == 0)
+    starts = _offsets(num_syllables)
+    padded = np.append(breaks, 0)  # a word without breaks is bad already
+    bad |= padded[starts] != 0
+    bad |= padded[starts + num_syllables - 1] >= num_phonemes
+    owner = np.repeat(np.arange(len(num_syllables)), num_syllables)
+    bad[owner[1:][(breaks[1:] <= breaks[:-1]) & (owner[1:] == owner[:-1])]] = True
+    bad |= marked & ((stress < 0) | (stress >= num_syllables))
+    if "" in row_of:
+        bad[row_of[""]] = True
+    return np.flatnonzero(bad)
+
+
+def load_lexicon(source: str | Path | IO[bytes]) -> WordColumns:
+    """Read a JSON-lines lexicon into ``WordColumns``, coding each phoneme as
+    it is read. Duplicate word identifiers are an error.
+
+    Field types are checked record by record; the ``WordEntry`` rules run
+    once over all records after the last line, and the first record breaking
+    one is reported with ``WordEntry``'s message.
+    """
+    codes = _symbol_coder()
+    code = codes.__getitem__
+    words: list[str] = []
+    row_of: dict[str, int] = {}
+    linenos: list[int] = []
+    ids: list[int] = []
+    num_phonemes: list[int] = []
+    breaks: list[int] = []
+    num_syllables: list[int] = []
+    stress: list[int | None] = []
     for lineno, obj in json_lines(read_bytes(source)):
         try:
-            entry = _word_from_dict(obj)
-        except (ParseError, ValidationError) as exc:
+            phonemes = _field(obj, "phonemes", list)
+            record_breaks = _field(obj, "syllable_breaks", list)
+            if not set(map(type, phonemes)) <= {str} or not set(map(type, record_breaks)) <= {int}:
+                raise ParseError("phonemes must be strings and syllable_breaks integers")
+            word = _field(obj, "word", str)
+            stress.append(_field(obj, "stress_syllable", int, optional=True))
+        except ParseError as exc:
             raise ParseError(f"line {lineno}: malformed lexicon record: {exc}") from None
-        if entry.word in seen:
-            raise ParseError(f"line {lineno}: duplicate word {entry.word!r}")
-        seen.add(entry.word)
-        entries.append(entry)
-    return entries
+        if word in row_of:
+            raise ParseError(f"line {lineno}: duplicate word {word!r}")
+        row_of[word] = len(words)
+        words.append(word)
+        linenos.append(lineno)
+        ids += map(code, phonemes)
+        num_phonemes.append(len(phonemes))
+        breaks += record_breaks
+        num_syllables.append(len(record_breaks))
+
+    counts = np.array(num_phonemes, dtype=np.int64)
+    syllables = np.array(num_syllables, dtype=np.int64)
+    marked = np.fromiter((s is not None for s in stress), bool, len(stress))
+    try:
+        flat_breaks = np.array(breaks, dtype=np.int64)
+        stress_column = np.array([-1 if s is None else s for s in stress], dtype=np.int64)
+        suspects = _rule_breakers(
+            row_of, counts, flat_breaks, syllables, stress_column, marked
+        )
+    except OverflowError:  # a break or stress beyond int64 breaks a rule
+        suspects = range(len(words))
+    symbols = tuple(codes)
+    phoneme_starts, break_starts = _offsets(counts), _offsets(syllables)
+    for row in suspects:
+        start, first = phoneme_starts[row], break_starts[row]
+        try:
+            WordEntry(
+                words[row],
+                tuple(symbols[i] for i in ids[start : start + num_phonemes[row]]),
+                tuple(breaks[first : first + num_syllables[row]]),
+                stress[row],
+            )
+        except ValidationError as exc:
+            raise ParseError(
+                f"line {linenos[row]}: malformed lexicon record: {exc}"
+            ) from None
+    columns = WordColumns._filled(
+        words,
+        symbols,
+        np.fromiter(ids, np.int32, len(ids)),
+        counts,
+        flat_breaks,
+        syllables,
+        stress_column,
+    )
+    columns.row_of = row_of
+    return columns
 
 
 def save_lexicon(entries: Iterable[WordEntry], sink: str | Path | IO[bytes]) -> None:

@@ -51,7 +51,7 @@ from .tree import (
     SplitRecord,
     TreeNode,
     _grouped,
-    _word_entries,
+    _word_columns,
     grow_tree,
 )
 # route_word is the scalar reference and no longer runs here; perfbench/traced.py wraps it by name
@@ -218,8 +218,9 @@ def fit(
         raise DimensionMismatchError(
             f"config.d={config.d} but embeddings have dimension {dim}"
         )
+    columns = _word_columns(lexicon, corpus.words)
     tree, trace = grow_tree(
-        lexicon,
+        columns,
         corpus,
         questions,
         classes,
@@ -229,11 +230,7 @@ def fit(
         floor=config.floor,
     )
     _, leaf_rows = _route_tokens(
-        tree,
-        question_index(questions),
-        classes,
-        _word_entries(lexicon, corpus.words),
-        corpus.word_index,
+        tree, question_index(questions), classes, columns, corpus.word_index
     )
     gmms: dict[str, LeafGmm] = {}
     for leaf_index, letter in enumerate(tree.leaf_letters):
@@ -261,19 +258,18 @@ def _route_tokens(
     tree: DecisionTree,
     questions: Mapping[int, Question],
     classes: PhonemeClassTable,
-    entries: Sequence[WordEntry],
+    columns: WordColumns,
     word_index: np.ndarray,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Route every distinct word at once, as index sets down the tree.
 
-    ``entries[w]`` is word w's lexicon entry and ``word_index`` gives each
-    token's word. Each internal node answers its question for the words that
-    reached it only, and an empty side goes no further. Returns each token's
-    leaf index and, per leaf index, its token rows in token order.
+    Row w of ``columns`` is word w and ``word_index`` gives each token's
+    word. Each internal node answers its question for the words that reached
+    it only, and an empty side goes no further. Returns each token's leaf
+    index and, per leaf index, its token rows in token order.
     """
-    columns = WordColumns(entries)
-    word_leaf = np.empty(len(entries), dtype=np.intp)
-    pending = [(0, np.arange(len(entries)))]
+    word_leaf = np.empty(len(columns), dtype=np.intp)
+    pending = [(0, np.arange(len(columns)))]
     for _ in range(len(tree.nodes)):  # a node is reached at most once
         if not pending:
             break
@@ -298,16 +294,16 @@ def _route_tokens(
 
 
 def _tag_corpus(
-    model: TaggerModel, entries: Sequence[WordEntry], corpus: Corpus
+    model: TaggerModel, columns: WordColumns, corpus: Corpus
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``tag_tokens`` on a non-empty corpus whose words' entries are ``entries``."""
+    """``tag_tokens`` on a non-empty corpus whose words are the rows of ``columns``."""
     if corpus.dim != model.config.d:
         raise DimensionMismatchError(
             f"embedding dimension {corpus.dim} of token {corpus.token_ids[0]!r} "
             f"does not match model dimension {model.config.d}"
         )
     leaves, leaf_rows = _route_tokens(
-        model.tree, model.question_by_id, model.classes, entries, corpus.word_index
+        model.tree, model.question_by_id, model.classes, columns, corpus.word_index
     )
     components = np.empty(len(corpus), dtype=np.intp)
     for leaf, rows in enumerate(leaf_rows):
@@ -332,7 +328,7 @@ def tag_tokens(
     corpus = Corpus.of(samples)
     if not corpus:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    return _tag_corpus(model, _word_entries(lexicon, corpus.words), corpus)
+    return _tag_corpus(model, _word_columns(lexicon, corpus.words), corpus)
 
 
 def tag(model: TaggerModel, word: WordEntry, e: np.ndarray) -> ProsodyTag:
@@ -345,7 +341,7 @@ def tag(model: TaggerModel, word: WordEntry, e: np.ndarray) -> ProsodyTag:
     if not np.isfinite(e).all():
         raise ValidationError(f"word {word.word!r}: embedding has non-finite values")
     corpus = Corpus((word.word,), (word.word,), np.zeros(1, dtype=np.int32), e[None, :])
-    leaves, components = _tag_corpus(model, (word,), corpus)
+    leaves, components = _tag_corpus(model, WordColumns((word,)), corpus)
     return ProsodyTag(
         leaf=model.tree.leaf_letters[leaves[0]], component=int(components[0])
     )

@@ -152,7 +152,7 @@ class _Growth:
 
     def __init__(
         self,
-        entries: Sequence[WordEntry],
+        columns: WordColumns,
         corpus: Corpus,
         questions: Sequence[Question],
         classes: PhonemeClassTable,
@@ -161,20 +161,19 @@ class _Growth:
     ) -> None:
         self.floor = floor
         self.min_child = max(min_leaf, 1)
-        order, spans = _grouped(corpus.word_index, len(entries))
+        order, spans = _grouped(corpus.word_index, len(columns))
         self.counts = np.array([end - start for start, end in spans], dtype=np.int64)
         # each word's rows as one contiguous block in token order, summed over
         # axis 0 like a stacked per-word matrix: numpy sums that axis pairwise
         # when d == 1, so np.add.at (row by row) would differ in the last bit
-        self.sums = np.empty((len(entries), corpus.dim))
-        self.sumsqs = np.empty((len(entries), corpus.dim))
+        self.sums = np.empty((len(columns), corpus.dim))
+        self.sumsqs = np.empty((len(columns), corpus.dim))
         for w, (start, end) in enumerate(spans):
             block = corpus.x[order[start:end]]
             block.sum(axis=0, out=self.sums[w])
             (block * block).sum(axis=0, out=self.sumsqs[w])
         self.qids = np.array([q.id for q in questions], dtype=np.int64)
-        columns = WordColumns(entries)
-        self.answers = np.empty((len(entries), len(questions)), dtype=bool)
+        self.answers = np.empty((len(columns), len(questions)), dtype=bool)
         for qi, q in enumerate(questions):
             self.answers[:, qi] = columns.answer(q, classes)
 
@@ -192,10 +191,11 @@ class _Growth:
     def best_split(self, leaf: _Leaf) -> tuple[int, float] | None:
         """Best (question column, gain) for a leaf, or None if nothing is valid."""
         widx = leaf.widx
-        answers = self.answers[widx]
-        n_parent = int(self.counts[widx].sum())
-        a_int = answers.astype(np.int64)
-        n_yes = a_int.T @ self.counts[widx]
+        side = self.answers[widx].astype(np.float64)  # the yes side, then the no side
+        counts = self.counts[widx]
+        n_parent = int(counts.sum())
+        # exact: integer counts stay far below 2**53
+        n_yes = (side.T @ counts.astype(np.float64)).astype(np.int64)
         n_no = n_parent - n_yes
         valid = np.flatnonzero((n_yes >= self.min_child) & (n_no >= self.min_child))
         if valid.size == 0:
@@ -203,12 +203,12 @@ class _Growth:
         # both sides go through the same matmul path: questions inducing
         # complementary or identical partitions then tie bitwise, so the
         # first-max argmax resolves them to the smallest question id
-        a_flt = answers.astype(np.float64)
-        b_flt = (~answers).astype(np.float64)
-        sum_yes = a_flt.T @ self.sums[widx]
-        sumsq_yes = a_flt.T @ self.sumsqs[widx]
-        sum_no = b_flt.T @ self.sums[widx]
-        sumsq_no = b_flt.T @ self.sumsqs[widx]
+        sums, sumsqs = self.sums[widx], self.sumsqs[widx]
+        sum_yes = side.T @ sums
+        sumsq_yes = side.T @ sumsqs
+        np.subtract(1.0, side, out=side)
+        sum_no = side.T @ sums
+        sumsq_no = side.T @ sumsqs
         ll_yes = _ll_from_moments(n_yes[valid], sum_yes[valid], sumsq_yes[valid], self.floor)
         ll_no = _ll_from_moments(n_no[valid], sum_no[valid], sumsq_no[valid], self.floor)
         gains = ll_yes + ll_no - leaf.ll
@@ -230,24 +230,18 @@ def _grouped(keys: np.ndarray, size: int) -> tuple[np.ndarray, list[tuple[int, i
     return order, list(zip([0] + ends, ends))
 
 
-def _word_entries(
+def _word_columns(
     lexicon: Sequence[WordEntry] | Mapping[str, WordEntry], words: Sequence[str]
-) -> list[WordEntry]:
-    """The lexicon entry of each word, in order."""
-    if not isinstance(lexicon, Mapping):
-        by_word: dict[str, WordEntry] = {}
-        for entry in lexicon:
-            if entry.word in by_word:
-                raise ValidationError(f"duplicate word {entry.word!r} in lexicon")
-            by_word[entry.word] = entry
-        lexicon = by_word
-    entries: list[WordEntry] = []
-    for word in words:
-        entry = lexicon.get(word)
-        if entry is None:
-            raise ValidationError(f"word {word!r} is not in the lexicon")
-        entries.append(entry)
-    return entries
+) -> WordColumns:
+    """The lexicon's rows of ``words``, in order, as ``WordColumns.take``
+    gives them: gathered from a columnar lexicon (``load_lexicon`` returns
+    one) without building an entry; from a list of entries, or the values of
+    a word -> entry mapping, as entries whose columns are built on first use."""
+    if isinstance(lexicon, Mapping):
+        lexicon = list(lexicon.values())
+    if not isinstance(lexicon, WordColumns):
+        lexicon = WordColumns(lexicon)
+    return lexicon.take(lexicon.rows(words))
 
 
 def grow_tree(
@@ -278,15 +272,15 @@ def grow_tree(
     if not samples:
         raise ValidationError("corpus is empty")
     corpus = Corpus.of(samples)
-    entries = _word_entries(lexicon, corpus.words)
+    columns = _word_columns(lexicon, corpus.words)
 
     ordered = _sorted_questions(questions)
     for q in ordered:
         q.validate_against(classes)
-    growth = _Growth(entries, corpus, ordered, classes, floor, min_leaf)
+    growth = _Growth(columns, corpus, ordered, classes, floor, min_leaf)
     total_tokens = int(growth.counts.sum())
 
-    root_widx = np.arange(len(entries))
+    root_widx = np.arange(len(columns))
     root = _Leaf(node_pos=0, widx=root_widx, ll=growth.leaf_ll(root_widx))
     root.best = growth.best_split(root)
     nodes: list[TreeNode | None] = [None]

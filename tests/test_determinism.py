@@ -23,6 +23,7 @@ from prosotag.gaussian import load_samples
 from prosotag.phonetics import (
     Question,
     QuestionKind,
+    WordEntry,
     default_questions,
     load_classes,
     load_lexicon,
@@ -220,4 +221,19 @@ def test_cli_builds_no_token_objects(name, tmp_path, monkeypatch, capsys):
     _synth(tmp_path, name)
     monkeypatch.setattr(ProsodySample, "__post_init__", _refuse)
     out = _fit_and_tag(tmp_path, name)
+    assert _sha(out["tags"]) == DIGESTS[name]["tags"]
+
+
+def _refuse_word(self):
+    raise AssertionError("a WordEntry was built")
+
+
+@pytest.mark.parametrize("name", sorted(CORPORA))
+def test_cli_builds_no_word_entries(name, tmp_path, monkeypatch, capsys):
+    # the lexicon is read into columns and growth, routing and tagging gather
+    # rows from them
+    _synth(tmp_path, name)
+    monkeypatch.setattr(WordEntry, "__post_init__", _refuse_word)
+    out = _fit_and_tag(tmp_path, name)
+    assert _sha(out["model"]) == DIGESTS[name]["model"]
     assert _sha(out["tags"]) == DIGESTS[name]["tags"]

@@ -383,7 +383,7 @@ class TestNumericKernels:
     @settings(max_examples=40, deadline=None)
     def test_kmeans_early_exit_is_exact(self, seed):
         def ten_sweeps(x, m, rng):
-            centers = gmm_module._kmeans_plus_plus(x, m, rng)
+            centers, _ = gmm_module._kmeans_plus_plus(x, m, rng)
             for _ in range(gmm_module.KMEANS_SWEEPS):
                 labels = np.argmin(broadcast_sq_distances(x, centers), axis=1)
                 for k in range(m):

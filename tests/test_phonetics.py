@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import io
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,7 +268,7 @@ class TestLexiconIO:
         ]
         path = tmp_path / "lex.jsonl"
         save_lexicon(entries, path)
-        assert load_lexicon(path) == entries
+        assert list(load_lexicon(path)) == entries
 
     def test_duplicate_word_rejected(self):
         data = b'{"word":"x","phonemes":["K"],"syllable_breaks":[0]}\n' * 2
@@ -305,6 +307,139 @@ class TestLexiconIO:
         data = b'{"word":"x","phonemes":["K"],"syllable_breaks":[0]}\n' + record + b"\n"
         with pytest.raises(ParseError, match="line 2"):
             load_lexicon(io.BytesIO(data))
+
+
+def lexicon_bytes(words) -> bytes:
+    sink = io.BytesIO()
+    save_lexicon(words, sink)
+    return sink.getvalue()
+
+
+class TestColumnarLexicon:
+    """``load_lexicon`` fills ``WordColumns`` directly; the lazy columns over
+    a list of entries and the scalar ``answer_question`` are the oracles."""
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_equals_entries(self, seed, classes):
+        rng = np.random.default_rng(seed)
+        words = [random_word(rng, f"w{i}", classes) for i in range(int(rng.integers(0, 30)))]
+        loaded = load_lexicon(io.BytesIO(lexicon_bytes(words)))
+        assert len(loaded) == len(words)
+        for i, w in enumerate(words):
+            assert loaded[i] == w
+        assert loaded[:] == words
+        lazy = WordColumns(words)
+        for name in ("num_phonemes", "num_syllables", "stress", "breaks", "ids", "starts",
+                     "first", "last"):
+            np.testing.assert_array_equal(getattr(loaded, name), getattr(lazy, name))
+        assert loaded.symbols == lazy.symbols
+        assert loaded.words == lazy.words
+        assert loaded.row_of == lazy.row_of
+        rows = rng.permutation(len(words))[: int(rng.integers(len(words) + 1))]
+        taken = loaded.take(rows)
+        assert list(taken) == [words[r] for r in rows]
+        for q in every_kind(classes, 2**64):
+            expected = np.array([answer_question(q, w, classes) for w in words], dtype=bool)
+            np.testing.assert_array_equal(loaded.answer(q, classes, rows), expected[rows])
+            np.testing.assert_array_equal(taken.answer(q, classes), expected[rows])
+
+    @staticmethod
+    def record(data, word):
+        """A valid lexicon record, or one with a single fault: each rule of
+        WordEntry is then sometimes the only one a record breaks."""
+        phonemes = data.draw(st.lists(st.sampled_from(["AA", "K", "S"]), min_size=1, max_size=5))
+        inner = st.just(())
+        if len(phonemes) > 1:
+            inner = st.sets(st.integers(1, len(phonemes) - 1), max_size=3)
+        breaks = [0, *sorted(data.draw(inner))]
+        stress = data.draw(st.none() | st.integers(0, len(breaks) - 1))
+        fault = data.draw(st.sampled_from(
+            ["none", "none", "phonemes", "breaks", "first", "order", "last", "stress", "int64"]
+        ))
+        if fault == "phonemes":
+            phonemes = []
+        elif fault == "breaks":
+            breaks = []
+        elif fault == "first":
+            breaks[0] = data.draw(st.sampled_from([-1, -(2**63)]))
+        elif fault == "order":
+            k = data.draw(st.integers(0, len(breaks) - 1))
+            breaks.insert(k, breaks[k])
+        elif fault == "last":
+            breaks.append(len(phonemes) + data.draw(st.integers(0, 2)))
+        elif fault == "stress":
+            stress = data.draw(st.sampled_from([-1, len(breaks)]))
+        elif fault == "int64":  # beyond int64: a break, a first break or the stress
+            place = data.draw(st.sampled_from(["break", "first", "stress"]))
+            if place == "break":
+                breaks.append(2**63)
+            elif place == "first":
+                breaks[0] = -(2**63) - 1
+            else:
+                stress = data.draw(st.sampled_from([2**70, -(2**64)]))
+        return word, phonemes, breaks, stress
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_rules_reported_like_word_entry(self, data):
+        # the first record WordEntry rejects is reported, with its message
+        n = data.draw(st.integers(1, 6))
+        empty_at = data.draw(st.integers(-1, n - 1))
+        records = [self.record(data, "" if i == empty_at else f"w{i}") for i in range(n)]
+        text = "".join(
+            json.dumps({"word": w, "phonemes": p, "syllable_breaks": b, "stress_syllable": s}) + "\n"
+            for w, p, b, s in records
+        )
+        entries, expected = [], None
+        for lineno, (w, p, b, s) in enumerate(records, 1):
+            try:
+                entries.append(WordEntry(w, tuple(p), tuple(b), s))
+            except ValidationError as exc:
+                expected = f"line {lineno}: malformed lexicon record: {exc}"
+                break
+        if expected is None:
+            assert list(load_lexicon(io.BytesIO(text.encode()))) == entries
+        else:
+            with pytest.raises(ParseError) as info:
+                load_lexicon(io.BytesIO(text.encode()))
+            assert str(info.value) == expected
+
+    def test_held_memory_per_phoneme(self):
+        # 2,000 words of 40 phonemes over 39 symbols; a list of WordEntry
+        # holds about 45 bytes per phoneme
+        rng = np.random.default_rng(0)
+        symbols = sorted(set().union(*default_classes().classes.values()))
+        words = [
+            WordEntry(
+                f"word{i:05d}",
+                tuple(symbols[j] for j in rng.integers(len(symbols), size=40)),
+                tuple(range(0, 40, 3)),
+                1,
+            )
+            for i in range(2000)
+        ]
+        source = io.BytesIO(lexicon_bytes(words))
+        tracemalloc.start()
+        try:
+            lexicon = load_lexicon(source)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert lexicon[1999] == words[1999]
+        assert held < 16 * 40 * len(words)
+
+    def test_rows_and_unknown_word(self):
+        lexicon = load_lexicon(io.BytesIO(lexicon_bytes([make_word(["K"], name="a"),
+                                                         make_word(["S"], name="b")])))
+        np.testing.assert_array_equal(lexicon.rows(["b", "a", "b"]), [1, 0, 1])
+        with pytest.raises(ValidationError, match="word 'c' is not in the lexicon"):
+            lexicon.rows(["a", "c"])
+
+    def test_duplicate_in_entry_list(self):
+        words = [make_word(["K"], name="a"), make_word(["S"], name="a")]
+        with pytest.raises(ValidationError, match="duplicate word 'a' in lexicon"):
+            WordColumns(words).rows(["a"])
 
 
 class TestQuestionIO:

@@ -40,6 +40,7 @@ from prosotag import (
     tag_inventory,
     tag_tokens,
 )
+from prosotag.phonetics import WordColumns
 from prosotag.tagger import _route_tokens
 from conftest import random_instance, random_question, random_word
 
@@ -319,7 +320,7 @@ def random_tree(rng, questions, num_leaves):
 
 def assert_routes_like_route_word(tree, questions, classes, words, word_index):
     leaves, leaf_rows = _route_tokens(
-        tree, {q.id: q for q in questions}, classes, words, word_index
+        tree, {q.id: q for q in questions}, classes, WordColumns(words), word_index
     )
     expected = [
         tree.leaf_letters.index(route_word(tree, w, questions, classes)) for w in words
@@ -362,7 +363,9 @@ class TestRouting:
         with pytest.raises(ModelFormatError, match="cyclic"):
             route_word(tree, word, [question], classes)
         with pytest.raises(ModelFormatError, match="cyclic"):
-            _route_tokens(tree, {0: question}, classes, [word], np.zeros(1, dtype=np.int32))
+            _route_tokens(
+                tree, {0: question}, classes, WordColumns([word]), np.zeros(1, dtype=np.int32)
+            )
 
     def test_fit_and_tag_ask_no_scalar_question(self, monkeypatch):
         def refuse(*args, **kwargs):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,8 +25,8 @@ from prosotag import (
     leaf_letter,
     route_word,
 )
-from prosotag.tree import _Growth, _word_entries
-from conftest import random_instance
+from prosotag.tree import _Growth, _word_columns
+from conftest import random_instance, random_question, random_word
 from oracles import closed_form_ll, greedy_oracle
 
 
@@ -385,9 +387,34 @@ class TestWordStats:
             by_word.setdefault(sample.word, []).append(sample.embedding)
         assert list(by_word) == corpus.words
         growth = _Growth(
-            _word_entries(words, corpus.words), corpus, questions, classes, 1e-6, 1
+            _word_columns(words, corpus.words), corpus, questions, classes, 1e-6, 1
         )
         matrices = [np.stack(vectors) for vectors in by_word.values()]
         np.testing.assert_array_equal(growth.counts, [m.shape[0] for m in matrices])
         np.testing.assert_array_equal(growth.sums, [m.sum(axis=0) for m in matrices])
         np.testing.assert_array_equal(growth.sumsqs, [(m * m).sum(axis=0) for m in matrices])
+
+
+class TestBoundedMemory:
+    """Growth allocates, above its inputs, less than two float64 (words x
+    questions) blocks: one answer block per split evaluation, no integer copy
+    and no separate no-side block."""
+
+    def test_grow_tree_peak(self, classes):
+        rng = np.random.default_rng(0)
+        words = [random_word(rng, f"w{i:04d}", classes) for i in range(4000)]
+        questions = [random_question(rng, qid, classes) for qid in range(64)]
+        word_index = np.repeat(np.arange(len(words), dtype=np.int32), 2)
+        corpus = Corpus(
+            [f"t{i}" for i in range(word_index.size)],
+            [w.word for w in words],
+            word_index,
+            rng.normal(size=(word_index.size, 2)),
+        )
+        tracemalloc.start()
+        try:
+            grow_tree(words, corpus, questions, classes, max_leaves=8, min_leaf=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(words) * len(questions) * 8
