@@ -3,7 +3,8 @@
 Each tree leaf gets its own mixture, fit by EM on that leaf's embeddings.
 Initialization runs ``KMEANS_RESTARTS`` seeded restarts of greedy k-means++
 followed by at most ``KMEANS_SWEEPS`` Lloyd sweeps each (a restart stops
-early once its labels repeat), keeping the restart with the lowest inertia.
+early once its labels repeat), keeping the restart with the lowest inertia;
+a one-component mixture runs one restart, as every restart ends at the mean.
 EM then runs in log space (log-sum-exp responsibilities) until the relative
 gain in total log-likelihood falls below ``EM_REL_TOL`` or ``EM_MAX_ITERS``
 M-steps have run. Everything downstream of the seed is deterministic.
@@ -243,7 +244,9 @@ def _initial_parameters(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)
     centers, labels, best_inertia = _run_kmeans(x, m, rng)
-    for _ in range(KMEANS_RESTARTS - 1):
+    # with one component every restart's first sweep moves the centre to the
+    # mean of all rows, whatever row seeded it, so a later restart never wins
+    for _ in range(KMEANS_RESTARTS - 1 if m > 1 else 0):
         other, other_labels, inertia = _run_kmeans(x, m, rng)
         # strict < keeps the earliest restart on ties, for determinism
         if inertia < best_inertia:
@@ -291,6 +294,7 @@ def fit_gmm(
 
     weights, means, variances = _initial_parameters(x, m, seed, floor)
     global_var = np.maximum(x.var(axis=0), floor)
+    x_sq = x * x
     trace: list[float] = []
     for step in range(EM_MAX_ITERS + 1):
         joint = _log_joint(x, means, variances, *_fixed_terms(weights, variances))
@@ -308,7 +312,7 @@ def fit_gmm(
         weights = weights / weights.sum()
         safe_mass = np.where(live, mass, 1.0)
         means = np.where(live[:, None], resp.T @ x / safe_mass[:, None], means)
-        second = resp.T @ (x * x) / safe_mass[:, None]
+        second = resp.T @ x_sq / safe_mass[:, None]
         variances = np.where(
             live[:, None],
             np.maximum(second - means * means, floor),

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -531,13 +532,44 @@ def _rule_breakers(
     return np.flatnonzero(bad)
 
 
+_ELEMENT_FAULT = "phonemes must be strings and syllable_breaks integers"
+
+
+def _check_elements(
+    symbols: Sequence[object],
+    ids: Sequence[int],
+    num_phonemes: Sequence[int],
+    breaks: list,
+    num_syllables: Sequence[int],
+    linenos: list[int],
+) -> None:
+    """Reject the first record with a phoneme that is not a string or a
+    syllable break that is not an integer: one type test over the symbol
+    table and the flat breaks, and a search for the record only on a fault."""
+    if set(map(type, symbols)) <= {str} and set(map(type, breaks)) <= {int}:
+        return
+    rows = np.arange(len(num_phonemes))
+    bad_symbol = np.fromiter((type(s) is not str for s in symbols), bool, len(symbols))
+    bad_break = np.fromiter((type(b) is not int for b in breaks), bool, len(breaks))
+    bad_rows = np.union1d(
+        np.repeat(rows, num_phonemes)[bad_symbol[np.asarray(ids, dtype=np.intp)]],
+        np.repeat(rows, num_syllables)[bad_break],
+    )
+    if bad_rows.size:
+        raise ParseError(
+            f"line {linenos[bad_rows[0]]}: malformed lexicon record: {_ELEMENT_FAULT}"
+        )
+
+
 def load_lexicon(source: str | Path | IO[bytes]) -> WordColumns:
     """Read a JSON-lines lexicon into ``WordColumns``, coding each phoneme as
     it is read. Duplicate word identifiers are an error.
 
-    Field types are checked record by record; the ``WordEntry`` rules run
-    once over all records after the last line, and the first record breaking
-    one is reported with ``WordEntry``'s message.
+    Field types are checked record by record. The phoneme and syllable-break
+    element types, then the ``WordEntry`` rules, are checked once over all
+    records after the last line (a later line's JSON or duplicate-word error
+    is found first), and the first record breaking one is reported, a rule
+    with ``WordEntry``'s message.
     """
     codes = _symbol_coder()
     code = codes.__getitem__
@@ -550,27 +582,45 @@ def load_lexicon(source: str | Path | IO[bytes]) -> WordColumns:
     num_syllables: list[int] = []
     stress: list[int | None] = []
     for lineno, obj in json_lines(read_bytes(source)):
-        try:
-            phonemes = _field(obj, "phonemes", list)
-            record_breaks = _field(obj, "syllable_breaks", list)
-            if not set(map(type, phonemes)) <= {str} or not set(map(type, record_breaks)) <= {int}:
-                raise ParseError("phonemes must be strings and syllable_breaks integers")
-            word = _field(obj, "word", str)
-            stress.append(_field(obj, "stress_syllable", int, optional=True))
-        except ParseError as exc:
-            raise ParseError(f"line {lineno}: malformed lexicon record: {exc}") from None
+        phonemes = obj.get("phonemes")
+        record_breaks = obj.get("syllable_breaks")
+        word = obj.get("word")
+        record_stress = obj.get("stress_syllable")
+        if not (
+            type(phonemes) is list
+            and type(record_breaks) is list
+            and type(word) is str
+            and (record_stress is None or type(record_stress) is int)
+        ):
+            try:  # the first fault, as _field words it
+                _field(obj, "phonemes", list)
+                _field(obj, "syllable_breaks", list)
+                _field(obj, "word", str)
+                _field(obj, "stress_syllable", int, optional=True)
+            except ParseError as exc:
+                raise ParseError(f"line {lineno}: malformed lexicon record: {exc}") from None
+        stress.append(record_stress)
         if word in row_of:
             raise ParseError(f"line {lineno}: duplicate word {word!r}")
         row_of[word] = len(words)
         words.append(word)
         linenos.append(lineno)
-        ids += map(code, phonemes)
+        try:
+            ids += map(code, phonemes)
+        except TypeError:  # an unhashable phoneme, a JSON list or object: an earlier fault first
+            del ids[sum(num_phonemes) :]
+            _check_elements(tuple(codes), ids, num_phonemes, breaks, num_syllables, linenos)
+            raise ParseError(
+                f"line {lineno}: malformed lexicon record: {_ELEMENT_FAULT}"
+            ) from None
         num_phonemes.append(len(phonemes))
         breaks += record_breaks
         num_syllables.append(len(record_breaks))
 
     counts = np.array(num_phonemes, dtype=np.int64)
     syllables = np.array(num_syllables, dtype=np.int64)
+    symbols = tuple(codes)
+    _check_elements(symbols, ids, counts, breaks, syllables, linenos)
     marked = np.fromiter((s is not None for s in stress), bool, len(stress))
     try:
         flat_breaks = np.array(breaks, dtype=np.int64)
@@ -580,7 +630,6 @@ def load_lexicon(source: str | Path | IO[bytes]) -> WordColumns:
         )
     except OverflowError:  # a break or stress beyond int64 breaks a rule
         suspects = range(len(words))
-    symbols = tuple(codes)
     phoneme_starts, break_starts = _offsets(counts), _offsets(syllables)
     for row in suspects:
         start, first = phoneme_starts[row], break_starts[row]
@@ -609,7 +658,15 @@ def load_lexicon(source: str | Path | IO[bytes]) -> WordColumns:
 
 
 def save_lexicon(entries: Iterable[WordEntry], sink: str | Path | IO[bytes]) -> None:
-    lines = [json.dumps(e.to_dict(), ensure_ascii=False) for e in entries]
+    """One JSON line per entry, as ``json.dumps(e.to_dict(), ensure_ascii=False)``
+    writes it."""
+    lines = [
+        f'{{"word": {encode_basestring(e.word)}, '
+        f'"phonemes": [{", ".join(map(encode_basestring, e.phonemes))}], '
+        f'"syllable_breaks": [{", ".join(map(str, e.syllable_breaks))}], '
+        f'"stress_syllable": {"null" if e.stress_syllable is None else e.stress_syllable}}}'
+        for e in entries
+    ]
     write_bytes(sink, ("\n".join(lines) + "\n" if lines else "").encode("utf-8"))
 
 

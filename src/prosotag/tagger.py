@@ -50,7 +50,6 @@ from .tree import (
     LeafNode,
     SplitRecord,
     TreeNode,
-    _grouped,
     _word_columns,
     grow_tree,
 )
@@ -252,6 +251,14 @@ def fit(
         gmms=gmms,
         growth_trace=trace,
     )
+
+
+def _grouped(keys: np.ndarray, size: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Stable sort of ``keys`` (values in 0..size-1): the row order, and each
+    key's (start, end) span in it."""
+    order = np.argsort(keys, kind="stable")
+    ends = np.cumsum(np.bincount(keys, minlength=size)).tolist()
+    return order, list(zip([0] + ends, ends))
 
 
 def _route_tokens(

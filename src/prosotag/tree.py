@@ -28,6 +28,7 @@ from .phonetics import (
     Question,
     WordColumns,
     WordEntry,
+    _offsets,
     answer_question,
     question_index,
 )
@@ -147,6 +148,11 @@ class _Leaf:
     best: tuple[int, float] | None = None  # (question column, gain)
 
 
+# rows of one gathered block of word tokens in ``_Growth``: bounds its
+# temporaries whatever the corpus size
+_GATHER_ROWS = 4096
+
+
 class _Growth:
     """Per-fit arrays: word stats, question answers, and split evaluation."""
 
@@ -161,17 +167,29 @@ class _Growth:
     ) -> None:
         self.floor = floor
         self.min_child = max(min_leaf, 1)
-        order, spans = _grouped(corpus.word_index, len(columns))
-        self.counts = np.array([end - start for start, end in spans], dtype=np.int64)
-        # each word's rows as one contiguous block in token order, summed over
-        # axis 0 like a stacked per-word matrix: numpy sums that axis pairwise
-        # when d == 1, so np.add.at (row by row) would differ in the last bit
+        counts = np.bincount(corpus.word_index, minlength=len(columns)).astype(np.int64, copy=False)
+        order = np.argsort(corpus.word_index, kind="stable")
+        starts = _offsets(counts)  # each word's first row in ``order``
+        self.counts = counts
         self.sums = np.empty((len(columns), corpus.dim))
         self.sumsqs = np.empty((len(columns), corpus.dim))
-        for w, (start, end) in enumerate(spans):
-            block = corpus.x[order[start:end]]
-            block.sum(axis=0, out=self.sums[w])
-            (block * block).sum(axis=0, out=self.sumsqs[w])
+        # words with c tokens each, gathered as a (words, c, d) block of about
+        # _GATHER_ROWS rows and summed over axis 1: numpy reduces that axis in
+        # the order a word's own (c, d) block sums over axis 0 (pairwise when
+        # d == 1), so each word's sums equal its own block's bit for bit;
+        # np.add.reduceat differs from 3 tokens a word on
+        by_count = np.argsort(counts, kind="stable")
+        ends = (np.flatnonzero(np.diff(counts[by_count])) + 1).tolist()
+        for first, end in zip([0, *ends], [*ends, len(by_count)]):
+            c = int(counts[by_count[first]])
+            step = max(_GATHER_ROWS // max(c, 1), 1)
+            for lo in range(first, end, step):
+                ws = by_count[lo : min(lo + step, end)]
+                block = corpus.x[order[starts[ws, None] + np.arange(c)]]
+                self.sums[ws] = block.sum(axis=1)
+                np.multiply(block, block, out=block)
+                self.sumsqs[ws] = block.sum(axis=1)
+                del block  # before the next gather: one block at a time
         self.qids = np.array([q.id for q in questions], dtype=np.int64)
         self.answers = np.empty((len(columns), len(questions)), dtype=bool)
         for qi, q in enumerate(questions):
@@ -220,14 +238,6 @@ class _Growth:
 def _sorted_questions(questions: Sequence[Question]) -> list[Question]:
     index = question_index(questions)
     return [index[qid] for qid in sorted(index)]
-
-
-def _grouped(keys: np.ndarray, size: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Stable sort of ``keys`` (values in 0..size-1): the row order, and each
-    key's (start, end) span in it."""
-    order = np.argsort(keys, kind="stable")
-    ends = np.cumsum(np.bincount(keys, minlength=size)).tolist()
-    return order, list(zip([0] + ends, ends))
 
 
 def _word_columns(

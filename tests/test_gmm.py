@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -64,6 +65,31 @@ class TestSingleComponent:
         assert gmm.weights[0] == 1.0
         # a single component is solved by the first M step
         assert len(trace) <= 3
+
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 60), d=st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_one_restart_equals_every_restart(self, seed, n, d):
+        # one component runs one k-means restart; running all of them, as for
+        # m > 1, and keeping the first of the least inertia gives the same fit
+        def every_restart(x, m, seed, floor):
+            rng = np.random.default_rng(seed)
+            runs = [gmm_module._run_kmeans(x, m, rng) for _ in range(gmm_module.KMEANS_RESTARTS)]
+            for centers, _, _ in runs:
+                np.testing.assert_array_equal(centers, runs[0][0])
+            centers, labels, _ = min(runs, key=lambda run: run[2])
+            variances = np.array([np.maximum(x[labels == k].var(axis=0), floor) for k in range(m)])
+            return np.full(m, 1.0 / m), centers, variances
+
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=d)
+        if rng.random() < 0.3:
+            x = np.round(x)  # duplicate rows
+        gmm, trace = fit_gmm(x, 1, seed)
+        with mock.patch.object(gmm_module, "_initial_parameters", every_restart):
+            ref, ref_trace = fit_gmm(x, 1, seed)
+        for name in ("weights", "means", "variances"):
+            np.testing.assert_array_equal(getattr(gmm, name), getattr(ref, name))
+        assert trace == ref_trace
 
     def test_variance_floor_applies(self):
         x = np.full((20, 2), 7.0)

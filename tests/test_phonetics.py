@@ -308,6 +308,84 @@ class TestLexiconIO:
         with pytest.raises(ParseError, match="line 2"):
             load_lexicon(io.BytesIO(data))
 
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_first_mistyped_element_named(self, data):
+        # element types are checked after the last line: the first record
+        # with a phoneme that is not a string or a break that is not an
+        # integer is still the one reported, ahead of any rule a record breaks
+        bad_phonemes = [1, 1.0, True, None, ["K"], {"K": 1}, float("nan")]
+        bad_breaks = [False, 0.0, "0", None, [0]]
+        records = []
+        for i in range(data.draw(st.integers(1, 6))):
+            phonemes, breaks = ["K", "AA"], [0, 1]
+            fault = data.draw(st.sampled_from(["none", "none", "phoneme", "break", "rule"]))
+            if fault == "phoneme":
+                phonemes[data.draw(st.integers(0, 1))] = data.draw(st.sampled_from(bad_phonemes))
+            elif fault == "break":
+                breaks[data.draw(st.integers(0, 1))] = data.draw(st.sampled_from(bad_breaks))
+            elif fault == "rule":
+                breaks = [1]
+            record = {"word": f"w{i}", "phonemes": phonemes, "syllable_breaks": breaks}
+            records.append((fault, record))
+        text = "".join(json.dumps(record) + "\n" for _, record in records)
+        faults = [fault for fault, _ in records]
+        mistyped = [n for n, f in enumerate(faults, 1) if f in ("phoneme", "break")]
+        if mistyped:
+            expected = (
+                f"line {mistyped[0]}: malformed lexicon record: "
+                "phonemes must be strings and syllable_breaks integers"
+            )
+        elif "rule" in faults:
+            expected = f"line {faults.index('rule') + 1}: malformed lexicon record: word "
+        else:
+            assert len(load_lexicon(io.BytesIO(text.encode()))) == len(records)
+            return
+        with pytest.raises(ParseError) as info:
+            load_lexicon(io.BytesIO(text.encode()))
+        assert str(info.value).startswith(expected)
+
+    def test_element_types_checked_after_last_line(self):
+        # a later line's JSON or duplicate-word error is found while reading,
+        # before the element types of earlier lines are checked
+        mistyped = b'{"word":"x","phonemes":[1],"syllable_breaks":[0]}\n'
+        for later in (b"not json\n", b'{"word":"x","phonemes":["K"],"syllable_breaks":[0]}\n'):
+            with pytest.raises(ParseError, match="^line 2: "):
+                load_lexicon(io.BytesIO(mistyped + later))
+
+
+_SPECIAL_TEXT = st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\u2029", "é", "漢", "😀"]
+)
+_TEXT = st.lists(
+    _SPECIAL_TEXT | st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6
+).map("".join)
+
+
+@st.composite
+def word_entries(draw):
+    words = draw(st.lists(_TEXT, max_size=6, unique=True))
+    entries = []
+    for name in words:
+        phonemes = draw(st.lists(_TEXT, min_size=1, max_size=5))
+        inner = st.just(())
+        if len(phonemes) > 1:
+            inner = st.sets(st.integers(1, len(phonemes) - 1), max_size=3)
+        breaks = [0, *sorted(draw(inner))]
+        stress = draw(st.none() | st.integers(0, len(breaks) - 1))
+        entries.append(WordEntry(name, tuple(phonemes), tuple(breaks), stress))
+    return entries
+
+
+@given(entries=word_entries())
+@settings(max_examples=200, deadline=None)
+def test_save_lexicon_writes_json_dumps_text(entries):
+    # non-ASCII words and phonemes, quotes, backslashes, control characters,
+    # U+2028 and unmarked stress, as json.dumps writes them
+    expected = "".join(json.dumps(e.to_dict(), ensure_ascii=False) + "\n" for e in entries)
+    assert lexicon_bytes(entries) == expected.encode("utf-8")
+    assert list(load_lexicon(io.BytesIO(lexicon_bytes(entries)))) == entries
+
 
 def lexicon_bytes(words) -> bytes:
     sink = io.BytesIO()

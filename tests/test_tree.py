@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from prosotag import (
     leaf_letter,
     route_word,
 )
+from prosotag import tree as tree_module
 from prosotag.tree import _Growth, _word_columns
 from conftest import random_instance, random_question, random_word
 from oracles import closed_form_ll, greedy_oracle
@@ -395,10 +397,68 @@ class TestWordStats:
         np.testing.assert_array_equal(growth.sumsqs, [(m * m).sum(axis=0) for m in matrices])
 
 
+    @given(
+        seed=st.integers(0, 10_000),
+        d=st.sampled_from([1, 2, 3, 16]),
+        gather_rows=st.sampled_from([1, 7, 64, tree_module._GATHER_ROWS]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_zipf_counts_equal_per_word_sums(self, seed, d, gather_rows, classes):
+        # Zipf-like token counts: many one-token words, some with 8 or more
+        # tokens (past numpy's unrolled 8-way sum), magnitudes from 1e-3 to
+        # 1e3; a small gather bound splits buckets and single words
+        rng = np.random.default_rng(seed)
+        counts = np.minimum(rng.zipf(1.5, size=int(rng.integers(2, 80))), 200)
+        counts[:2] = 1, 8 + rng.integers(0, 60)
+        word_index = rng.permutation(np.repeat(np.arange(counts.size, dtype=np.int32), counts))
+        scale = 10.0 ** rng.uniform(-3, 3, size=(word_index.size, 1))
+        x = rng.normal(size=(word_index.size, d)) * scale
+        names = [f"w{i}" for i in range(counts.size)]
+        corpus = Corpus([f"t{i}" for i in range(word_index.size)], names, word_index, x)
+        columns = _word_columns([word(name, ["K"]) for name in names], names)
+        with mock.patch.object(tree_module, "_GATHER_ROWS", gather_rows):
+            growth = _Growth(columns, corpus, [], classes, 1e-6, 1)
+        np.testing.assert_array_equal(growth.counts, counts)
+        for w in range(counts.size):
+            block = x[word_index == w]  # the word's rows in token order
+            np.testing.assert_array_equal(growth.sums[w], block.sum(axis=0))
+            np.testing.assert_array_equal(growth.sumsqs[w], (block * block).sum(axis=0))
+
+
 class TestBoundedMemory:
     """Growth allocates, above its inputs, less than two float64 (words x
     questions) blocks: one answer block per split evaluation, no integer copy
     and no separate no-side block."""
+
+    def test_word_stats_peak(self, classes):
+        # the per-word stats gather word-sorted rows in chunks: above what
+        # _Growth keeps, the token order and two per-word index arrays, no
+        # more than one gathered block of 4,096 rows and its two index arrays
+        # (an unchunked gather holds the whole (tokens, d) matrix: 2.6 MB here)
+        rng = np.random.default_rng(0)
+        names = [f"w{i:05d}" for i in range(20_000)]
+        word_index = np.repeat(np.arange(len(names), dtype=np.int32), 2)
+        d = 8
+        corpus = Corpus(
+            [f"t{i}" for i in range(word_index.size)],
+            names,
+            word_index,
+            rng.normal(size=(word_index.size, d)),
+        )
+        columns = _word_columns([word(name, ["K", "AA"]) for name in names], names)
+        questions = [random_question(rng, qid, classes) for qid in range(16)]
+        for q in questions:  # build the lazy columns before measuring
+            columns.answer(q, classes)
+        tracemalloc.start()
+        try:
+            growth = _Growth(columns, corpus, questions, classes, 1e-6, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for a in (growth.answers, growth.counts, growth.sums, growth.sumsqs))
+        indices = (word_index.size + 2 * len(names)) * 8
+        chunk = 4096 * (d + 2) * 8
+        assert peak < kept + indices + chunk
 
     def test_grow_tree_peak(self, classes):
         rng = np.random.default_rng(0)
