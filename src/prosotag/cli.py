@@ -64,7 +64,12 @@ def _format_tags(
             (leaves * width + components).tolist(),
         )
     ]
-    return ("\n".join(lines) + "\n" if lines else "").encode("ascii")
+    # the final newline joins in, and the line strings are freed before the
+    # encoded copy is made: at most two copies of the text are alive at once
+    lines.append("")
+    text = "\n".join(lines)
+    del lines
+    return text.encode("ascii")
 
 
 def cmd_fit(args: argparse.Namespace) -> int:

@@ -320,7 +320,8 @@ def _read_binary(data: bytes) -> Corpus:
     if dim == 0:
         raise ParseError("binary embedding file declares dimension 0")
     width = 4 * dim
-    payloads: list[bytes] = []
+    payloads = bytearray()  # the float32 payloads, copied once from ``data``
+    view = memoryview(data)
     token_ids: list[str] = []
     word_index: list[int] = []
     position: dict[bytes, int] = {}  # encoded word -> index into words
@@ -340,7 +341,7 @@ def _read_binary(data: bytes) -> Corpus:
         end = offset + width
         if end > size:
             raise ParseError(f"record {record}: truncated embedding payload")
-        payloads.append(data[offset:end])
+        payloads += view[offset:end]
         offset = end
         word, token = strings
         try:
@@ -352,7 +353,7 @@ def _read_binary(data: bytes) -> Corpus:
         except UnicodeDecodeError as exc:
             raise ParseError(f"record {record}: text is not valid UTF-8: {exc.reason}") from None
         word_index.append(index)
-    x = np.frombuffer(b"".join(payloads), dtype="<f4").reshape(-1, dim).astype(np.float64)
+    x = np.frombuffer(payloads, dtype="<f4").reshape(-1, dim).astype(np.float64)
     return _checked_corpus(token_ids, words, word_index, x, lambda i: f"record {i}")
 
 

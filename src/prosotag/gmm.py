@@ -294,7 +294,6 @@ def fit_gmm(
 
     weights, means, variances = _initial_parameters(x, m, seed, floor)
     global_var = np.maximum(x.var(axis=0), floor)
-    x_sq = x * x
     trace: list[float] = []
     for step in range(EM_MAX_ITERS + 1):
         joint = _log_joint(x, means, variances, *_fixed_terms(weights, variances))
@@ -312,7 +311,7 @@ def fit_gmm(
         weights = weights / weights.sum()
         safe_mass = np.where(live, mass, 1.0)
         means = np.where(live[:, None], resp.T @ x / safe_mass[:, None], means)
-        second = resp.T @ x_sq / safe_mass[:, None]
+        second = resp.T @ (x * x) / safe_mass[:, None]
         variances = np.where(
             live[:, None],
             np.maximum(second - means * means, floor),

@@ -91,6 +91,19 @@ class WordEntry:
     def __post_init__(self) -> None:
         object.__setattr__(self, "phonemes", tuple(self.phonemes))
         object.__setattr__(self, "syllable_breaks", tuple(self.syllable_breaks))
+        # exact types (a bool is not an int): save_lexicon writes the values
+        # as they are, and load_lexicon accepts only these types
+        stress = self.stress_syllable
+        if not (
+            type(self.word) is str
+            and set(map(type, self.phonemes)) <= {str}
+            and set(map(type, self.syllable_breaks)) <= {int}
+            and (stress is None or type(stress) is int)
+        ):
+            raise ValidationError(
+                f"word {self.word!r}: word and phonemes must be strings, "
+                "syllable breaks and stress integers"
+            )
         if not self.word:
             raise ValidationError("word identifier must be non-empty")
         if not self.phonemes:

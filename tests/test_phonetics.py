@@ -75,6 +75,25 @@ class TestWordEntry:
     def test_unmarked_stress_ok(self):
         assert make_word(["K"], stress=None).stress_syllable is None
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"stress": True},
+            {"breaks": (0.0,)},
+            {"breaks": (False,)},
+            {"phonemes": ("K", 1)},
+            {"name": 1},
+            {"stress": np.int64(0)},
+        ],
+    )
+    def test_mistyped_field_rejected(self, fields, tmp_path):
+        # a bool stress would be written as Python's `True`, a float break as
+        # `0.0`: neither loads again, so such an entry is never built or saved
+        path = tmp_path / "lex.jsonl"
+        with pytest.raises(ValidationError, match="must be strings"):
+            save_lexicon([make_word(**{"phonemes": ("K", "AA"), **fields})], path)
+        assert not path.exists()
+
 
 class TestClassTable:
     def test_requires_vowel_class(self):
@@ -352,6 +371,18 @@ class TestLexiconIO:
         for later in (b"not json\n", b'{"word":"x","phonemes":["K"],"syllable_breaks":[0]}\n'):
             with pytest.raises(ParseError, match="^line 2: "):
                 load_lexicon(io.BytesIO(mistyped + later))
+        # on one line too: a mistyped field or a repeated word is reported
+        # ahead of a mistyped phoneme or break
+        cases = {
+            b'{"word":1,"phonemes":[1],"syllable_breaks":[0]}\n': "word must be str",
+            b'{"word":"x","phonemes":["K"],"syllable_breaks":[0.5],"stress_syllable":true}\n': (
+                "stress_syllable must be int"
+            ),
+            mistyped.replace(b"[1]", b'["K"]') + mistyped: "^line 2: duplicate word 'x'",
+        }
+        for data, message in cases.items():
+            with pytest.raises(ParseError, match=message):
+                load_lexicon(io.BytesIO(data))
 
 
 _SPECIAL_TEXT = st.sampled_from(
