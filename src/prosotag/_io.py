@@ -1,49 +1,74 @@
 """The package's one file layer: every data file is read and written here.
 
 Sources and sinks are a filesystem path or an open binary file object. A path
-is replaced atomically on write. Text files are UTF-8; the JSON and JSON-lines
-readers raise ``ParseError`` naming the file or the line for bad UTF-8 or bad
-JSON.
+is opened here and closed when the read ends; a file object is used as given,
+from its current position. Readers stream: JSON lines are decoded one line at
+a time, so no text file is held whole. Writers take byte chunks, and a path
+is replaced atomically. Text files are UTF-8; the JSON and JSON-lines readers
+raise ``ParseError`` naming the file or the line for bad UTF-8 or bad JSON.
 """
 
 from __future__ import annotations
 
 import contextlib
-import io
 import json
 import os
-from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterable, Iterator
 
 from .errors import ParseError
+
+READ_SIZE = 1 << 20  # bytes per read when a file is scanned, not parsed
 
 _JSON_SPACE = " \t\n\r"
 _decode_json = json.JSONDecoder().raw_decode  # json.loads without its whitespace scans
 
+Source = str | os.PathLike | IO[bytes]
 
-def read_bytes(source: str | os.PathLike | IO[bytes]) -> bytes:
+
+@contextlib.contextmanager
+def opened(source: Source) -> Iterator[IO[bytes]]:
+    """``source`` as a binary file: a path is opened, and closed on exit; an
+    open file is used as given and left open."""
     if isinstance(source, (str, os.PathLike)):
-        return Path(source).read_bytes()
-    return source.read()
+        with open(source, "rb") as stream:
+            yield stream
+    else:
+        yield source
 
 
-def write_bytes(sink: str | os.PathLike | IO[bytes], data: bytes) -> None:
-    """Write ``data`` to an open binary file, or replace the file at a path.
+def count_newlines(stream: IO[bytes]) -> int:
+    """Newline bytes from a seekable stream's position to its end, read in
+    ``READ_SIZE`` blocks into one buffer; the stream is put back where it was."""
+    start = stream.tell()
+    block = bytearray(READ_SIZE)
+    count = 0
+    while size := stream.readinto(block):
+        count += block.count(b"\n", 0, size)
+    stream.seek(start)
+    return count
 
-    A path is written through a temporary sibling that is renamed over it and
-    removed if anything fails, so the path holds either its old content or all
-    of ``data``. The new file gets the mode ``open(path, "wb")`` gives a new
-    file under the umask; a symlink at the path is replaced, not followed.
+
+def write_bytes(sink: Source, chunks: Iterable[bytes]) -> None:
+    """Write byte ``chunks`` in order to an open binary file, or replace the
+    file at a path with them.
+
+    Only the chunk being written is held here, so a generator of chunks is
+    written without its whole output in memory. A path is written through a
+    temporary sibling that is renamed over it and removed if anything fails,
+    the iteration of ``chunks`` included, so the path holds either its old
+    content or all of the chunks. The new file gets the mode ``open(path,
+    "wb")`` gives a new file under the umask; a symlink at the path is
+    replaced, not followed.
     """
     if not isinstance(sink, (str, os.PathLike)):
-        sink.write(data)
+        sink.writelines(chunks)
         return
     path = os.fspath(sink)
     tmp = f"{path}.{os.urandom(4).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with open(fd, "wb") as handle:
-            handle.write(data)
+            handle.writelines(chunks)  # releases each chunk before taking the next
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -51,33 +76,37 @@ def write_bytes(sink: str | os.PathLike | IO[bytes], data: bytes) -> None:
         raise
 
 
-def json_lines(data: bytes) -> Iterator[tuple[int, dict]]:
-    """Each non-blank line of UTF-8 JSON-lines ``data`` as (line number, object).
+def json_lines(source: Source) -> Iterator[tuple[int, dict]]:
+    """Each non-blank line of a UTF-8 JSON-lines file as (line number, object).
 
-    Lines are split on newline bytes and decoded one at a time, so a large
-    file is never held as one string.
+    The file is read line by line from ``source`` (see ``opened``), and a line
+    is decoded only when it is reached. A blank line, empty or JSON
+    whitespace only, is skipped; any other line that is not one JSON object
+    is a ``ParseError`` naming it.
     """
-    for lineno, raw in enumerate(io.BytesIO(data), start=1):
-        try:
-            text = raw.decode("utf-8").strip(_JSON_SPACE)
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"line {lineno}: not valid UTF-8: {exc.reason}") from None
-        if not text or text.isspace():
-            continue
-        try:
-            obj, end = _decode_json(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
-        if end != len(text):
-            raise ParseError(f"line {lineno}: invalid JSON: Extra data")
-        if not isinstance(obj, dict):
-            raise ParseError(f"line {lineno}: expected a JSON object")
-        yield lineno, obj
+    with opened(source) as stream:
+        for lineno, raw in enumerate(stream, start=1):
+            try:
+                text = raw.decode("utf-8").strip(_JSON_SPACE)
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"line {lineno}: not valid UTF-8: {exc.reason}") from None
+            if not text:
+                continue
+            try:
+                obj, end = _decode_json(text)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
+            if end != len(text):
+                raise ParseError(f"line {lineno}: invalid JSON: Extra data")
+            if not isinstance(obj, dict):
+                raise ParseError(f"line {lineno}: expected a JSON object")
+            yield lineno, obj
 
 
-def read_json(source: str | os.PathLike | IO[bytes], what: str) -> object:
+def read_json(source: Source, what: str) -> object:
     """The one JSON document in a UTF-8 file; ``what`` names the file in errors."""
-    data = read_bytes(source)
+    with opened(source) as stream:
+        data = stream.read()
     try:
         return json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:

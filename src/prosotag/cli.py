@@ -13,7 +13,9 @@ from __future__ import annotations
 import argparse
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from ._io import write_bytes
 from .errors import ConfigError, ProsotagError
@@ -46,30 +48,42 @@ from .tree import InternalNode, route_word  # noqa: F401
 PROG = "prosotag"
 
 
+TAG_CHUNK_LINES = 4096  # tag lines encoded and written at a time
+
+
 def _format_tags(
     model: TaggerModel, lexicon: Sequence[WordEntry], samples: Sequence[ProsodySample]
-) -> bytes:
-    """One JSON line per token, as ``json.dumps`` writes it, in token order."""
+) -> Iterator[bytearray]:
+    """One JSON line per token, as ``json.dumps`` writes it, in token order.
+
+    The tokens are tagged here. The lines come as chunks of
+    ``TAG_CHUNK_LINES`` lines, each encoded when it is asked for, one line at
+    a time, so no more than one chunk of the output is built at once.
+    """
     corpus = Corpus.of(samples)
     leaves, components = tag_tokens(model, lexicon, corpus)
     width = max(gmm.m for gmm in model.gmms.values())
-    tags = [f"{letter}{k}" for letter in model.tree.leaf_letters for k in range(width)]
-    words = [encode_basestring_ascii(word) for word in corpus.words]
-    lines = [
-        f'{{"token_id": {encode_basestring_ascii(token_id)}, "word": {words[w]}, '
-        f'"tag": "{tags[code]}"}}'
-        for token_id, w, code in zip(
-            corpus.token_ids,
-            corpus.word_index.tolist(),
-            (leaves * width + components).tolist(),
-        )
-    ]
-    # the final newline joins in, and the line strings are freed before the
-    # encoded copy is made: at most two copies of the text are alive at once
-    lines.append("")
-    text = "\n".join(lines)
-    del lines
-    return text.encode("ascii")
+    tags = np.array(
+        [f"{letter}{k}" for letter in model.tree.leaf_letters for k in range(width)],
+        dtype=object,
+    )
+    words = np.array(corpus.words, dtype=object)
+
+    def chunk(start: int) -> bytearray:
+        stop = start + TAG_CHUNK_LINES
+        text = bytearray()
+        for token_id, word, tag in zip(
+            corpus.token_ids[start:stop],
+            words[corpus.word_index[start:stop]],
+            tags[leaves[start:stop] * width + components[start:stop]],
+        ):
+            text += (
+                f'{{"token_id": {encode_basestring_ascii(token_id)}, '
+                f'"word": {encode_basestring_ascii(word)}, "tag": "{tag}"}}\n'
+            ).encode("ascii")
+        return text
+
+    return map(chunk, range(0, len(corpus), TAG_CHUNK_LINES))
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -86,7 +100,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     model = fit(lexicon, samples, questions, classes, config)
-    write_bytes(args.model, model_to_json(model).encode("utf-8"))
+    write_bytes(args.model, (model_to_json(model).encode("utf-8"),))
     write_growth_csv(model.growth_trace, args.trace_csv or f"{args.model}.trace.csv")
     if args.out:
         write_bytes(args.out, _format_tags(model, lexicon, samples))
@@ -121,7 +135,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         weights = ", ".join(f"{w:.4f}" for w in gmm.weights)
         print(f"leaf {letter}: {gmm.n_samples} samples, {gmm.m} components, weights [{weights}]")
     if args.out:
-        write_bytes(args.out, csv_bytes)
+        write_bytes(args.out, (csv_bytes,))
     return 0
 
 

@@ -18,8 +18,10 @@ format selected by sniffing the "PTE1" magic).
 
 from __future__ import annotations
 
+import io
 import math
 import struct
+from array import array
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -27,8 +29,9 @@ from pathlib import Path
 from typing import IO, Callable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from ._io import json_lines, read_bytes, write_bytes
+from ._io import count_newlines, json_lines, opened, write_bytes
 from .errors import DimensionMismatchError, EmptyNodeError, ParseError, ValidationError
 
 __all__ = [
@@ -247,29 +250,39 @@ def _checked_corpus(
 # both by sniffing the magic.
 
 _NUMBER_TYPES = {int, float}
+_BLOCK_RECORDS = 1024  # binary records converted from float32 at a time
 
 
 def load_samples(source: str | Path | IO[bytes]) -> Corpus:
     """Read an embedding file in either supported format into a ``Corpus``.
 
     All records must share one dimension, embeddings must be finite and
-    token ids must be unique; errors name the line or record.
+    token ids must be unique; errors name the line or record. A stream that
+    cannot seek is read into memory first.
     """
-    data = read_bytes(source)
-    if data[:4] == EMBEDDING_MAGIC:
-        return _read_binary(data)
-    return _read_jsonl(data)
+    with opened(source) as stream:
+        if not stream.seekable():
+            stream = io.BytesIO(stream.read())
+        start = stream.tell()
+        end = stream.seek(0, io.SEEK_END)
+        stream.seek(start)
+        if stream.read(len(EMBEDDING_MAGIC)) == EMBEDDING_MAGIC:
+            # a sized read: ``read()`` would join the buffered bytes to the
+            # rest of the file, a second copy of it
+            return _read_binary(stream.read(end - stream.tell()))
+        stream.seek(start)
+        return _read_jsonl(stream)
 
 
-def _read_jsonl(data: bytes) -> Corpus:
-    # one line at a time into a matrix sized by the line count
-    capacity = data.count(b"\n") + 1
+def _read_jsonl(stream: IO[bytes]) -> Corpus:
+    # a counting pass sizes the matrix, then one line at a time into it
+    capacity = count_newlines(stream) + 1
     x: np.ndarray | None = None
     token_ids: list[str] = []
     word_index: list[int] = []
-    linenos: list[int] = []
+    linenos = array("q")
     position: dict[str, int] = {}
-    for lineno, obj in json_lines(data):
+    for lineno, obj in json_lines(stream):
         try:
             token_id, word, embedding = obj["token_id"], obj["word"], obj["embedding"]
         except KeyError as exc:
@@ -292,6 +305,8 @@ def _read_jsonl(data: bytes) -> Corpus:
                 f"line {lineno}: token {token_id!r} has dimension {len(embedding)}, "
                 f"file started with {x.shape[1]}"
             )
+        if len(token_ids) == capacity:
+            raise ParseError(f"line {lineno}: the file grew while it was read")
         try:
             x[len(token_ids)] = embedding
         except OverflowError:
@@ -313,20 +328,20 @@ def _read_jsonl(data: bytes) -> Corpus:
 
 
 def _read_binary(data: bytes) -> Corpus:
+    """A binary embedding file from the bytes after its magic."""
     size = len(data)
-    if size < 8:
+    if size < 4:
         raise ParseError("binary embedding file truncated before header")
-    (dim,) = struct.unpack_from("<I", data, 4)
+    (dim,) = struct.unpack_from("<I", data)
     if dim == 0:
         raise ParseError("binary embedding file declares dimension 0")
     width = 4 * dim
-    payloads = bytearray()  # the float32 payloads, copied once from ``data``
-    view = memoryview(data)
+    starts = array("q")  # each record's payload offset in ``data``
     token_ids: list[str] = []
     word_index: list[int] = []
     position: dict[bytes, int] = {}  # encoded word -> index into words
     words: list[str] = []
-    offset = 8
+    offset = 4
     while offset < size:
         record = len(token_ids)
         strings = []
@@ -338,11 +353,10 @@ def _read_binary(data: bytes) -> Corpus:
                 raise ParseError(f"record {record}: truncated string payload")
             strings.append(data[offset + 2 : end])
             offset = end
-        end = offset + width
-        if end > size:
+        if offset + width > size:
             raise ParseError(f"record {record}: truncated embedding payload")
-        payloads += view[offset:end]
-        offset = end
+        starts.append(offset)
+        offset += width
         word, token = strings
         try:
             token_ids.append(token.decode("utf-8"))
@@ -353,7 +367,15 @@ def _read_binary(data: bytes) -> Corpus:
         except UnicodeDecodeError as exc:
             raise ParseError(f"record {record}: text is not valid UTF-8: {exc.reason}") from None
         word_index.append(index)
-    x = np.frombuffer(payloads, dtype="<f4").reshape(-1, dim).astype(np.float64)
+    x = np.empty((len(starts), dim))
+    if starts:
+        # row i of ``payloads`` views the ``width`` bytes at offset i; gathering
+        # a block of records' rows converts it without a float32 copy of the file
+        payloads = sliding_window_view(np.frombuffer(data, dtype=np.uint8), width)
+        offsets = np.frombuffer(starts, dtype=np.int64)
+        for first in range(0, len(offsets), _BLOCK_RECORDS):
+            block = offsets[first : first + _BLOCK_RECORDS]
+            x[first : first + block.size] = payloads[block].view("<f4")
     return _checked_corpus(token_ids, words, word_index, x, lambda i: f"record {i}")
 
 
@@ -366,7 +388,7 @@ def save_samples(
     """Write tokens as JSON lines, byte for byte as ``json.dumps`` writes each
     record, or in the binary format. All tokens must share one dimension."""
     corpus = Corpus.of(samples)
-    write_bytes(sink, _encode_binary(corpus) if binary else _encode_jsonl(corpus))
+    write_bytes(sink, (_encode_binary(corpus) if binary else _encode_jsonl(corpus),))
 
 
 def _encode_jsonl(corpus: Corpus) -> bytes:

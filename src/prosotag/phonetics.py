@@ -25,7 +25,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._io import json_lines, read_bytes, read_json, write_bytes
+from ._io import json_lines, read_json, write_bytes
 from .errors import ConfigError, ParseError, ValidationError
 
 __all__ = [
@@ -594,7 +594,7 @@ def load_lexicon(source: str | Path | IO[bytes]) -> WordColumns:
     breaks: list[int] = []
     num_syllables: list[int] = []
     stress: list[int | None] = []
-    for lineno, obj in json_lines(read_bytes(source)):
+    for lineno, obj in json_lines(source):
         phonemes = obj.get("phonemes")
         record_breaks = obj.get("syllable_breaks")
         word = obj.get("word")
@@ -680,7 +680,7 @@ def save_lexicon(entries: Iterable[WordEntry], sink: str | Path | IO[bytes]) -> 
         f'"stress_syllable": {"null" if e.stress_syllable is None else e.stress_syllable}}}'
         for e in entries
     ]
-    write_bytes(sink, ("\n".join(lines) + "\n" if lines else "").encode("utf-8"))
+    write_bytes(sink, (("\n".join(lines) + "\n" if lines else "").encode("utf-8"),))
 
 
 def load_questions(
@@ -689,7 +689,7 @@ def load_questions(
     """Read a JSON-lines question set and validate it against the class table."""
     questions: list[Question] = []
     seen: set[int] = set()
-    for lineno, obj in json_lines(read_bytes(source)):
+    for lineno, obj in json_lines(source):
         try:
             q = _question_from_dict(obj)
         except (ParseError, ValidationError) as exc:
@@ -707,7 +707,7 @@ def load_questions(
 
 def save_questions(questions: Iterable[Question], sink: str | Path | IO[bytes]) -> None:
     lines = [json.dumps(q.to_dict()) for q in questions]
-    write_bytes(sink, ("\n".join(lines) + "\n" if lines else "").encode("utf-8"))
+    write_bytes(sink, (("\n".join(lines) + "\n" if lines else "").encode("utf-8"),))
 
 
 def _classes_from_dict(obj: object) -> PhonemeClassTable:
@@ -726,7 +726,7 @@ def load_classes(source: str | Path | IO[bytes]) -> PhonemeClassTable:
 
 
 def save_classes(classes: PhonemeClassTable, sink: str | Path | IO[bytes]) -> None:
-    write_bytes(sink, (json.dumps(classes.to_dict(), indent=2) + "\n").encode("utf-8"))
+    write_bytes(sink, ((json.dumps(classes.to_dict(), indent=2) + "\n").encode("utf-8"),))
 
 
 # ---------------------------------------------------------------------------

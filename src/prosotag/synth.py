@@ -26,7 +26,7 @@ from typing import IO, Hashable, Mapping
 
 import numpy as np
 
-from ._io import json_lines, read_bytes, write_bytes
+from ._io import json_lines, write_bytes
 from .errors import ConfigError, ParseError, ValidationError
 from .gaussian import Corpus
 from .phonetics import (
@@ -283,7 +283,7 @@ def _growth_csv(trace: GrowthTrace) -> bytes:
 
 
 def write_growth_csv(trace: GrowthTrace, sink: str | Path | IO[bytes]) -> None:
-    write_bytes(sink, _growth_csv(trace))
+    write_bytes(sink, (_growth_csv(trace),))
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +296,12 @@ def save_ground_truth(truth: GroundTruth, sink: str | Path | IO[bytes]) -> None:
         f'{{"token_id": {encode_basestring_ascii(token)}, "archetype": {a}, "component": {c}}}'
         for token, (a, c) in truth.labels.items()
     ]
-    write_bytes(sink, ("\n".join(lines) + "\n").encode("ascii"))
+    write_bytes(sink, (("\n".join(lines) + "\n").encode("ascii"),))
 
 
 def load_ground_truth(source: str | Path | IO[bytes]) -> GroundTruth:
     labels: dict[str, tuple[int, int]] = {}
-    for lineno, obj in json_lines(read_bytes(source)):
+    for lineno, obj in json_lines(source):
         try:
             token = _field(obj, "token_id", str)
             pair = (_field(obj, "archetype", int), _field(obj, "component", int))

@@ -473,7 +473,7 @@ def model_to_json(model: TaggerModel) -> str:
 
 
 def save_model(model: TaggerModel, sink: str | Path | IO[bytes]) -> None:
-    write_bytes(sink, model_to_json(model).encode("utf-8"))
+    write_bytes(sink, (model_to_json(model).encode("utf-8"),))
 
 
 def _require(doc: dict, key: str) -> object:

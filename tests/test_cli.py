@@ -5,11 +5,14 @@ from __future__ import annotations
 import json
 import os
 import stat
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from prosotag import load_model
-from prosotag.cli import main
+from prosotag import Corpus, cli, load_lexicon, load_model, tag_tokens
+from prosotag._io import write_bytes
+from prosotag.cli import TAG_CHUNK_LINES, _format_tags, main
 
 
 CORPUS_FLAGS = [
@@ -332,3 +335,56 @@ class TestUsage:
         with pytest.raises(SystemExit) as info:
             main([])
         assert info.value.code == 2
+
+
+class TestTagWriter:
+    @staticmethod
+    def tokens(corpus_dir, n):
+        """The corpus's lexicon and ``n`` tokens of its words, some token ids
+        with quotes, backslashes and non-ASCII text."""
+        lexicon = load_lexicon(corpus_dir / "lexicon.jsonl")
+        names = [entry.word for entry in lexicon]
+        rng = np.random.default_rng(n)
+        return lexicon, Corpus(
+            [f't{i}"\\é' if i % 3 == 0 else f"t{i}" for i in range(n)],
+            names,
+            rng.integers(0, len(names), n).astype(np.int32),
+            rng.normal(size=(n, 4)),
+        )
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, TAG_CHUNK_LINES - 1, TAG_CHUNK_LINES, TAG_CHUNK_LINES + 1]
+    )
+    def test_chunks_match_json_dumps(self, corpus, fitted, n):
+        model = load_model(fitted)
+        lexicon, tokens = self.tokens(corpus, n)
+        leaves, components = tag_tokens(model, lexicon, tokens)
+        letters = model.tree.leaf_letters
+        expected = "".join(
+            json.dumps({"token_id": s.token_id, "word": s.word, "tag": f"{letters[leaf]}{k}"})
+            + "\n"
+            for s, leaf, k in zip(tokens, leaves, components)
+        ).encode("ascii")
+        chunks = [bytes(chunk) for chunk in _format_tags(model, lexicon, tokens)]
+        assert b"".join(chunks) == expected
+        lines = [chunk.count(b"\n") for chunk in chunks]
+        assert lines == [min(TAG_CHUNK_LINES, n - i) for i in range(0, n, TAG_CHUNK_LINES)]
+
+    def test_writing_tags_peak(self, corpus, fitted, tmp_path, monkeypatch):
+        """Writing the tags of 50,000 tokens allocates, above the model, the
+        tokens and their tags, less than two chunks of text (a chunk is
+        ``TAG_CHUNK_LINES`` lines, about 0.2 MiB here). Holding every line,
+        their joined text and its bytes reads about 8 MiB."""
+        model = load_model(fitted)
+        lexicon, tokens = self.tokens(corpus, 50_000)
+        tagged = tag_tokens(model, lexicon, tokens)
+        monkeypatch.setattr(cli, "tag_tokens", lambda *args: tagged)
+        out = tmp_path / "tags.jsonl"
+        tracemalloc.start()
+        try:
+            write_bytes(out, _format_tags(model, lexicon, tokens))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.read_bytes().count(b"\n") == len(tokens)
+        assert peak < 2 * out.stat().st_size * TAG_CHUNK_LINES / len(tokens)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import io
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from prosotag import (
     save_samples,
     stats_from_matrix,
 )
+from prosotag._io import READ_SIZE
 from oracles import closed_form_ll, per_sample_ll
 
 GOOD_LINE = b'{"token_id": "a", "word": "w", "embedding": [1.0, 2.0]}\n'
@@ -400,3 +402,49 @@ class TestEmbeddingIO:
         buf = io.BytesIO()
         save_samples(samples, buf, binary=True)
         assert load_samples(io.BytesIO(buf.getvalue()))[0].word == "naïve"
+
+
+class TestBoundedMemory:
+    """``load_samples`` holds at most one read block beside the corpus it
+    builds from a JSON-lines file, and the file's bytes (never a float32 copy
+    of the payloads) from a binary one. Each bound is on the ``tracemalloc``
+    peak above what the returned corpus holds. Transient per-token
+    bookkeeping (line numbers, word indices, the duplicate-id check) also
+    counts against the bound: about 0.7 MiB at these 5,000 tokens."""
+
+    @staticmethod
+    def peak_above_corpus(path) -> int:
+        tracemalloc.start()
+        try:
+            corpus = load_samples(path)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(corpus) == 5000
+        return peak - held
+
+    @staticmethod
+    def corpus(d: int) -> Corpus:
+        rng = np.random.default_rng(0)
+        words = [f"w{i:04d}" for i in range(500)]
+        return Corpus(
+            [f"t{i:05d}" for i in range(5000)],
+            words,
+            np.repeat(np.arange(500, dtype=np.int32), 10),
+            rng.normal(size=(5000, d)),
+        )
+
+    def test_jsonl_peak(self, tmp_path):
+        """Below one read block (``_io.READ_SIZE``, 1 MiB) plus eight lines;
+        the 1.8 MiB file held whole reads 2.7 MiB."""
+        path = tmp_path / "embeddings.jsonl"
+        save_samples(self.corpus(16), path)
+        longest = max(map(len, path.read_bytes().splitlines()))
+        assert self.peak_above_corpus(path) < READ_SIZE + 8 * longest
+
+    def test_binary_peak(self, tmp_path):
+        """Below the file size plus 1 MiB; a float32 copy of the payloads
+        beside the file reads 2.0 MiB above the file's 1.3 MiB."""
+        path = tmp_path / "embeddings.bin"
+        save_samples(self.corpus(64), path, binary=True)
+        assert self.peak_above_corpus(path) < path.stat().st_size + (1 << 20)

@@ -3,16 +3,44 @@
 from __future__ import annotations
 
 import ast
+import io
+import json
 import os
+from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import prosotag
-from prosotag import ParseError, default_classes
+from prosotag import (
+    Corpus,
+    ParseError,
+    ProsodySample,
+    ProsotagError,
+    default_classes,
+    load_samples,
+    save_samples,
+)
+from prosotag import gaussian
+from prosotag import _io
 from prosotag._io import write_bytes
-from prosotag.phonetics import load_classes, load_lexicon, load_questions
-from prosotag.synth import load_ground_truth
+from prosotag.cli import main as cli_main
+from prosotag.phonetics import (
+    load_classes,
+    load_lexicon,
+    load_questions,
+    save_lexicon,
+    save_questions,
+)
+from prosotag.synth import (
+    GroundTruth,
+    SynthSpec,
+    generate,
+    load_ground_truth,
+    save_ground_truth,
+)
 
 SRC = Path(prosotag.__file__).parent
 
@@ -43,18 +71,26 @@ class TestWriteBytes:
     def test_replaces_path(self, tmp_path):
         target = tmp_path / "out.bin"
         target.write_bytes(b"old")
-        write_bytes(target, b"new")
+        write_bytes(target, [b"ne", b"", b"w"])
         assert target.read_bytes() == b"new"
         assert os.listdir(tmp_path) == ["out.bin"]
 
-    @pytest.mark.parametrize("failure", ["write", "replace"])
+    @pytest.mark.parametrize("failure", ["write", "replace", "chunks"])
     def test_failure_leaves_old_file_and_no_temporary(self, tmp_path, monkeypatch, failure):
         target = tmp_path / "out.bin"
         target.write_bytes(b"old")
-        data = b"new"
+        data = [b"new"]
         if failure == "write":
-            data = "not bytes"  # the write into the temporary raises TypeError
+            data = [b"new", "not bytes"]  # the write into the temporary raises TypeError
             error = TypeError
+        elif failure == "chunks":
+
+            def chunks():  # the producer fails after its first chunk is written
+                yield b"new"
+                raise ValueError("producer failed")
+
+            data = chunks()
+            error = ValueError
         else:
 
             def refuse(src, dst):
@@ -72,7 +108,7 @@ class TestWriteBytes:
         real.write_bytes(b"old")
         link = tmp_path / "link.bin"
         link.symlink_to(real)
-        write_bytes(link, b"new")
+        write_bytes(link, [b"new"])
         assert not link.is_symlink()
         assert link.read_bytes() == b"new"
         assert real.read_bytes() == b"old"
@@ -104,3 +140,304 @@ def test_class_table_names_the_file_for_non_utf8(tmp_path):
     path.write_bytes(b'{"Vowel": ["A\xff"]}\n')
     with pytest.raises(ParseError, match="class table: not valid UTF-8"):
         load_classes(path)
+
+
+# ---------------------------------------------------------------------------
+# streamed readers: every JSON-lines loader, and both embedding formats
+
+
+def _entries(loaded):
+    if isinstance(loaded, GroundTruth):
+        return dict(loaded.labels)
+    if isinstance(loaded, Corpus):
+        return loaded.token_ids, loaded.words, loaded.word_index.tolist(), loaded.x.tolist()
+    return list(loaded)
+
+
+EMBEDDING_LINES = [
+    b'{"token_id": "t0", "word": "a", "embedding": [1.0, 2.0]}',
+    b'{"token_id": "t1", "word": "b", "embedding": [3, -4.5]}',
+    b'{"token_id": "t2", "word": "a", "embedding": [5e-3, 6.0]}',
+]
+
+# three good lines per JSON-lines loader, and the loader
+LINE_FILES = {
+    "lexicon": (
+        [
+            b'{"word": "a", "phonemes": ["K"], "syllable_breaks": [0]}',
+            b'{"word": "b", "phonemes": ["K", "AA"], "syllable_breaks": [0], "stress_syllable": 0}',
+            b'{"word": "c", "phonemes": ["S"], "syllable_breaks": [0], "stress_syllable": null}',
+        ],
+        load_lexicon,
+    ),
+    "questions": (
+        [
+            b'{"id": 0, "kind": "EndsClosedSyllable"}',
+            b'{"id": 1, "kind": "PhonemeCountGt", "int_param": 2}',
+            b'{"id": 2, "kind": "ContainsClass", "class_param": "Vowel"}',
+        ],
+        lambda source: load_questions(source, default_classes()),
+    ),
+    "ground truth": (
+        [
+            b'{"token_id": "t0", "archetype": 0, "component": 1}',
+            b'{"token_id": "t1", "archetype": 1, "component": 0}',
+            b'{"token_id": "t2", "archetype": 0, "component": 0}',
+        ],
+        load_ground_truth,
+    ),
+    "embeddings": (EMBEDDING_LINES, load_samples),
+}
+
+
+class TestStreamedLines:
+    @pytest.mark.parametrize("name", sorted(LINE_FILES))
+    @pytest.mark.parametrize(
+        "variant",
+        ["crlf", "no final newline", "blank lines", "crlf blank lines"],
+    )
+    def test_line_endings_and_blank_lines_keep_the_result(self, name, variant, tmp_path):
+        lines, load = LINE_FILES[name]
+        expected = _entries(load(io.BytesIO(b"\n".join(lines) + b"\n")))
+        data = {
+            "crlf": b"\r\n".join(lines) + b"\r\n",
+            "no final newline": b"\n".join(lines),
+            "blank lines": b"\n \t\n".join(lines) + b"\n\n\r\n",
+            "crlf blank lines": b"\r\n\r\n".join(lines),
+        }[variant]
+        path = tmp_path / "input.jsonl"
+        path.write_bytes(data)
+        assert _entries(load(path)) == expected
+        assert _entries(load(io.BytesIO(data))) == expected
+
+    @pytest.mark.parametrize("name", sorted(LINE_FILES))
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(b"not json", "invalid JSON"), (b'{"a": "\xff"}', "not valid UTF-8")],
+    )
+    def test_bad_line_named_after_crlf_and_blank_lines(self, name, bad, message, tmp_path):
+        lines, load = LINE_FILES[name]
+        path = tmp_path / "input.jsonl"
+        path.write_bytes(lines[0] + b"\r\n\r\n \r\n" + lines[1] + b"\r\n" + bad)
+        with pytest.raises(ParseError, match=f"line 5: {message}"):
+            load(path)
+
+    @pytest.mark.parametrize("name", sorted(LINE_FILES))
+    @pytest.mark.parametrize("space", ["\f", "\x1c", "\v", "\u3000", "\u2028", " \f "])
+    def test_line_of_non_json_whitespace_is_invalid_json(self, name, space):
+        # json.loads rejects each of these lines; only JSON whitespace
+        # (space, tab, CR, LF) makes a line blank
+        lines, load = LINE_FILES[name]
+        data = lines[0] + b"\n" + space.encode("utf-8") + b"\n" + lines[1] + b"\n"
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(space)
+        with pytest.raises(ParseError, match="line 2: invalid JSON"):
+            load(io.BytesIO(data))
+
+    @pytest.mark.parametrize("name", sorted(LINE_FILES))
+    def test_stream_read_from_its_position(self, name):
+        lines, load = LINE_FILES[name]
+        stream = io.BytesIO(b"skipped\n" + b"\n".join(lines))
+        stream.readline()
+        assert _entries(load(stream)) == _entries(load(io.BytesIO(b"\n".join(lines))))
+
+    @pytest.mark.parametrize("name", sorted(LINE_FILES))
+    @pytest.mark.parametrize("fault", [None, b"not json", b'{"a": 1}'])
+    def test_path_is_closed_when_the_read_ends(self, name, fault, tmp_path, monkeypatch):
+        # a JSON error, a record error raised by the loader, or the last line
+        lines, load = LINE_FILES[name]
+        path = tmp_path / "input.jsonl"
+        path.write_bytes(b"\n".join([lines[0], fault or lines[1], lines[2]]) + b"\n")
+        handles = []
+
+        def spy(*args, **kwargs):
+            handles.append(open(*args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(_io, "open", spy, raising=False)
+        if fault is None:
+            load(path)
+        else:
+            with pytest.raises(ProsotagError, match="line 2"):
+                load(path)
+        assert len(handles) == 1 and handles[0].closed
+
+
+class Unseekable(io.RawIOBase):
+    """A pipe-like stream: cannot seek, and returns at most 7 bytes a read."""
+
+    def __init__(self, data: bytes) -> None:
+        self._data = io.BytesIO(data)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        chunk = self._data.read(min(len(buffer), 7))
+        buffer[: len(chunk)] = chunk
+        return len(chunk)
+
+
+def _embedding_file(binary: bool) -> bytes:
+    rng = np.random.default_rng(3)
+    samples = [
+        ProsodySample(f"t{i}", f"wé{i % 4}", rng.normal(size=3)) for i in range(40)
+    ]
+    buffer = io.BytesIO()
+    save_samples(samples, buffer, binary=binary)
+    return buffer.getvalue()
+
+
+class TestLoadSamplesStreams:
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_unseekable_stream_loads_as_a_path(self, binary, tmp_path):
+        data = _embedding_file(binary)
+        path = tmp_path / "embeddings"
+        path.write_bytes(data)
+        stream = Unseekable(data)
+        assert not stream.seekable()
+        assert _entries(load_samples(stream)) == _entries(load_samples(path))
+
+    @pytest.mark.parametrize("name", ["lexicon", "questions", "ground truth"])
+    def test_unseekable_stream_for_line_loaders(self, name):
+        lines, load = LINE_FILES[name]
+        data = b"\n".join(lines) + b"\n"
+        assert _entries(load(Unseekable(data))) == _entries(load(io.BytesIO(data)))
+
+    def test_binary_stream_read_from_its_position(self):
+        data = _embedding_file(binary=True)
+        stream = io.BytesIO(b"header" + data)
+        stream.seek(6)
+        assert _entries(load_samples(stream)) == _entries(load_samples(io.BytesIO(data)))
+
+    @pytest.mark.parametrize("source", ["path", "stream", "unseekable"])
+    def test_inputs_shorter_than_the_magic(self, source, tmp_path):
+        def load(data):
+            if source == "path":
+                path = tmp_path / "short"
+                path.write_bytes(data)
+                return load_samples(path)
+            return load_samples(io.BytesIO(data) if source == "stream" else Unseekable(data))
+
+        assert len(load(b"")) == 0
+        assert len(load(b"\n")) == 0
+        with pytest.raises(ParseError, match="line 1: malformed embedding record: missing 'token_id'"):
+            load(b"{}")
+        with pytest.raises(ParseError, match="line 1: invalid JSON"):
+            load(b"PTE")
+        with pytest.raises(ParseError, match="truncated before header"):
+            load(b"PTE1\x03")
+
+    def test_file_grown_between_passes_names_the_line(self, tmp_path, monkeypatch):
+        path = tmp_path / "embeddings.jsonl"
+        path.write_bytes(b"\n".join(EMBEDDING_LINES[:2]) + b"\n")
+        count_newlines = gaussian.count_newlines
+
+        def count_then_grow(stream):
+            count = count_newlines(stream)
+            with path.open("ab") as handle:  # another writer appends two lines
+                handle.write(EMBEDDING_LINES[2] + b"\n")
+                handle.write(EMBEDDING_LINES[2].replace(b"t2", b"t3") + b"\n")
+            return count
+
+        monkeypatch.setattr(gaussian, "count_newlines", count_then_grow)
+        with pytest.raises(ParseError, match="line 4: "):
+            load_samples(path)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the streamed readers: damaged files raise package errors only
+
+
+def _valid_files() -> dict[str, bytes]:
+    lexicon, questions, samples, truth = generate(
+        SynthSpec(
+            num_leaf_archetypes=2,
+            words_per_archetype=3,
+            tokens_per_word=2,
+            components_per_archetype=1,
+            d=2,
+            seed=5,
+        )
+    )
+    files = {}
+    for name, save, value in [
+        ("lexicon", save_lexicon, lexicon),
+        ("questions", save_questions, questions),
+        ("ground truth", save_ground_truth, truth),
+        ("embeddings", save_samples, samples),
+        ("binary embeddings", partial(save_samples, binary=True), samples),
+    ]:
+        buffer = io.BytesIO()
+        save(value, buffer)
+        files[name] = buffer.getvalue()
+    return files
+
+
+VALID_FILES = _valid_files()
+FUZZ_LOADERS = {
+    **{name: load for name, (_, load) in LINE_FILES.items()},
+    "binary embeddings": load_samples,
+}
+
+
+@st.composite
+def damaged(draw):
+    name = draw(st.sampled_from(sorted(VALID_FILES)))
+    data = bytearray(VALID_FILES[name])
+    for _ in range(draw(st.integers(1, 3))):
+        action = draw(st.sampled_from(["truncate", "flip", "newline"]))
+        at = draw(st.integers(0, max(len(data) - 1, 0)))
+        if action == "truncate":
+            del data[at:]
+        elif data and action == "flip":
+            data[at] ^= draw(st.integers(1, 255))
+        elif action == "newline":
+            data[at:at] = b"\n"
+    return name, bytes(data)
+
+
+class TestFuzzedReaders:
+    @settings(max_examples=400, deadline=None)
+    @given(case=damaged(), as_path=st.booleans())
+    def test_only_package_errors_escape(self, case, as_path, tmp_path_factory):
+        name, data = case
+        if as_path:
+            source = tmp_path_factory.mktemp("fuzz") / "input"
+            source.write_bytes(data)
+        else:
+            source = io.BytesIO(data)
+        try:
+            FUZZ_LOADERS[name](source)
+        except ProsotagError:
+            pass
+
+    @pytest.mark.parametrize("command", ["fit", "tag"])
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_cli_on_truncated_embeddings_exits_1(self, command, binary, tmp_path, capsys):
+        paths = {
+            kind: str(tmp_path / f"{kind}.jsonl")
+            for kind in ("lexicon", "questions", "classes", "embeddings", "truth")
+        }
+        common = ["--lexicon", paths["lexicon"], "--embeddings", paths["embeddings"]]
+        synth = ["synth", *common, "--questions", paths["questions"], "--classes", paths["classes"],
+                 "--ground-truth", paths["truth"], "--archetypes", "2", "--words-per-archetype", "4",
+                 "--tokens-per-word", "4", "--components", "1", "--d", "2"]
+        model = str(tmp_path / "model.json")
+        fit = ["fit", *common, "--questions", paths["questions"], "--classes", paths["classes"],
+               "--model", model, "--max-leaves", "2", "--components", "1", "--min-leaf", "1"]
+        assert cli_main(synth + (["--binary"] if binary else [])) == 0
+        if command == "tag":
+            assert cli_main(fit) == 0
+        embeddings = tmp_path / "embeddings.jsonl"
+        data = embeddings.read_bytes()
+        embeddings.write_bytes(data[: len(data) - 7])  # inside the last record
+        out = tmp_path / "out.jsonl"
+        argv = fit if command == "fit" else ["tag", *common, "--model", model, "--out", str(out)]
+        capsys.readouterr()
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("prosotag: error: ")
+        assert "Traceback" not in err
+        assert ("record 31" if binary else "line 32") in err
+        assert not out.exists()
