@@ -275,7 +275,9 @@ def fit_gmm(
 
     Returns the fitted mixture and the total log-likelihood trace. The first
     trace entry evaluates the k-means initialization and the last evaluates
-    the returned parameters, so the trace is non-decreasing end to end.
+    the returned parameters. EM updates never lower the trace, but reseeding
+    a collapsed component can; the fit then stops at the reseeded parameters,
+    so the trace may end below its maximum.
     """
     if m < 1:
         raise ConfigError(f"component count must be at least 1, got {m}")

@@ -6,9 +6,10 @@ placement). ``answer_question`` asks one word; ``WordColumns`` holds a word
 list as numpy columns and answers a question for all of its words, or a subset,
 at once. ``load_lexicon`` reads a lexicon file straight into ``WordColumns``.
 All types here except ``WordColumns`` are immutable after construction, and
-question evaluation is stateless. ``WordColumns`` builds each column on first
-use from its fixed word list, so concurrent use at worst builds one twice:
-everything in this module is safe to share across threads.
+question evaluation is stateless. ``WordColumns`` is given all its columns
+when built and only computes values derived from them on first use, so
+concurrent use at worst computes one twice: everything in this module is safe
+to share across threads.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
@@ -279,18 +279,15 @@ class WordColumns(Sequence[WordEntry]):
     appearance. Every word has at least one phoneme, so ``starts`` strictly
     increases. ``row_of`` maps each word to its row.
 
-    ``WordColumns(entries)`` wraps a list of entries and builds each column
-    once, when a question first needs it. ``load_lexicon`` and ``take`` fill
-    the columns directly; indexing them builds a ``WordEntry`` only for the
-    word asked for.
+    Every builder fills all columns at once: ``load_lexicon`` as it parses a
+    file, ``WordColumns.of`` from a list of entries, ``take`` by gathering
+    rows. Only values derived from them (``row_of``, ``starts``, ``first``,
+    ...) are computed on first use, and ``row_of`` reports a duplicate word
+    then. Indexing builds a ``WordEntry`` only for the word asked for.
     """
 
-    def __init__(self, entries: Sequence[WordEntry]) -> None:
-        self.entries: Sequence[WordEntry] | None = entries
-
-    @classmethod
-    def _filled(
-        cls,
+    def __init__(
+        self,
         words: list[str],
         symbols: tuple[str, ...],
         ids: np.ndarray,
@@ -298,25 +295,40 @@ class WordColumns(Sequence[WordEntry]):
         breaks: np.ndarray,
         num_syllables: np.ndarray,
         stress: np.ndarray,
-    ) -> "WordColumns":
-        columns = cls.__new__(cls)
-        columns.entries = None
-        columns.words = words
-        columns._coded = (symbols, ids)
-        columns.num_phonemes = num_phonemes
-        columns.breaks = breaks
-        columns.num_syllables = num_syllables
-        columns.stress = stress
-        return columns
+    ) -> None:
+        self.words = words
+        self.symbols = symbols
+        self.ids = ids
+        self.num_phonemes = num_phonemes
+        self.breaks = breaks
+        self.num_syllables = num_syllables
+        self.stress = stress
+
+    @classmethod
+    def of(cls, entries: Sequence[WordEntry]) -> "WordColumns":
+        """``entries`` itself if it is ``WordColumns``, else its words as columns."""
+        if isinstance(entries, WordColumns):
+            return entries
+        codes = _symbol_coder()
+        return cls(
+            words=[e.word for e in entries],
+            ids=np.array([codes[p] for e in entries for p in e.phonemes], dtype=np.int32),
+            symbols=tuple(codes),  # after ids, which number the symbols
+            num_phonemes=np.array([len(e.phonemes) for e in entries], dtype=np.int64),
+            breaks=np.array([b for e in entries for b in e.syllable_breaks], dtype=np.int64),
+            num_syllables=np.array([len(e.syllable_breaks) for e in entries], dtype=np.int64),
+            stress=np.array(
+                [-1 if e.stress_syllable is None else e.stress_syllable for e in entries],
+                dtype=np.int64,
+            ),
+        )
 
     def __len__(self) -> int:
-        return len(self.words if self.entries is None else self.entries)
+        return len(self.words)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
-        if self.entries is not None:
-            return self.entries[index]
         word = self.words[index]
         start, stop = self.starts[index], self.starts[index] + self.num_phonemes[index]
         first = self.break_starts[index]
@@ -328,13 +340,6 @@ class WordColumns(Sequence[WordEntry]):
             None if stress < 0 else stress,
         )
 
-    def _ints(self, values: Iterable[int]) -> np.ndarray:
-        return np.fromiter(values, np.int64, len(self))
-
-    @cached_property
-    def words(self) -> list[str]:
-        return [e.word for e in self.entries]
-
     @cached_property
     def row_of(self) -> dict[str, int]:
         row_of = dict(zip(self.words, range(len(self))))
@@ -345,46 +350,6 @@ class WordColumns(Sequence[WordEntry]):
                     raise ValidationError(f"duplicate word {word!r} in lexicon")
                 seen.add(word)
         return row_of
-
-    @cached_property
-    def num_phonemes(self) -> np.ndarray:
-        return self._ints(len(e.phonemes) for e in self.entries)
-
-    @cached_property
-    def num_syllables(self) -> np.ndarray:
-        return self._ints(len(e.syllable_breaks) for e in self.entries)
-
-    @cached_property
-    def stress(self) -> np.ndarray:
-        return self._ints(
-            -1 if e.stress_syllable is None else e.stress_syllable for e in self.entries
-        )
-
-    @cached_property
-    def breaks(self) -> np.ndarray:
-        return np.fromiter(
-            chain.from_iterable(e.syllable_breaks for e in self.entries),
-            np.int64,
-            int(self.num_syllables.sum()),
-        )
-
-    @cached_property
-    def _coded(self) -> tuple[tuple[str, ...], np.ndarray]:
-        codes = _symbol_coder()
-        ids = np.fromiter(
-            map(codes.__getitem__, chain.from_iterable(e.phonemes for e in self.entries)),
-            np.int32,
-            int(self.num_phonemes.sum()),
-        )
-        return tuple(codes), ids
-
-    @property
-    def symbols(self) -> tuple[str, ...]:
-        return self._coded[0]
-
-    @property
-    def ids(self) -> np.ndarray:
-        return self._coded[1]
 
     @cached_property
     def starts(self) -> np.ndarray:
@@ -410,16 +375,13 @@ class WordColumns(Sequence[WordEntry]):
             raise ValidationError(f"word {exc.args[0]!r} is not in the lexicon") from None
 
     def take(self, rows: np.ndarray) -> "WordColumns":
-        """The words at ``rows``, in that order: their entries, if these
-        columns wrap entries, else their columns gathered. All words in order
-        are these columns themselves."""
+        """The words at ``rows``, in that order, their columns gathered. All
+        words in order are these columns themselves."""
         if rows.size == len(self) and np.array_equal(rows, np.arange(len(self))):
             return self
-        if self.entries is not None:
-            return WordColumns([self.entries[r] for r in rows.tolist()])
         num_phonemes = self.num_phonemes[rows]
         num_syllables = self.num_syllables[rows]
-        return WordColumns._filled(
+        return WordColumns(
             words=[self.words[r] for r in rows.tolist()],
             symbols=self.symbols,
             ids=self.ids[_spans(self.starts[rows], num_phonemes)],
@@ -531,7 +493,10 @@ def _rule_breakers(
     """The rows, ascending, of records that break a rule of
     ``WordEntry.__post_init__``, checked over all records at once: a
     non-empty word and phoneme list, breaks from 0 strictly increasing and
-    below the phoneme count, and a marked stress syllable in range."""
+    below the phoneme count, and a marked stress syllable in range. The rules
+    are written twice so that ``load_lexicon`` builds no ``WordEntry`` per
+    record, which would cost about 4.5 us a word; only the rows found here
+    go through ``WordEntry``, for its message."""
     bad = (num_phonemes == 0) | (num_syllables == 0)
     starts = _offsets(num_syllables)
     padded = np.append(breaks, 0)  # a word without breaks is bad already
@@ -657,7 +622,7 @@ def load_lexicon(source: str | Path | IO[bytes]) -> WordColumns:
             raise ParseError(
                 f"line {linenos[row]}: malformed lexicon record: {exc}"
             ) from None
-    columns = WordColumns._filled(
+    return WordColumns(
         words,
         symbols,
         np.fromiter(ids, np.int32, len(ids)),
@@ -666,8 +631,6 @@ def load_lexicon(source: str | Path | IO[bytes]) -> WordColumns:
         syllables,
         stress_column,
     )
-    columns.row_of = row_of
-    return columns
 
 
 def save_lexicon(entries: Iterable[WordEntry], sink: str | Path | IO[bytes]) -> None:

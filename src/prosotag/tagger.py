@@ -202,7 +202,7 @@ class TaggerModel:
 
 
 def fit(
-    lexicon: Sequence[WordEntry] | Mapping[str, WordEntry],
+    lexicon: Sequence[WordEntry],
     samples: Sequence[ProsodySample],
     questions: Sequence[Question],
     classes: PhonemeClassTable,
@@ -322,7 +322,7 @@ def _tag_corpus(
 
 def tag_tokens(
     model: TaggerModel,
-    lexicon: Sequence[WordEntry] | Mapping[str, WordEntry],
+    lexicon: Sequence[WordEntry],
     samples: Sequence[ProsodySample],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tag a batch of tokens; every token's word must be in ``lexicon``.
@@ -348,7 +348,7 @@ def tag(model: TaggerModel, word: WordEntry, e: np.ndarray) -> ProsodyTag:
     if not np.isfinite(e).all():
         raise ValidationError(f"word {word.word!r}: embedding has non-finite values")
     corpus = Corpus((word.word,), (word.word,), np.zeros(1, dtype=np.int32), e[None, :])
-    leaves, components = _tag_corpus(model, WordColumns((word,)), corpus)
+    leaves, components = _tag_corpus(model, WordColumns.of((word,)), corpus)
     return ProsodyTag(
         leaf=model.tree.leaf_letters[leaves[0]], component=int(components[0])
     )

@@ -240,22 +240,16 @@ def _sorted_questions(questions: Sequence[Question]) -> list[Question]:
     return [index[qid] for qid in sorted(index)]
 
 
-def _word_columns(
-    lexicon: Sequence[WordEntry] | Mapping[str, WordEntry], words: Sequence[str]
-) -> WordColumns:
+def _word_columns(lexicon: Sequence[WordEntry], words: Sequence[str]) -> WordColumns:
     """The lexicon's rows of ``words``, in order, as ``WordColumns.take``
-    gives them: gathered from a columnar lexicon (``load_lexicon`` returns
-    one) without building an entry; from a list of entries, or the values of
-    a word -> entry mapping, as entries whose columns are built on first use."""
-    if isinstance(lexicon, Mapping):
-        lexicon = list(lexicon.values())
-    if not isinstance(lexicon, WordColumns):
-        lexicon = WordColumns(lexicon)
+    gives them; a list of entries is first made columns by ``WordColumns.of``
+    (``load_lexicon`` returns columns already)."""
+    lexicon = WordColumns.of(lexicon)
     return lexicon.take(lexicon.rows(words))
 
 
 def grow_tree(
-    lexicon: Sequence[WordEntry] | Mapping[str, WordEntry],
+    lexicon: Sequence[WordEntry],
     samples: Sequence[ProsodySample],
     questions: Sequence[Question],
     classes: PhonemeClassTable,

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import stat
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,6 +321,23 @@ def test_output_files_get_the_umask_mode(tmp_path, capsys):
         "model.json", "model.json.trace.csv", "fit_tags.jsonl", "tags.jsonl", "curve.csv",
     ])
     assert set(modes.values()) == {0o644}
+
+
+def test_tracer_finds_every_name_it_wraps(monkeypatch):
+    # perfbench/traced.py wraps program functions by module and name; a
+    # binding it needs that goes away breaks the traced benchmark run
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # only read perfbench/
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        traced = importlib.import_module("traced")
+        swaps = traced.install(traced.Tracer())
+    finally:
+        for name in ("traced", "extend_questions"):
+            sys.modules.pop(name, None)
+    assert len(swaps) == 12
+    for module, attr, wrapped, original in swaps:
+        assert callable(wrapped)
+        assert getattr(module, attr) is original  # install swaps nothing in
 
 
 class TestUsage:

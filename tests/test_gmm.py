@@ -356,6 +356,16 @@ class TestCollapseRepair:
         assert abs(gmm.weights.sum() - 1.0) < 1e-9
         assert_monotone_trace(trace, rel_tol=1e-7)
 
+    def test_reseed_can_end_the_trace_lower(self):
+        # the third EM step reseeds two collapsed components and the reseeded
+        # parameters score lower: EM stops there, below the trace's maximum
+        x = np.array([[-1.0], [-2.0], [0.0], [1.0], [1.0], [-1.0], [2.0]])
+        gmm, trace = fit_gmm(x, 7, 25)
+        np.testing.assert_allclose(trace, [28.306, 31.067, 31.073, 29.318], atol=1e-3)
+        assert trace[-1] < trace[-2]
+        total = np.logaddexp.reduce(gmm.log_joint(x), axis=1).sum()
+        assert total == pytest.approx(trace[-1], rel=1e-9)
+
 
 class TestNumericKernels:
     """The private kernels against the computations they stand in for."""

@@ -237,7 +237,7 @@ class TestWordColumns:
         words = [random_word(rng, f"w{i}", classes) for i in range(int(rng.integers(0, 30)))]
         # one phoneme, outside every class, stress unmarked
         words.insert(int(rng.integers(len(words) + 1)), make_word(["ZZ"], name="zz"))
-        columns = WordColumns(words)
+        columns = WordColumns.of(words)
         rows = rng.permutation(len(words))[: int(rng.integers(len(words) + 1))]
         for q in every_kind(classes, big_param):
             expected = np.array([answer_question(q, w, classes) for w in words], dtype=bool)
@@ -254,7 +254,7 @@ class TestWordColumns:
             make_word(["S"], name="s"),
             make_word(["B", "AH", "T", "ER"], (0, 2), 1, name="butter"),
         ]
-        columns = WordColumns(words)
+        columns = WordColumns.of(words)
         np.testing.assert_array_equal(columns.num_phonemes, [3, 1, 4])
         np.testing.assert_array_equal(columns.num_syllables, [1, 1, 2])
         np.testing.assert_array_equal(columns.stress, [0, -1, 1])
@@ -267,7 +267,7 @@ class TestWordColumns:
         assert [columns.symbols[i] for i in columns.last] == ["T", "S", "ER"]
 
     def test_empty_word_list(self, classes):
-        columns = WordColumns([])
+        columns = WordColumns.of([])
         for q in every_kind(classes, 2**64):
             assert columns.answer(q, classes).shape == (0,)
 
@@ -275,7 +275,7 @@ class TestWordColumns:
         table = PhonemeClassTable({"Vowel": frozenset({"AA"})})
         q = Question(id=0, kind=QuestionKind.CONTAINS_CLASS, class_param="Nasal")
         with pytest.raises(ConfigError):
-            WordColumns([make_word(["AA"])]).answer(q, table)
+            WordColumns.of([make_word(["AA"])]).answer(q, table)
 
 
 class TestLexiconIO:
@@ -425,8 +425,31 @@ def lexicon_bytes(words) -> bytes:
 
 
 class TestColumnarLexicon:
-    """``load_lexicon`` fills ``WordColumns`` directly; the lazy columns over
-    a list of entries and the scalar ``answer_question`` are the oracles."""
+    """``load_lexicon`` fills ``WordColumns`` directly; columns computed in
+    plain Python from the entries and the scalar ``answer_question`` are the
+    oracles."""
+
+    @staticmethod
+    def plain_columns(words) -> dict:
+        """Each column of ``words``, computed one entry at a time."""
+        symbols = list(dict.fromkeys(p for w in words for p in w.phonemes))
+        starts, start = [], 0
+        for w in words:
+            starts.append(start)
+            start += len(w.phonemes)
+        return {
+            "num_phonemes": [len(w.phonemes) for w in words],
+            "num_syllables": [len(w.syllable_breaks) for w in words],
+            "stress": [-1 if w.stress_syllable is None else w.stress_syllable for w in words],
+            "breaks": [b for w in words for b in w.syllable_breaks],
+            "ids": [symbols.index(p) for w in words for p in w.phonemes],
+            "starts": starts,
+            "first": [symbols.index(w.phonemes[0]) for w in words],
+            "last": [symbols.index(w.phonemes[-1]) for w in words],
+            "symbols": tuple(symbols),
+            "words": [w.word for w in words],
+            "row_of": {w.word: i for i, w in enumerate(words)},
+        }
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -438,13 +461,15 @@ class TestColumnarLexicon:
         for i, w in enumerate(words):
             assert loaded[i] == w
         assert loaded[:] == words
-        lazy = WordColumns(words)
-        for name in ("num_phonemes", "num_syllables", "stress", "breaks", "ids", "starts",
-                     "first", "last"):
-            np.testing.assert_array_equal(getattr(loaded, name), getattr(lazy, name))
-        assert loaded.symbols == lazy.symbols
-        assert loaded.words == lazy.words
-        assert loaded.row_of == lazy.row_of
+        assert WordColumns.of(loaded) is loaded
+        expected = self.plain_columns(words)
+        for columns in (loaded, WordColumns.of(words)):
+            for name, values in expected.items():
+                column = getattr(columns, name)
+                if isinstance(column, np.ndarray):
+                    assert column.tolist() == values, name
+                else:
+                    assert column == values, name
         rows = rng.permutation(len(words))[: int(rng.integers(len(words) + 1))]
         taken = loaded.take(rows)
         assert list(taken) == [words[r] for r in rows]
@@ -548,7 +573,7 @@ class TestColumnarLexicon:
     def test_duplicate_in_entry_list(self):
         words = [make_word(["K"], name="a"), make_word(["S"], name="a")]
         with pytest.raises(ValidationError, match="duplicate word 'a' in lexicon"):
-            WordColumns(words).rows(["a"])
+            WordColumns.of(words).rows(["a"])
 
 
 class TestQuestionIO:

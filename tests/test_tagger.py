@@ -320,7 +320,7 @@ def random_tree(rng, questions, num_leaves):
 
 def assert_routes_like_route_word(tree, questions, classes, words, word_index):
     leaves, leaf_rows = _route_tokens(
-        tree, {q.id: q for q in questions}, classes, WordColumns(words), word_index
+        tree, {q.id: q for q in questions}, classes, WordColumns.of(words), word_index
     )
     expected = [
         tree.leaf_letters.index(route_word(tree, w, questions, classes)) for w in words
@@ -364,7 +364,7 @@ class TestRouting:
             route_word(tree, word, [question], classes)
         with pytest.raises(ModelFormatError, match="cyclic"):
             _route_tokens(
-                tree, {0: question}, classes, WordColumns([word]), np.zeros(1, dtype=np.int32)
+                tree, {0: question}, classes, WordColumns.of([word]), np.zeros(1, dtype=np.int32)
             )
 
     def test_fit_and_tag_ask_no_scalar_question(self, monkeypatch):
