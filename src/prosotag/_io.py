@@ -110,6 +110,12 @@ def read_json(source: Source, what: str) -> object:
     try:
         return json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{what}: not valid UTF-8: {exc.reason}") from None
+        line = data.count(b"\n", 0, exc.start) + 1
+        column = exc.start - data.rfind(b"\n", 0, exc.start)
+        raise ParseError(
+            f"{what}: not valid UTF-8: {exc.reason} at line {line} column {column}"
+        ) from None
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{what}: invalid JSON: {exc.msg}") from exc
+        raise ParseError(
+            f"{what}: invalid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
+        ) from exc

@@ -14,14 +14,35 @@ count is re-seeded at the sample the mixture currently explains worst, with
 the leaf's global variance and a fresh 1/m weight share, so the mixture
 always keeps exactly m live components.
 
-One kernel, ``_sq_distances``, gives every row-to-centre squared distance:
-k-means++ seeding, the Lloyd sweeps, the inertia and, divided by the
-variances, the Gaussian quadratic form of ``_log_joint`` (log density plus
-log weight), which scores both EM and tagging; a fitted ``LeafGmm`` keeps
-the row-independent terms (``_fixed_terms``), so tagging computes them once
-per mixture, not once per call. ``_sq_distances`` works one centre at a
-time, so no temporary is larger than the ``(n, d)`` data, and each row
-reduces over ``d`` in the same order alone or inside any batch.
+One kernel, ``_sq_distances``, gives every sample-to-centre squared
+distance: k-means++ seeding, the Lloyd sweeps, the inertia and, divided by
+the variances, the Gaussian quadratic form of ``_log_joint`` (log density
+plus log weight), which scores both EM and tagging; a fitted ``LeafGmm``
+keeps the sample-independent terms (``_fixed_terms``), so tagging computes
+them once per mixture, not once per call.
+
+Layout. A fit holds its leaf twice: as the (n, d) rows it was given and as
+one (d, n) copy with contiguous rows, the columns (``_columns``). The
+kernel, the joint and the log-sum-exp work on the columns and give (m, n)
+arrays, so every reduction over the short d or m axis is a few long adds
+of whole rows, not one numpy reduction per sample. The reductions over n
+stay on the (n, d) rows and on (n, m) responsibilities: the Lloyd means
+(``mean(axis=0)``), the M-step's ``resp.sum(axis=0)`` and its
+``resp.T @ x``, which a transpose would sum in another order.
+
+Summation order. ``_sum_rows`` adds the rows of a (k, n) array in the order
+numpy's pairwise summation adds k contiguous terms (numpy 2.x, float64), so
+each column's sum is bitwise the sum the same terms had as one row of an
+(n, k) array: the distances equal ``((x - c) ** 2).sum(axis=1)`` and the
+log-sum-exp equals scipy's, and model bytes do not depend on the layout.
+``test_gmm.TestNumericKernels`` pins that order at every size where it
+changes form, so a numpy that sums differently fails the tests rather than
+changing model files. Arg-min and arg-max over the m axis take the first
+extreme (``_first_index_of``), as ``np.argmin`` and ``np.argmax`` do.
+
+Memory. ``_sq_distances`` works one centre at a time in one (d, n) buffer,
+so no temporary is larger than the (n, d) data; with the columns, a fit
+holds two copies of its leaf plus (m, n) scores.
 """
 
 from __future__ import annotations
@@ -99,12 +120,15 @@ class LeafGmm:
         if np.any(self.weights <= 0.0):
             raise ValidationError("mixture weights must be positive")
         if abs(float(self.weights.sum()) - 1.0) > 1e-9:
-            raise ValidationError(f"mixture weights sum to {self.weights.sum()!r}, expected 1")
+            raise ValidationError(f"mixture weights sum to {float(self.weights.sum())!r}, expected 1")
         if np.any(self.variances <= 0.0):
             raise ValidationError("mixture variances must be positive")
         if self.n_samples < 1:
             raise ValidationError(f"n_samples must be at least 1, got {self.n_samples}")
-        log_norm, log_weights = _fixed_terms(self.weights, self.variances)
+        with np.errstate(over="ignore"):
+            log_norm, log_weights = _fixed_terms(self.weights, self.variances)
+        if not np.all(np.isfinite(log_norm)):
+            raise ValidationError("mixture variances overflow float64 in the log normaliser")
         object.__setattr__(self, "log_norm", _frozen(log_norm))
         object.__setattr__(self, "log_weights", _frozen(log_weights))
 
@@ -116,28 +140,98 @@ class LeafGmm:
     def d(self) -> int:
         return self.means.shape[1]
 
-    def log_joint(self, x: np.ndarray) -> np.ndarray:
-        """``_log_joint`` of (n, d) rows under this mixture."""
-        return _log_joint(x, self.means, self.variances, self.log_norm, self.log_weights)
+    def log_joint(self, xt: np.ndarray) -> np.ndarray:
+        """``_log_joint`` of (d, n) columns under this mixture: (m, n)."""
+        return _log_joint(xt, self.means, self.variances, self.log_norm, self.log_weights)
+
+    def assign(self, xt: np.ndarray) -> np.ndarray:
+        """The maximum-posterior component of each (d, n) column, ties to the
+        smallest index, as ``np.argmax(self.log_joint(xt), axis=0)``."""
+        joint = self.log_joint(xt)
+        return _first_index_of(joint, joint.max(axis=0))
+
+
+def _columns(x: np.ndarray) -> np.ndarray:
+    """The (d, n) columns of (n, d) rows, as ``_sq_distances`` reads them.
+
+    Each row is contiguous and followed by one unused element, so numpy
+    cannot merge rows into one loop and subtracts a centre coordinate from
+    a row as a scalar. Over a C-contiguous copy numpy 2.4 merges two rows
+    into one loop while they fit its 8,192-element buffer (n up to 4,096)
+    and buffers the broadcast centre column instead: at d=16, n=3,000 that
+    subtract took 53 µs a centre, against 15 µs here.
+    """
+    n, d = x.shape
+    xt = np.empty((d, n + 1))[:, :n]
+    xt[...] = x.T
+    return xt
+
+
+def _sum_rows(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum a (k, n) array over its k rows into ``out`` (n,), each column in the
+    order numpy's pairwise summation adds one contiguous row of k terms, so
+    ``out`` is bitwise ``a.T.sum(axis=1)``; ``a`` is overwritten.
+
+    Below 8 rows the rows are added left to right. From 8 to 128 rows, rows
+    0-7 are eight accumulators, each later full block of 8 rows is added to
+    them, they are combined as ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and
+    the tail rows are added left to right. Above 128 rows the two halves,
+    split at a multiple of 8, are summed so and added. Every step is one
+    array operation over whole rows, so the cost per column is a few
+    instructions, not numpy's per-row reduction overhead. The inputs here
+    are never -0.0, where numpy's initial 0.0 would differ from row 0.
+    """
+    k = a.shape[0]
+    if k < 8:
+        np.copyto(out, a[0])
+        for row in a[1:]:
+            out += row
+    elif k <= 128:
+        acc = a[:8]
+        full = k - k % 8
+        for start in range(8, full, 8):
+            acc += a[start : start + 8]
+        pairs = acc[0::2] + acc[1::2]
+        quads = pairs[0::2] + pairs[1::2]
+        np.add(quads[0], quads[1], out=out)
+        for row in a[full:]:
+            out += row
+    else:
+        half = k // 2 - (k // 2) % 8
+        _sum_rows(a[:half], out)
+        out += _sum_rows(a[half:], np.empty_like(out))
+    return out
+
+
+def _first_index_of(a: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """For each column of an (m, n) array, the first row index whose entry
+    equals ``value`` (n,), which every column must hold. Given the column
+    minima or maxima this is ``np.argmin`` or ``np.argmax`` over axis 0 for
+    NaN-free input, found by m - 1 long column compares."""
+    index = np.full(a.shape[1], a.shape[0] - 1, dtype=np.intp)
+    for k in range(a.shape[0] - 2, -1, -1):
+        index[a[k] == value] = k
+    return index
 
 
 def _sq_distances(
-    x: np.ndarray, centers: np.ndarray, variances: np.ndarray | None = None
+    xt: np.ndarray, centers: np.ndarray, variances: np.ndarray | None = None
 ) -> np.ndarray:
-    """(n, m) squared distances from (n, d) rows to (m, d) centres, each term
-    divided by the centre's variances when given.
+    """(m, n) squared distances from the (d, n) columns to (m, d) centres,
+    each term divided by the centre's variances when given.
 
-    One centre at a time, so the largest temporary is (n, d); a row sums its
-    d terms in the same order as ``((x - c) ** 2).sum(axis=1)``.
+    One centre at a time, so the largest temporary is (d, n); each column
+    sums its d terms as ``((x - c) ** 2).sum(axis=1)`` sums a row of the
+    (n, d) data (see ``_sum_rows``).
     """
-    out = np.empty((x.shape[0], centers.shape[0]))
-    diff = np.empty(x.shape)
+    out = np.empty((centers.shape[0], xt.shape[1]))
+    diff = np.empty(xt.shape)
     for k, center in enumerate(centers):
-        np.subtract(x, center, out=diff)
+        np.subtract(xt, center[:, None], out=diff)
         diff *= diff
         if variances is not None:
-            diff /= variances[k]
-        diff.sum(axis=1, out=out[:, k])
+            diff /= variances[k][:, None]
+        _sum_rows(diff, out[k])
     return out
 
 
@@ -150,79 +244,88 @@ def _fixed_terms(
 
 
 def _log_joint(
-    x: np.ndarray,
+    xt: np.ndarray,
     means: np.ndarray,
     variances: np.ndarray,
     log_norm: np.ndarray,
     log_weights: np.ndarray,
 ) -> np.ndarray:
-    """Unnormalized log posteriors, (n, m) for (n, d) rows: diagonal Gaussian
-    log density plus log weight, given the ``_fixed_terms``."""
-    return -0.5 * (log_norm + _sq_distances(x, means, variances)) + log_weights
+    """Unnormalized log posteriors, (m, n) for (d, n) columns: diagonal
+    Gaussian log density plus log weight, given the ``_fixed_terms``."""
+    joint = _sq_distances(xt, means, variances)
+    joint += log_norm[:, None]
+    joint *= -0.5
+    joint += log_weights[:, None]
+    return joint
 
 
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """Row-wise log-sum-exp of a 2-d array, bitwise equal to scipy's.
+def _logsumexp_columns(a: np.ndarray) -> np.ndarray:
+    """Log-sum-exp over the rows of an (m, n) array, bitwise equal to scipy's
+    over each column.
 
-    Follows ``scipy.special.logsumexp(a, axis=1)`` (scipy 1.17, real input):
-    the row maxima are taken out of the sum and each added back as one
-    ``log1p`` term, and rows whose result is not finite fall back to the
-    direct ``log(sum(exp(a)))``.
+    Follows ``scipy.special.logsumexp(a.T, axis=1)`` (scipy 1.17, real
+    input): the column maxima are taken out of the sum and each added back
+    as one ``log1p`` term, and columns whose result is not finite fall back
+    to the direct ``log(sum(exp(a)))``. Both sums run in ``_sum_rows``.
     """
-    a_max = a.max(axis=1, keepdims=True)
+    a_max = a.max(axis=0)
     top = a == a_max
-    m = top.sum(axis=1, keepdims=True, dtype=np.float64)
+    m = np.count_nonzero(top, axis=0).astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.exp(np.where(top, -np.inf, a) - a_max).sum(axis=1, keepdims=True)
+        shifted = np.where(top, -np.inf, a)
+        shifted -= a_max
+        s = _sum_rows(np.exp(shifted, out=shifted), np.empty(a.shape[1]))
         s = np.where(s == 0, s, s / m)
-        out = (np.log1p(s) + np.log(m) + a_max)[:, 0]
+        out = np.log1p(s) + np.log(m) + a_max
     finite = np.isfinite(out)
     if not finite.all():
         with np.errstate(divide="ignore", over="ignore"):
-            out = np.where(finite, out, np.log(np.exp(a).sum(axis=1)))
+            direct = np.log(_sum_rows(np.exp(a), np.empty(a.shape[1])))
+        out = np.where(finite, out, direct)
     return out
 
 
 def _kmeans_plus_plus(
-    x: np.ndarray, m: int, rng: np.random.Generator
+    x: np.ndarray, xt: np.ndarray, m: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Greedy k-means++: several D^2-sampled candidates per center, keeping
     the one that lowers the potential most. Returns the centres and the
-    (n, m) ``_sq_distances`` to them, each column the chosen candidate's."""
+    (m, n) ``_sq_distances`` to them, each row the chosen candidate's."""
     n = x.shape[0]
     trials = 2 + int(np.log(m))
     centers = np.empty((m, x.shape[1]))
-    distances = np.empty((n, m))
+    distances = np.empty((m, n))
     centers[0] = x[rng.integers(n)]
-    closest = _sq_distances(x, centers[:1])[:, 0]
-    distances[:, 0] = closest
+    closest = distances[0] = _sq_distances(xt, centers[:1])[0]
     for k in range(1, m):
         total = closest.sum()
         if total > 0.0:
             candidates = rng.choice(n, size=trials, p=closest / total)
         else:
             candidates = rng.integers(n, size=trials)
-        dist = _sq_distances(x, x[candidates])
-        trimmed = [np.minimum(closest, dist[:, j]) for j in range(trials)]
+        dist = _sq_distances(xt, x[candidates])
+        trimmed = np.minimum(closest, dist)
         best = int(np.argmin([t.sum() for t in trimmed]))  # ties: the earliest candidate
         centers[k] = x[candidates[best]]
-        distances[:, k] = dist[:, best]
+        distances[k] = dist[best]
         closest = trimmed[best]
     return centers, distances
 
 
 def _run_kmeans(
-    x: np.ndarray, m: int, rng: np.random.Generator
+    x: np.ndarray, xt: np.ndarray, m: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """One seeded restart: (centres, labels, inertia), the labels and inertia
     those of the returned centres.
 
-    A sweep recomputes the mean and the distance column of a cluster only if
+    A sweep recomputes the mean and the distance row of a cluster only if
     its members changed: the same members give the same mean, bit for bit,
-    and the same centre the same distances.
+    and the same centre the same distances. The means sum the (n, d) rows,
+    in the order ``mean(axis=0)`` always has.
     """
-    centers, dist = _kmeans_plus_plus(x, m, rng)
-    labels = np.argmin(dist, axis=1)
+    centers, dist = _kmeans_plus_plus(x, xt, m, rng)
+    nearest = dist.min(axis=0)
+    labels = _first_index_of(dist, nearest)
     stale = np.arange(m)
     for _ in range(KMEANS_SWEEPS):
         for k in stale:
@@ -230,28 +333,30 @@ def _run_kmeans(
             if member.any():
                 centers[k] = x[member].mean(axis=0)
             # an emptied cluster keeps its previous center
-        dist[:, stale] = _sq_distances(x, centers[stale])
-        previous, labels = labels, np.argmin(dist, axis=1)
+        dist[stale] = _sq_distances(xt, centers[stale])
+        nearest = dist.min(axis=0)
+        previous, labels = labels, _first_index_of(dist, nearest)
         changed = labels != previous
         if not changed.any():
             break  # repeated labels: the centres are their means already, a fixed point
-        stale = np.union1d(previous[changed], labels[changed])
-    return centers, labels, float(dist.min(axis=1).sum())
+        touched = np.zeros(m, dtype=bool)
+        touched[previous[changed]] = touched[labels[changed]] = True
+        stale = np.flatnonzero(touched)
+    return centers, labels, float(nearest.sum())
 
 
 def _initial_parameters(
-    x: np.ndarray, m: int, seed: int, floor: float
+    x: np.ndarray, xt: np.ndarray, m: int, seed: int, floor: float, global_var: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rng = np.random.default_rng(seed)
-    centers, labels, best_inertia = _run_kmeans(x, m, rng)
+    centers, labels, best_inertia = _run_kmeans(x, xt, m, rng)
     # with one component every restart's first sweep moves the centre to the
     # mean of all rows, whatever row seeded it, so a later restart never wins
     for _ in range(KMEANS_RESTARTS - 1 if m > 1 else 0):
-        other, other_labels, inertia = _run_kmeans(x, m, rng)
+        other, other_labels, inertia = _run_kmeans(x, xt, m, rng)
         # strict < keeps the earliest restart on ties, for determinism
         if inertia < best_inertia:
             centers, labels, best_inertia = other, other_labels, inertia
-    global_var = np.maximum(x.var(axis=0), floor)
     variances = np.empty_like(centers)
     for k in range(m):
         member = labels == k
@@ -263,49 +368,26 @@ def _initial_parameters(
     return weights, centers, variances
 
 
-def fit_gmm(
-    samples: Sequence[np.ndarray] | np.ndarray,
-    m: int,
-    seed: int,
-    *,
-    leaf: str = "a",
-    floor: float = 1e-6,
-) -> tuple[LeafGmm, list[float]]:
-    """Fit an m-component diagonal GMM by EM; deterministic given the seed.
-
-    Returns the fitted mixture and the total log-likelihood trace. The first
-    trace entry evaluates the k-means initialization and the last evaluates
-    the returned parameters. EM updates never lower the trace, but reseeding
-    a collapsed component can; the fit then stops at the reseeded parameters,
-    so the trace may end below its maximum.
-    """
-    if m < 1:
-        raise ConfigError(f"component count must be at least 1, got {m}")
-    if floor <= 0.0:
-        raise ConfigError(f"variance floor must be positive, got {floor}")
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
-    x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] == 0:
-        raise ValidationError(f"samples must form a 2-d array with at least one feature, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValidationError("samples must be finite")
+def _em(
+    x: np.ndarray, xt: np.ndarray, m: int, seed: int, floor: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[float]]:
+    """``fit_gmm`` on checked (n, d) rows and their (d, n) columns."""
     n = x.shape[0]
-    if n < m:
-        raise InsufficientDataError(f"cannot fit {m} components to {n} samples")
-
-    weights, means, variances = _initial_parameters(x, m, seed, floor)
     global_var = np.maximum(x.var(axis=0), floor)
+    weights, means, variances = _initial_parameters(x, xt, m, seed, floor, global_var)
     trace: list[float] = []
     for step in range(EM_MAX_ITERS + 1):
-        joint = _log_joint(x, means, variances, *_fixed_terms(weights, variances))
-        per_sample = _logsumexp_rows(joint)
+        joint = _log_joint(xt, means, variances, *_fixed_terms(weights, variances))
+        per_sample = _logsumexp_columns(joint)
         trace.append(float(per_sample.sum()))
         if step == EM_MAX_ITERS:
             break
         if step and trace[-1] - trace[-2] < EM_REL_TOL * max(abs(trace[-2]), 1e-12):
             break
-        resp = np.exp(joint - per_sample[:, None])
+        joint -= per_sample
+        # the sums over n run on (n, m) responsibilities, in the order of the
+        # column sum and the BLAS call the M-step has always made
+        resp = np.exp(joint, out=joint).T.copy()
         mass = resp.sum(axis=0)
         collapsed = mass < COLLAPSE_FRACTION * n
         live = ~collapsed
@@ -325,7 +407,50 @@ def fit_gmm(
             for rank, k in enumerate(np.flatnonzero(collapsed)):
                 means[k] = x[worst[rank % n]]
                 variances[k] = global_var
+    return weights, means, variances, trace
 
+
+def fit_gmm(
+    samples: Sequence[np.ndarray] | np.ndarray,
+    m: int,
+    seed: int,
+    *,
+    leaf: str = "a",
+    floor: float = 1e-6,
+) -> tuple[LeafGmm, list[float]]:
+    """Fit an m-component diagonal GMM by EM; deterministic given the seed.
+
+    Returns the fitted mixture and the total log-likelihood trace. The first
+    trace entry evaluates the k-means initialization and the last evaluates
+    the returned parameters. EM updates never lower the trace, but reseeding
+    a collapsed component can; the fit then stops at the reseeded parameters,
+    so the trace may end below its maximum.
+
+    Samples so large that a squared distance, a variance or a second moment
+    overflows float64 raise a ``ValidationError`` that names the leaf.
+    """
+    if m < 1:
+        raise ConfigError(f"component count must be at least 1, got {m}")
+    if floor <= 0.0:
+        raise ConfigError(f"variance floor must be positive, got {floor}")
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    x = np.asarray(samples, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] == 0:
+        raise ValidationError(f"samples must form a 2-d array with at least one feature, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValidationError("samples must be finite")
+    n = x.shape[0]
+    if n < m:
+        raise InsufficientDataError(f"cannot fit {m} components to {n} samples")
+
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            weights, means, variances, trace = _em(x, _columns(x), m, seed, floor)
+    except FloatingPointError as exc:
+        raise ValidationError(
+            f"leaf {leaf!r}: samples too large in magnitude: float64 {exc}"
+        ) from None
     gmm = LeafGmm(
         leaf=leaf, weights=weights, means=means, variances=variances, n_samples=n
     )
@@ -339,7 +464,7 @@ def posterior_log_scores(e: np.ndarray, gmm: LeafGmm) -> np.ndarray:
         raise DimensionMismatchError(
             f"embedding shape {e.shape} does not match mixture dimension {gmm.d}"
         )
-    return gmm.log_joint(e[None, :])[0]
+    return gmm.log_joint(e[:, None])[:, 0]
 
 
 def assign_component(e: np.ndarray, gmm: LeafGmm) -> int:

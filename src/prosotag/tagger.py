@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
 )
 from .gaussian import _NUMBER_TYPES, Corpus, ProsodySample
-from .gmm import LeafGmm, fit_gmm
+from .gmm import LeafGmm, _columns, fit_gmm
 from .phonetics import (
     PhonemeClassTable,
     Question,
@@ -316,7 +316,7 @@ def _tag_corpus(
     for leaf, rows in enumerate(leaf_rows):
         if rows.size:
             gmm = model.gmms[model.tree.leaf_letters[leaf]]
-            components[rows] = np.argmax(gmm.log_joint(corpus.x[rows]), axis=1)
+            components[rows] = gmm.assign(_columns(corpus.x[rows]))
     return leaves, components
 
 
@@ -530,12 +530,12 @@ def load_model(source: str | Path | IO[bytes]) -> TaggerModel:
     if not isinstance(raw_questions, list):
         raise ModelFormatError("questions must be an array")
     questions: list[Question] = []
-    for obj in raw_questions:
+    for pos, obj in enumerate(raw_questions):
         try:
             q = _question_from_dict(obj)
             q.validate_against(classes)
         except (TypeError, ParseError, ConfigError, ValidationError) as exc:
-            raise ModelFormatError(f"malformed question record: {exc}") from exc
+            raise ModelFormatError(f"malformed question {pos}: {exc}") from exc
         questions.append(q)
 
     raw_tree = _require(doc, "tree")

@@ -98,7 +98,7 @@ class DecisionTree:
                     if child in referenced:
                         raise ModelFormatError(f"node {child} has multiple parents")
                     if child == 0:
-                        raise ModelFormatError("root node cannot be a child")
+                        raise ModelFormatError(f"node {pos}: the root node cannot be a child")
                     referenced.add(child)
             else:
                 leaf_indices.append(node.leaf_index)
@@ -106,11 +106,11 @@ class DecisionTree:
             raise ModelFormatError("tree nodes are not a single rooted structure")
         if sorted(leaf_indices) != list(range(len(self.leaf_letters))):
             raise ModelFormatError(
-                "leaf indices must cover 0..num_leaves-1 exactly once"
+                "tree leaf indices must cover 0..num_leaves-1 exactly once"
             )
         expected = tuple(leaf_letter(i) for i in range(len(self.leaf_letters)))
         if self.leaf_letters != expected:
-            raise ModelFormatError("leaf letters are not contiguous from 'a'")
+            raise ModelFormatError("tree leaf letters are not contiguous from 'a'")
 
 
 @dataclass(frozen=True)
@@ -281,11 +281,18 @@ def grow_tree(
     ordered = _sorted_questions(questions)
     for q in ordered:
         q.validate_against(classes)
-    growth = _Growth(columns, corpus, ordered, classes, floor, min_leaf)
-    total_tokens = int(growth.counts.sum())
-
     root_widx = np.arange(len(columns))
-    root = _Leaf(node_pos=0, widx=root_widx, ll=growth.leaf_ll(root_widx))
+    try:
+        # every node's moments sum a subset of the root's non-negative squares
+        with np.errstate(over="raise", invalid="raise"):
+            growth = _Growth(columns, corpus, ordered, classes, floor, min_leaf)
+            root_ll = growth.leaf_ll(root_widx)
+    except FloatingPointError as exc:
+        raise ValidationError(
+            f"leaf {leaf_letter(0)!r}: samples too large in magnitude: float64 {exc}"
+        ) from None
+    total_tokens = int(growth.counts.sum())
+    root = _Leaf(node_pos=0, widx=root_widx, ll=root_ll)
     root.best = growth.best_split(root)
     nodes: list[TreeNode | None] = [None]
     leaves: list[_Leaf] = [root]  # creation order

@@ -6,6 +6,7 @@ import importlib
 import json
 import os
 import stat
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -210,6 +211,28 @@ class TestFit:
         assert main(args) == 1
         assert "line 3: not valid UTF-8" in capsys.readouterr().err
         assert not model_path.exists()
+
+
+    def test_huge_embeddings_exit_1_naming_the_leaf(self, tmp_path):
+        # finite, but their squares overflow float64; a fresh process shows
+        # any numpy warning on stderr as well
+        assert main(synth_args(tmp_path, d=8)) == 0
+        path = tmp_path / "embeddings.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        path.write_text("".join(
+            json.dumps({**r, "embedding": [v * 1e160 for v in r["embedding"]]}) + "\n"
+            for r in records
+        ))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run(
+            [sys.executable, "-m", "prosotag.cli", *fit_args(tmp_path, tmp_path / "model.json")],
+            env=env, capture_output=True, text=True,
+        )
+        assert out.returncode == 1
+        assert out.stderr.startswith("prosotag: error: leaf 'a': samples too large in magnitude")
+        assert out.stderr.count("\n") == 1
+        assert not (tmp_path / "model.json").exists()
 
 
 class TestTag:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -71,9 +72,9 @@ class TestSingleComponent:
     def test_one_restart_equals_every_restart(self, seed, n, d):
         # one component runs one k-means restart; running all of them, as for
         # m > 1, and keeping the first of the least inertia gives the same fit
-        def every_restart(x, m, seed, floor):
+        def every_restart(x, xt, m, seed, floor, global_var):
             rng = np.random.default_rng(seed)
-            runs = [gmm_module._run_kmeans(x, m, rng) for _ in range(gmm_module.KMEANS_RESTARTS)]
+            runs = [gmm_module._run_kmeans(x, xt, m, rng) for _ in range(gmm_module.KMEANS_RESTARTS)]
             for centers, _, _ in runs:
                 np.testing.assert_array_equal(centers, runs[0][0])
             centers, labels, _ = min(runs, key=lambda run: run[2])
@@ -218,9 +219,9 @@ class TestLeafGmmValidation:
             gmm.log_norm[0] = 0.0
         x = rng.normal(size=(7, 3))
         uncached = -0.5 * (
-            log_norm + gmm_module._sq_distances(x, gmm.means, variances)
+            log_norm + gmm_module._sq_distances(x.T, gmm.means, variances).T
         ) + np.log(gmm.weights)
-        np.testing.assert_array_equal(gmm.log_joint(x), uncached)
+        np.testing.assert_array_equal(gmm.log_joint(x.T).T, uncached)
 
     def test_weights_must_sum_to_one(self):
         kwargs = self.good_kwargs()
@@ -239,6 +240,14 @@ class TestLeafGmmValidation:
         kwargs["variances"] = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
         with pytest.raises(ValidationError):
             LeafGmm(**kwargs)
+
+    def test_variances_must_keep_the_normaliser_finite(self):
+        kwargs = self.good_kwargs()
+        kwargs["variances"] = np.array([[1.0, 1.0, 1e308], [1.0, 1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="log normaliser"):
+                LeafGmm(**kwargs)
 
     def test_leaf_must_be_lowercase(self):
         kwargs = self.good_kwargs()
@@ -285,9 +294,14 @@ class TestPosteriorScores:
     def test_assign_matches_argmax(self):
         gmm, _ = self.fitted()
         rng = np.random.default_rng(8)
-        for row in rng.normal(scale=6.0, size=(300, 3)):
+        probes = rng.normal(scale=6.0, size=(300, 3))
+        for row in probes:
             scores = posterior_log_scores(row, gmm)
             assert assign_component(row, gmm) == int(np.argmax(scores))
+        # the batched form tagging uses, on (d, n) columns
+        np.testing.assert_array_equal(
+            gmm.assign(probes.T), [assign_component(row, gmm) for row in probes]
+        )
 
     def test_probe_near_mean_assigned_to_it(self):
         gmm, _ = self.fitted()
@@ -363,8 +377,19 @@ class TestCollapseRepair:
         gmm, trace = fit_gmm(x, 7, 25)
         np.testing.assert_allclose(trace, [28.306, 31.067, 31.073, 29.318], atol=1e-3)
         assert trace[-1] < trace[-2]
-        total = np.logaddexp.reduce(gmm.log_joint(x), axis=1).sum()
+        total = np.logaddexp.reduce(gmm.log_joint(x.T), axis=0).sum()
         assert total == pytest.approx(trace[-1], rel=1e-9)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("scale", [1e153, 1e160, 1e300])
+    def test_huge_samples_name_the_leaf(self, scale):
+        # finite samples whose squared distances or moments overflow float64
+        x = np.random.default_rng(2).normal(size=(400, 8)) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning either
+            with pytest.raises(ValidationError, match="^leaf 'q': samples too large in magnitude"):
+                fit_gmm(x, 3, 0, leaf="q")
 
 
 class TestNumericKernels:
@@ -374,7 +399,7 @@ class TestNumericKernels:
         special = pytest.importorskip("scipy.special")
         rng = np.random.default_rng(5)
         for _ in range(500):
-            n, m = int(rng.integers(1, 20)), int(rng.integers(1, 7))
+            n, m = int(rng.integers(1, 20)), int(rng.integers(1, 13))
             a = rng.normal(scale=float(rng.choice([0.5, 30.0, 800.0])), size=(n, m))
             if rng.random() < 0.5:
                 a[:, rng.integers(m)] = a.max(axis=1)  # a tied row maximum
@@ -383,7 +408,8 @@ class TestNumericKernels:
             if rng.random() < 0.1:
                 a[rng.integers(n)] = -np.inf
             np.testing.assert_array_equal(
-                gmm_module._logsumexp_rows(a), special.logsumexp(a, axis=1)
+                gmm_module._logsumexp_columns(np.ascontiguousarray(a.T)),
+                special.logsumexp(a, axis=1),
             )
 
     def test_cli_import_leaves_out_scipy(self):
@@ -395,6 +421,20 @@ class TestNumericKernels:
         )
         assert out.stdout.strip() == "False"
 
+    @staticmethod
+    def check_sq_distances(seed, n, m, d, scaled):
+        rng = np.random.default_rng(seed)
+        scale = float(rng.choice([1e-3, 1.0, 1e3]))
+        x = rng.normal(scale=scale, size=(n, d))
+        centers = rng.normal(scale=scale, size=(m, d))
+        variances = rng.uniform(1e-6, 10.0, size=(m, d)) if scaled else None
+        out = gmm_module._sq_distances(gmm_module._columns(x), centers, variances)
+        assert out.shape == (m, n)
+        np.testing.assert_array_equal(out.T, broadcast_sq_distances(x, centers, variances))
+        if not scaled:
+            # the per-centre form k-means++ seeding used
+            np.testing.assert_array_equal(out[0], ((x - centers[0]) ** 2).sum(axis=1))
+
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(1, 300),
@@ -404,22 +444,30 @@ class TestNumericKernels:
     )
     @settings(max_examples=150, deadline=None)
     def test_sq_distances_match_broadcast_bitwise(self, seed, n, m, d, scaled):
+        self.check_sq_distances(seed, n, m, d, scaled)
+
+    # numpy's pairwise summation changes form at 8 and past 128 terms
+    @pytest.mark.parametrize("d", [1, 7, 8, 9, 16, 127, 128, 129, 200, 257])
+    @pytest.mark.parametrize("n", [1, 2, 500])
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_sq_distances_match_broadcast_at_order_edges(self, d, n, scaled):
+        self.check_sq_distances(d * 1000 + n, n, 3, d, scaled)
+
+    @given(seed=st.integers(0, 10_000), m=st.integers(1, 12), n=st.integers(1, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_first_index_matches_argmin_and_argmax(self, seed, m, n):
         rng = np.random.default_rng(seed)
-        scale = float(rng.choice([1e-3, 1.0, 1e3]))
-        x = rng.normal(scale=scale, size=(n, d))
-        centers = rng.normal(scale=scale, size=(m, d))
-        variances = rng.uniform(1e-6, 10.0, size=(m, d)) if scaled else None
-        out = gmm_module._sq_distances(x, centers, variances)
-        np.testing.assert_array_equal(out, broadcast_sq_distances(x, centers, variances))
-        if not scaled:
-            # the per-centre form k-means++ seeding used
-            np.testing.assert_array_equal(out[:, 0], ((x - centers[0]) ** 2).sum(axis=1))
+        a = np.round(rng.normal(scale=2.0, size=(m, n)))  # many ties
+        if rng.random() < 0.3:
+            a[rng.integers(m)] = rng.choice([-np.inf, np.inf])
+        np.testing.assert_array_equal(gmm_module._first_index_of(a, a.min(axis=0)), np.argmin(a, axis=0))
+        np.testing.assert_array_equal(gmm_module._first_index_of(a, a.max(axis=0)), np.argmax(a, axis=0))
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_kmeans_early_exit_is_exact(self, seed):
         def ten_sweeps(x, m, rng):
-            centers, _ = gmm_module._kmeans_plus_plus(x, m, rng)
+            centers, _ = gmm_module._kmeans_plus_plus(x, x.T, m, rng)
             for _ in range(gmm_module.KMEANS_SWEEPS):
                 labels = np.argmin(broadcast_sq_distances(x, centers), axis=1)
                 for k in range(m):
@@ -434,7 +482,8 @@ class TestNumericKernels:
         if rng.random() < 0.3:
             x = np.round(x)  # duplicate points and empty clusters
         m = int(rng.integers(1, min(6, x.shape[0]) + 1))
-        centers, labels, inertia = gmm_module._run_kmeans(x, m, np.random.default_rng(seed))
+        xt = gmm_module._columns(x)
+        centers, labels, inertia = gmm_module._run_kmeans(x, xt, m, np.random.default_rng(seed))
         ref_centers, ref_labels, ref_inertia = ten_sweeps(x, m, np.random.default_rng(seed))
         np.testing.assert_array_equal(centers, ref_centers)
         np.testing.assert_array_equal(labels, ref_labels)

@@ -6,6 +6,9 @@ import ast
 import io
 import json
 import os
+import re
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
 from pathlib import Path
 
@@ -27,10 +30,12 @@ from prosotag import gaussian
 from prosotag import _io
 from prosotag._io import write_bytes
 from prosotag.cli import main as cli_main
+from prosotag.tagger import TaggerConfig, fit, load_model, save_model
 from prosotag.phonetics import (
     load_classes,
     load_lexicon,
     load_questions,
+    save_classes,
     save_lexicon,
     save_questions,
 )
@@ -382,9 +387,9 @@ FUZZ_LOADERS = {
 
 
 @st.composite
-def damaged(draw):
-    name = draw(st.sampled_from(sorted(VALID_FILES)))
-    data = bytearray(VALID_FILES[name])
+def damaged(draw, files=VALID_FILES):
+    name = draw(st.sampled_from(sorted(files)))
+    data = bytearray(files[name])
     for _ in range(draw(st.integers(1, 3))):
         action = draw(st.sampled_from(["truncate", "flip", "newline"]))
         at = draw(st.integers(0, max(len(data) - 1, 0)))
@@ -441,3 +446,84 @@ class TestFuzzedReaders:
         assert "Traceback" not in err
         assert ("record 31" if binary else "line 32") in err
         assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the model and class-table readers, and the commands that read models
+
+
+def _model_files() -> dict[str, bytes]:
+    lexicon, questions, samples, _ = generate(
+        SynthSpec(
+            num_leaf_archetypes=2,
+            words_per_archetype=3,
+            tokens_per_word=4,
+            components_per_archetype=2,
+            d=3,
+            seed=5,
+        )
+    )
+    config = TaggerConfig(m=2, max_leaves=2, min_leaf=1)
+    model = fit(lexicon, samples, questions, default_classes(), config)
+    files = {}
+    for name, save, value in [
+        ("model", save_model, model),
+        ("class table", save_classes, default_classes()),
+    ]:
+        buffer = io.BytesIO()
+        save(value, buffer)
+        files[name] = buffer.getvalue()
+    return files
+
+
+MODEL_FILES = _model_files()
+MODEL_LOADERS = {"model": load_model, "class table": load_classes}
+# where a parse stopped, or the model section or class the error is about
+PARSE_LOCATION = re.compile(r"line \d+ column \d+")
+SECTION = re.compile(
+    r"\b(format version|config|class table|class '|question|tree|node \d+|leaf '|"
+    r"mixture|growth_trace|gmms)|missing '\w+'"
+)
+
+
+def assert_names_a_location(message: str) -> None:
+    if "invalid JSON" in message or "not valid UTF-8" in message:
+        assert PARSE_LOCATION.search(message), message
+    else:
+        assert SECTION.search(message), message
+
+
+class TestFuzzedModelReaders:
+    @settings(max_examples=400, deadline=None)
+    @given(case=damaged(MODEL_FILES), as_path=st.booleans())
+    def test_only_package_errors_escape(self, case, as_path, tmp_path_factory):
+        name, data = case
+        if as_path:
+            source = tmp_path_factory.mktemp("fuzz") / "input"
+            source.write_bytes(data)
+        else:
+            source = io.BytesIO(data)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                MODEL_LOADERS[name](source)
+        except ProsotagError as exc:
+            assert_names_a_location(str(exc))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=damaged({"model": MODEL_FILES["model"]}), command=st.sampled_from(["stats", "inspect"]))
+    def test_commands_exit_with_one_line(self, case, command, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "model.json"
+        path.write_bytes(case[1])
+        err = io.StringIO()
+        with warnings.catch_warnings(), redirect_stdout(io.StringIO()), redirect_stderr(err):
+            warnings.simplefilter("error")  # a numpy warning would be a second stderr line
+            code = cli_main([command, "--model", str(path)])
+        if code == 0:
+            assert err.getvalue() == ""
+            return
+        assert code in (1, 2)
+        message = err.getvalue()
+        assert message.startswith("prosotag: ") and message.count("\n") == 1, message
+        assert "Traceback" not in message
+        assert_names_a_location(message)
