@@ -22,11 +22,12 @@ import io
 import math
 import struct
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import IO, Callable, Sequence
+from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -52,7 +53,8 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class ProsodySample:
-    """One word token's prosody embedding."""
+    """One word token's prosody embedding, held as a read-only float64 vector:
+    a writeable input is copied, a read-only one (a ``Corpus`` row) kept."""
 
     token_id: str
     word: str
@@ -60,6 +62,8 @@ class ProsodySample:
 
     def __post_init__(self) -> None:
         vec = np.asarray(self.embedding, dtype=np.float64)
+        if vec.flags.writeable:  # the caller may still write to it
+            vec = vec.copy()
         if vec.ndim != 1 or vec.size == 0:
             raise ValidationError(
                 f"token {self.token_id!r}: embedding must be a non-empty vector"
@@ -121,6 +125,19 @@ def stats_from_matrix(x: np.ndarray) -> SufficientStats:
     if x.ndim != 2:
         raise ValidationError("expected a 2-d sample matrix")
     return SufficientStats(n=x.shape[0], sum=x.sum(axis=0), sumsq=(x * x).sum(axis=0))
+
+
+@contextmanager
+def _in_float64_range(leaf: str) -> Iterator[None]:
+    """Raise a ``ValidationError`` naming the leaf when float64 arithmetic
+    in the block overflows or gives an invalid value."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ValidationError(
+            f"leaf {leaf!r}: samples too large in magnitude: float64 {exc}"
+        ) from None
 
 
 def _ll_from_moments(

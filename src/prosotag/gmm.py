@@ -58,6 +58,7 @@ from .errors import (
     InsufficientDataError,
     ValidationError,
 )
+from .gaussian import _in_float64_range
 
 __all__ = [
     "LeafGmm",
@@ -444,13 +445,8 @@ def fit_gmm(
     if n < m:
         raise InsufficientDataError(f"cannot fit {m} components to {n} samples")
 
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            weights, means, variances, trace = _em(x, _columns(x), m, seed, floor)
-    except FloatingPointError as exc:
-        raise ValidationError(
-            f"leaf {leaf!r}: samples too large in magnitude: float64 {exc}"
-        ) from None
+    with _in_float64_range(leaf):
+        weights, means, variances, trace = _em(x, _columns(x), m, seed, floor)
     gmm = LeafGmm(
         leaf=leaf, weights=weights, means=means, variances=variances, n_samples=n
     )

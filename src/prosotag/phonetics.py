@@ -2,9 +2,9 @@
 
 A word is represented by its phoneme string plus syllable structure; questions
 are boolean predicates over that structure (counts, class membership, stress
-placement). ``answer_question`` asks one word; ``WordColumns`` holds a word
-list as numpy columns and answers a question for all of its words, or a subset,
-at once. ``load_lexicon`` reads a lexicon file straight into ``WordColumns``.
+placement). ``WordColumns`` holds a word list as numpy columns and answers a
+question for all of its words, or a subset, at once; ``answer_question`` is
+its one-word call. ``load_lexicon`` reads a lexicon file into ``WordColumns``.
 All types here except ``WordColumns`` are immutable after construction, and
 question evaluation is stateless. ``WordColumns`` is given all its columns
 when built and only computes values derived from them on first use, so
@@ -171,9 +171,6 @@ class PhonemeClassTable:
         except KeyError:
             raise ConfigError(f"unknown phoneme class {name!r}") from None
 
-    def is_in(self, name: str, phoneme: str) -> bool:
-        return phoneme in self.members(name)
-
     def to_dict(self) -> dict:
         return {name: sorted(members) for name, members in self.classes.items()}
 
@@ -219,32 +216,6 @@ class Question:
             "int_param": self.int_param,
             "class_param": self.class_param,
         }
-
-
-def answer_question(q: Question, w: WordEntry, classes: PhonemeClassTable) -> bool:
-    """Evaluate one question against one word. Pure and deterministic.
-
-    A word "ends with a closed syllable" iff its final phoneme is not in the
-    "Vowel" class. A stress question answers False for words with unmarked
-    stress. Unknown class names raise :class:`ConfigError`.
-    """
-    kind = q.kind
-    if kind is QuestionKind.PHONEME_COUNT_GT:
-        return len(w.phonemes) > q.int_param
-    if kind is QuestionKind.SYLLABLE_COUNT_GT:
-        return w.num_syllables > q.int_param
-    if kind is QuestionKind.ENDS_CLOSED_SYLLABLE:
-        return not classes.is_in("Vowel", w.phonemes[-1])
-    if kind is QuestionKind.STARTS_WITH_CLASS:
-        return classes.is_in(q.class_param, w.phonemes[0])
-    if kind is QuestionKind.ENDS_WITH_CLASS:
-        return classes.is_in(q.class_param, w.phonemes[-1])
-    if kind is QuestionKind.CONTAINS_CLASS:
-        members = classes.members(q.class_param)
-        return any(p in members for p in w.phonemes)
-    if kind is QuestionKind.STRESS_ON_SYLLABLE:
-        return w.stress_syllable == q.int_param
-    raise ConfigError(f"unhandled question kind {kind!r}")
 
 
 # a count or stress parameter above every int64 answers like int64's maximum
@@ -399,8 +370,13 @@ class WordColumns(Sequence[WordEntry]):
     def answer(
         self, q: Question, classes: PhonemeClassTable, rows: np.ndarray | None = None
     ) -> np.ndarray:
-        """``answer_question`` for every word, or for the word indices
-        ``rows``, as a boolean array."""
+        """The answer to ``q`` of every word, or of the word indices ``rows``,
+        as a boolean array; pure and deterministic.
+
+        A word "ends with a closed syllable" iff its final phoneme is not in
+        the "Vowel" class. A stress question answers False for words with
+        unmarked stress. Unknown class names raise :class:`ConfigError`.
+        """
 
         def pick(column: np.ndarray) -> np.ndarray:
             return column if rows is None else column[rows]
@@ -423,6 +399,12 @@ class WordColumns(Sequence[WordEntry]):
         if kind is QuestionKind.STRESS_ON_SYLLABLE:
             return pick(self.stress) == param
         raise ConfigError(f"unhandled question kind {kind!r}")
+
+
+def answer_question(q: Question, w: WordEntry, classes: PhonemeClassTable) -> bool:
+    """One question for one word, as a ``bool``: ``WordColumns.answer`` on a
+    one-word list."""
+    return bool(WordColumns.of((w,)).answer(q, classes)[0])
 
 
 def describe_question(q: Question) -> str:

@@ -31,7 +31,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .gaussian import _NUMBER_TYPES, Corpus, ProsodySample
+from .gaussian import _NUMBER_TYPES, Corpus, ProsodySample, _in_float64_range
 from .gmm import LeafGmm, _columns, fit_gmm
 from .phonetics import (
     PhonemeClassTable,
@@ -50,10 +50,11 @@ from .tree import (
     LeafNode,
     SplitRecord,
     TreeNode,
+    _route_tokens,
     _word_columns,
     grow_tree,
 )
-# route_word is the scalar reference and no longer runs here; perfbench/traced.py wraps it by name
+# route_word no longer runs here; perfbench/traced.py wraps it by name
 from .tree import route_word  # noqa: F401
 
 __all__ = [
@@ -253,53 +254,6 @@ def fit(
     )
 
 
-def _grouped(keys: np.ndarray, size: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Stable sort of ``keys`` (values in 0..size-1): the row order, and each
-    key's (start, end) span in it."""
-    order = np.argsort(keys, kind="stable")
-    ends = np.cumsum(np.bincount(keys, minlength=size)).tolist()
-    return order, list(zip([0] + ends, ends))
-
-
-def _route_tokens(
-    tree: DecisionTree,
-    questions: Mapping[int, Question],
-    classes: PhonemeClassTable,
-    columns: WordColumns,
-    word_index: np.ndarray,
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Route every distinct word at once, as index sets down the tree.
-
-    Row w of ``columns`` is word w and ``word_index`` gives each token's
-    word. Each internal node answers its question for the words that reached
-    it only, and an empty side goes no further. Returns each token's leaf
-    index and, per leaf index, its token rows in token order.
-    """
-    word_leaf = np.empty(len(columns), dtype=np.intp)
-    pending = [(0, np.arange(len(columns)))]
-    for _ in range(len(tree.nodes)):  # a node is reached at most once
-        if not pending:
-            break
-        pos, rows = pending.pop()
-        node = tree.nodes[pos]
-        if isinstance(node, LeafNode):
-            word_leaf[rows] = node.leaf_index
-            continue
-        yes = columns.answer(questions[node.question_id], classes, rows)
-        count = np.count_nonzero(yes)
-        if count == rows.size:
-            pending.append((node.yes_child, rows))
-        elif count == 0:
-            pending.append((node.no_child, rows))
-        else:
-            pending.extend(((node.yes_child, rows[yes]), (node.no_child, rows[~yes])))
-    if pending:
-        raise ModelFormatError("tree walk did not terminate; node graph is cyclic")
-    leaves = word_leaf[word_index]
-    order, spans = _grouped(leaves, tree.num_leaves)
-    return leaves, [order[start:end] for start, end in spans]
-
-
 def _tag_corpus(
     model: TaggerModel, columns: WordColumns, corpus: Corpus
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -315,8 +269,9 @@ def _tag_corpus(
     components = np.empty(len(corpus), dtype=np.intp)
     for leaf, rows in enumerate(leaf_rows):
         if rows.size:
-            gmm = model.gmms[model.tree.leaf_letters[leaf]]
-            components[rows] = gmm.assign(_columns(corpus.x[rows]))
+            letter = model.tree.leaf_letters[leaf]
+            with _in_float64_range(letter):
+                components[rows] = model.gmms[letter].assign(_columns(corpus.x[rows]))
     return leaves, components
 
 
@@ -330,7 +285,8 @@ def tag_tokens(
     Returns two integer arrays aligned with ``samples``: each token's leaf
     index (into ``model.tree.leaf_letters``) and its maximum-posterior
     component, ties to the smallest index. Each leaf's tokens are scored
-    together, one leaf at a time.
+    together, one leaf at a time; a squared distance that overflows float64
+    raises a ``ValidationError`` naming the leaf.
     """
     corpus = Corpus.of(samples)
     if not corpus:

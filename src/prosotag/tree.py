@@ -12,6 +12,9 @@ before its no child. Leaf letters ("a", "b", ..., "aa" after 26) name the
 current leaves in creation order; the letter recorded in a trace row is the
 split leaf's letter at that step, and the final tree's letters are therefore
 contiguous starting at "a".
+
+``_route_tokens`` routes a word list down the tree as index sets, for ``fit``
+and tagging; ``route_word`` is its one-word call.
 """
 
 from __future__ import annotations
@@ -22,16 +25,17 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, ModelFormatError, ValidationError
-from .gaussian import Corpus, ProsodySample, _ll_from_moments
+from .gaussian import Corpus, ProsodySample, _in_float64_range, _ll_from_moments
 from .phonetics import (
     PhonemeClassTable,
     Question,
     WordColumns,
     WordEntry,
     _offsets,
-    answer_question,
     question_index,
 )
+# answer_question no longer runs here; perfbench/traced.py wraps it by name
+from .phonetics import answer_question  # noqa: F401
 
 __all__ = [
     "InternalNode",
@@ -282,15 +286,10 @@ def grow_tree(
     for q in ordered:
         q.validate_against(classes)
     root_widx = np.arange(len(columns))
-    try:
-        # every node's moments sum a subset of the root's non-negative squares
-        with np.errstate(over="raise", invalid="raise"):
-            growth = _Growth(columns, corpus, ordered, classes, floor, min_leaf)
-            root_ll = growth.leaf_ll(root_widx)
-    except FloatingPointError as exc:
-        raise ValidationError(
-            f"leaf {leaf_letter(0)!r}: samples too large in magnitude: float64 {exc}"
-        ) from None
+    # every node's moments sum a subset of the root's non-negative squares
+    with _in_float64_range(leaf_letter(0)):
+        growth = _Growth(columns, corpus, ordered, classes, floor, min_leaf)
+        root_ll = growth.leaf_ll(root_widx)
     total_tokens = int(growth.counts.sum())
     root = _Leaf(node_pos=0, widx=root_widx, ll=root_ll)
     root.best = growth.best_split(root)
@@ -352,28 +351,72 @@ def grow_tree(
     return tree, trace
 
 
+def _grouped(keys: np.ndarray, size: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Stable sort of ``keys`` (values in 0..size-1): the row order, and each
+    key's (start, end) span in it."""
+    order = np.argsort(keys, kind="stable")
+    ends = np.cumsum(np.bincount(keys, minlength=size)).tolist()
+    return order, list(zip([0] + ends, ends))
+
+
+def _route_tokens(
+    tree: DecisionTree,
+    questions: Mapping[int, Question],
+    classes: PhonemeClassTable,
+    columns: WordColumns,
+    word_index: np.ndarray,
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Route every distinct word at once, as index sets down the tree.
+
+    Row w of ``columns`` is word w and ``word_index`` gives each token's
+    word. Each internal node answers its question for the words that reached
+    it only, and an empty side goes no further. Returns each token's leaf
+    index and, per leaf index, its token rows in token order.
+    """
+    word_leaf = np.empty(len(columns), dtype=np.intp)
+    pending = [(0, np.arange(len(columns)))]
+    for _ in range(len(tree.nodes)):  # a node is reached at most once
+        if not pending:
+            break
+        pos, rows = pending.pop()
+        node = tree.nodes[pos]
+        if isinstance(node, LeafNode):
+            word_leaf[rows] = node.leaf_index
+            continue
+        try:
+            question = questions[node.question_id]
+        except KeyError:
+            raise ModelFormatError(
+                f"tree references unknown question id {node.question_id}"
+            ) from None
+        yes = columns.answer(question, classes, rows)
+        count = np.count_nonzero(yes)
+        if count == rows.size:
+            pending.append((node.yes_child, rows))
+        elif count == 0:
+            pending.append((node.no_child, rows))
+        else:
+            pending.extend(((node.yes_child, rows[yes]), (node.no_child, rows[~yes])))
+    if pending:
+        raise ModelFormatError("tree walk did not terminate; node graph is cyclic")
+    leaves = word_leaf[word_index]
+    order, spans = _grouped(leaves, tree.num_leaves)
+    return leaves, [order[start:end] for start, end in spans]
+
+
 def route_word(
     tree: DecisionTree,
     word: WordEntry,
     questions: Sequence[Question] | Mapping[int, Question],
     classes: PhonemeClassTable,
 ) -> str:
-    """Route a word (seen or unseen) to its leaf letter.
+    """Route a word (seen or unseen) to its leaf letter: ``_route_tokens``
+    on a one-word list.
 
     Any structurally valid word routes successfully; a question id stored in
     the tree but absent from the question set means the model is corrupt.
     """
-    index = question_index(questions)
-    pos = 0
-    for _ in range(len(tree.nodes)):
-        node = tree.nodes[pos]
-        if isinstance(node, LeafNode):
-            return tree.leaf_letters[node.leaf_index]
-        try:
-            question = index[node.question_id]
-        except KeyError:
-            raise ModelFormatError(
-                f"tree references unknown question id {node.question_id}"
-            ) from None
-        pos = node.yes_child if answer_question(question, word, classes) else node.no_child
-    raise ModelFormatError("tree walk did not terminate; node graph is cyclic")
+    leaves, _ = _route_tokens(
+        tree, question_index(questions), classes, WordColumns.of((word,)), np.zeros(1, np.intp)
+    )
+    return tree.leaf_letters[leaves[0]]

@@ -94,3 +94,26 @@ def random_instance(
             )
             vectors_by_word[w.word].append([float(x) for x in vec])
     return words, samples, vectors_by_word, questions
+
+
+def every_kind(classes: PhonemeClassTable, big_param: int) -> list[Question]:
+    """Questions of all seven kinds: every class, count thresholds 0..10 and
+    one parameter past int64."""
+    kinds = []
+    for kind in (
+        QuestionKind.PHONEME_COUNT_GT,
+        QuestionKind.SYLLABLE_COUNT_GT,
+        QuestionKind.STRESS_ON_SYLLABLE,
+    ):
+        kinds += [(kind, param, None) for param in [*range(11), big_param]]
+    kinds.append((QuestionKind.ENDS_CLOSED_SYLLABLE, None, None))
+    for kind in (
+        QuestionKind.STARTS_WITH_CLASS,
+        QuestionKind.ENDS_WITH_CLASS,
+        QuestionKind.CONTAINS_CLASS,
+    ):
+        kinds += [(kind, None, name) for name in sorted(classes.classes)]
+    return [
+        Question(id=i, kind=kind, int_param=ip, class_param=cp)
+        for i, (kind, ip, cp) in enumerate(kinds)
+    ]

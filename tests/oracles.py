@@ -1,10 +1,11 @@
 """Independent reference implementations used to verify the package.
 
 Everything here is deliberately written the slow, obvious way - pure Python
-loops, math.log, explicit pair counting - and shares no numerical code with
-the package under test. Question evaluation (answer_question) is the one
-shared primitive: it defines the input semantics and has its own direct
-tests.
+loops, math.log, explicit pair counting, one question for one word, one word
+down the tree - and shares no code with the package under test: only its
+data types are imported. ``answer_question`` and ``route_word`` are the
+scalar references for the package's column code (``WordColumns.answer`` and
+``tree._route_tokens``, and the public one-row calls built on them).
 """
 
 from __future__ import annotations
@@ -12,7 +13,69 @@ from __future__ import annotations
 import math
 from typing import Hashable, Mapping, Sequence
 
-from prosotag import PhonemeClassTable, Question, WordEntry, answer_question
+from prosotag import (
+    ConfigError,
+    DecisionTree,
+    LeafNode,
+    ModelFormatError,
+    PhonemeClassTable,
+    Question,
+    QuestionKind,
+    WordEntry,
+)
+
+
+def answer_question(q: Question, w: WordEntry, classes: PhonemeClassTable) -> bool:
+    """Evaluate one question against one word.
+
+    A word "ends with a closed syllable" iff its final phoneme is not in the
+    "Vowel" class. A stress question answers False for words with unmarked
+    stress. Unknown class names raise :class:`ConfigError`.
+    """
+    kind = q.kind
+    if kind is QuestionKind.PHONEME_COUNT_GT:
+        return len(w.phonemes) > q.int_param
+    if kind is QuestionKind.SYLLABLE_COUNT_GT:
+        return w.num_syllables > q.int_param
+    if kind is QuestionKind.ENDS_CLOSED_SYLLABLE:
+        return w.phonemes[-1] not in classes.members("Vowel")
+    if kind is QuestionKind.STARTS_WITH_CLASS:
+        return w.phonemes[0] in classes.members(q.class_param)
+    if kind is QuestionKind.ENDS_WITH_CLASS:
+        return w.phonemes[-1] in classes.members(q.class_param)
+    if kind is QuestionKind.CONTAINS_CLASS:
+        members = classes.members(q.class_param)
+        return any(p in members for p in w.phonemes)
+    if kind is QuestionKind.STRESS_ON_SYLLABLE:
+        return w.stress_syllable == q.int_param
+    raise ConfigError(f"unhandled question kind {kind!r}")
+
+
+def route_word(
+    tree: DecisionTree,
+    word: WordEntry,
+    questions: Sequence[Question] | Mapping[int, Question],
+    classes: PhonemeClassTable,
+) -> str:
+    """Walk one word from the root to its leaf letter, one node at a time.
+
+    A question id stored in the tree but absent from the question set, or a
+    walk longer than the node count, is a :class:`ModelFormatError`.
+    """
+    index = questions if isinstance(questions, Mapping) else {q.id: q for q in questions}
+    pos = 0
+    for _ in range(len(tree.nodes)):
+        node = tree.nodes[pos]
+        if isinstance(node, LeafNode):
+            return tree.leaf_letters[node.leaf_index]
+        try:
+            question = index[node.question_id]
+        except KeyError:
+            raise ModelFormatError(
+                f"tree references unknown question id {node.question_id}"
+            ) from None
+        pos = node.yes_child if answer_question(question, word, classes) else node.no_child
+    raise ModelFormatError("tree walk did not terminate; node graph is cyclic")
 
 
 def closed_form_ll(vectors: Sequence[Sequence[float]], floor: float = 1e-6) -> float:

@@ -9,6 +9,7 @@ import stat
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -271,6 +272,29 @@ class TestTag:
         assert code == 1
         err = capsys.readouterr().err
         assert "6" in err and "4" in err
+        assert not (tmp_path / "tags.jsonl").exists()
+
+    def test_huge_embeddings_exit_1_naming_the_leaf(self, corpus, fitted, tmp_path, capsys):
+        # finite, but their squared distances to the means overflow float64
+        path = tmp_path / "embeddings.jsonl"
+        records = [json.loads(line) for line in (corpus / "embeddings.jsonl").read_text().splitlines()]
+        path.write_text("".join(
+            json.dumps({**r, "embedding": [v * 1e160 for v in r["embedding"]]}) + "\n"
+            for r in records
+        ))
+        args = [
+            "tag",
+            "--model", str(fitted),
+            "--lexicon", str(corpus / "lexicon.jsonl"),
+            "--embeddings", str(path),
+            "--out", str(tmp_path / "tags.jsonl"),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning fails the test
+            assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("prosotag: error: leaf 'a': samples too large in magnitude")
+        assert err.count("\n") == 1
         assert not (tmp_path / "tags.jsonl").exists()
 
     def test_word_missing_from_lexicon(self, corpus, fitted, tmp_path, capsys):

@@ -139,6 +139,20 @@ class TestProsodySample:
         with pytest.raises(ValueError):
             s.embedding[0] = 5.0
 
+    def test_caller_array_stays_writeable(self):
+        a = np.zeros(3)
+        s = ProsodySample("t1", "cat", a)
+        assert a.flags.writeable
+        a[0] = 5.0
+        assert s.embedding.tolist() == [0.0, 0.0, 0.0]
+        assert not s.embedding.flags.writeable
+
+    def test_read_only_input_not_copied(self):
+        corpus = Corpus.of([ProsodySample("t1", "cat", np.array([1.0, 2.0]))])
+        row = corpus[0].embedding
+        assert np.shares_memory(row, corpus.x)
+        assert ProsodySample("t2", "cat", row).embedding is row
+
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
             ProsodySample("t1", "cat", np.array([]))

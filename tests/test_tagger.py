@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from prosotag import (
     InternalNode,
     LeafNode,
     WordEntry,
+    answer_question,
     default_classes,
     default_questions,
     fit,
@@ -41,8 +43,9 @@ from prosotag import (
     tag_tokens,
 )
 from prosotag.phonetics import WordColumns
-from prosotag.tagger import _route_tokens
-from conftest import random_instance, random_question, random_word
+from prosotag.tree import _route_tokens
+from conftest import every_kind, random_instance, random_question, random_word
+import oracles
 
 
 class TestProsodyTag:
@@ -253,6 +256,24 @@ class TestTagging:
         with pytest.raises(DimensionMismatchError, match="wide"):
             tag_tokens(model, lexicon, samples)
 
+    def test_overflowing_embeddings_name_the_leaf(self):
+        # finite, but their squared distances to a leaf's means overflow
+        # float64: an error, not a numpy warning and component 0 everywhere
+        model, lexicon = self.fitted()
+        huge = np.full(4, 1e160)
+        samples = [ProsodySample(f"t{i}", w.word, huge) for i, w in enumerate(lexicon)]
+        letter = route_word(model.tree, lexicon[0], model.questions, model.classes)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                ValidationError, match="^leaf 'a': samples too large in magnitude: float64 "
+            ):
+                tag_tokens(model, lexicon, samples)
+            with pytest.raises(
+                ValidationError, match=f"^leaf '{letter}': samples too large in magnitude"
+            ):
+                tag(model, lexicon[0], huge)
+
     def test_empty_batch(self):
         model, lexicon = self.fitted()
         leaves, components = tag_tokens(model, lexicon, [])
@@ -323,7 +344,7 @@ def assert_routes_like_route_word(tree, questions, classes, words, word_index):
         tree, {q.id: q for q in questions}, classes, WordColumns.of(words), word_index
     )
     expected = [
-        tree.leaf_letters.index(route_word(tree, w, questions, classes)) for w in words
+        tree.leaf_letters.index(oracles.route_word(tree, w, questions, classes)) for w in words
     ]
     np.testing.assert_array_equal(leaves, np.array(expected, dtype=np.intp)[word_index])
     assert len(leaf_rows) == tree.num_leaves
@@ -333,7 +354,7 @@ def assert_routes_like_route_word(tree, questions, classes, words, word_index):
 
 class TestRouting:
     """``_route_tokens`` (word index sets down the tree) against the scalar
-    ``route_word``."""
+    ``oracles.route_word``."""
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -355,6 +376,25 @@ class TestRouting:
         lexicon = words + unseen
         word_index = rng.integers(len(lexicon), size=200, dtype=np.int32)
         assert_routes_like_route_word(model.tree, questions, classes, lexicon, word_index)
+
+    @given(seed=st.integers(0, 10_000), big_param=st.integers(2**63 + 1, 2**70))
+    @settings(max_examples=30, deadline=None)
+    def test_public_calls_equal_oracles(self, seed, big_param, classes):
+        # answer_question and route_word are one-row calls of the column code
+        rng = np.random.default_rng(seed)
+        words = [random_word(rng, f"w{i}", classes) for i in range(int(rng.integers(0, 8)))]
+        # one phoneme, outside every class, stress unmarked
+        words.insert(int(rng.integers(len(words) + 1)), WordEntry("zz", ("ZZ",), (0,)))
+        questions = every_kind(classes, big_param)
+        for q in questions:
+            for w in words:
+                assert answer_question(q, w, classes) is oracles.answer_question(q, w, classes)
+        asked = [questions[i] for i in rng.choice(len(questions), 8, replace=False)]
+        tree = random_tree(rng, asked, int(rng.integers(1, 12)))
+        for w in words:  # no word was seen when the tree was built
+            assert route_word(tree, w, asked, classes) == oracles.route_word(
+                tree, w, asked, classes
+            )
 
     def test_cyclic_tree_rejected(self, classes):
         question = Question(id=0, kind=QuestionKind.PHONEME_COUNT_GT, int_param=0)

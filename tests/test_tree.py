@@ -27,9 +27,11 @@ from prosotag import (
     route_word,
 )
 from prosotag import tree as tree_module
-from prosotag.tree import _Growth, _word_columns
+from prosotag.phonetics import WordColumns
+from prosotag.tree import _Growth, _route_tokens, _word_columns
 from conftest import random_instance, random_question, random_word
 from oracles import closed_form_ll, greedy_oracle
+import oracles
 
 
 def word(name, phonemes, breaks=(0,), stress=None):
@@ -275,6 +277,11 @@ class TestRouting:
         other = Question(id=99, kind=QuestionKind.ENDS_CLOSED_SYLLABLE)
         with pytest.raises(ModelFormatError):
             route_word(tree, word("w", ["K"]), [other], classes)
+        with pytest.raises(ModelFormatError, match="unknown question id 2$"):
+            _route_tokens(
+                tree, {99: other}, classes, WordColumns.of([word("w", ["K"])]),
+                np.zeros(1, dtype=np.int32),
+            )
 
 
 class TestTreeValidate:
@@ -372,7 +379,9 @@ class TestOracleAgreement:
             assert record.gain == pytest.approx(gain, abs=1e-6)
         for leaf_pos, widxs in enumerate(oracle_leaves):
             for wi in widxs:
-                assert route_word(tree, words[wi], questions, classes) == leaf_letter(leaf_pos)
+                assert oracles.route_word(tree, words[wi], questions, classes) == leaf_letter(
+                    leaf_pos
+                )
 
 
 class TestWordStats:
