@@ -17,8 +17,6 @@ from typing import IO, Iterable, Iterator
 
 from .errors import ParseError
 
-READ_SIZE = 1 << 20  # bytes per read when a file is scanned, not parsed
-
 _JSON_SPACE = " \t\n\r"
 _decode_json = json.JSONDecoder().raw_decode  # json.loads without its whitespace scans
 
@@ -34,18 +32,6 @@ def opened(source: Source) -> Iterator[IO[bytes]]:
             yield stream
     else:
         yield source
-
-
-def count_newlines(stream: IO[bytes]) -> int:
-    """Newline bytes from a seekable stream's position to its end, read in
-    ``READ_SIZE`` blocks into one buffer; the stream is put back where it was."""
-    start = stream.tell()
-    block = bytearray(READ_SIZE)
-    count = 0
-    while size := stream.readinto(block):
-        count += block.count(b"\n", 0, size)
-    stream.seek(start)
-    return count
 
 
 def write_bytes(sink: Source, chunks: Iterable[bytes]) -> None:

@@ -32,7 +32,7 @@ from typing import IO, Callable, Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._io import count_newlines, json_lines, opened, write_bytes
+from ._io import json_lines, opened, write_bytes
 from .errors import DimensionMismatchError, EmptyNodeError, ParseError, ValidationError
 
 __all__ = [
@@ -53,17 +53,15 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class ProsodySample:
-    """One word token's prosody embedding, held as a read-only float64 vector:
-    a writeable input is copied, a read-only one (a ``Corpus`` row) kept."""
+    """One word token's prosody embedding, held as a read-only float64 copy
+    of the input."""
 
     token_id: str
     word: str
     embedding: np.ndarray
 
     def __post_init__(self) -> None:
-        vec = np.asarray(self.embedding, dtype=np.float64)
-        if vec.flags.writeable:  # the caller may still write to it
-            vec = vec.copy()
+        vec = np.array(self.embedding, dtype=np.float64)
         if vec.ndim != 1 or vec.size == 0:
             raise ValidationError(
                 f"token {self.token_id!r}: embedding must be a non-empty vector"
@@ -274,8 +272,9 @@ def load_samples(source: str | Path | IO[bytes]) -> Corpus:
     """Read an embedding file in either supported format into a ``Corpus``.
 
     All records must share one dimension, embeddings must be finite and
-    token ids must be unique; errors name the line or record. A stream that
-    cannot seek is read into memory first.
+    token ids must be unique; errors name the line or record. A JSON-lines
+    file is parsed in one pass, one line at a time. A stream that cannot seek
+    is read into memory first, for the sniff of the magic.
     """
     with opened(source) as stream:
         if not stream.seekable():
@@ -292,9 +291,10 @@ def load_samples(source: str | Path | IO[bytes]) -> Corpus:
 
 
 def _read_jsonl(stream: IO[bytes]) -> Corpus:
-    # a counting pass sizes the matrix, then one line at a time into it
-    capacity = count_newlines(stream) + 1
-    x: np.ndarray | None = None
+    # one pass, one line at a time: each embedding is appended to one growable
+    # float64 buffer, which the returned matrix views
+    values = array("d")
+    dim = 0
     token_ids: list[str] = []
     word_index: list[int] = []
     linenos = array("q")
@@ -315,17 +315,15 @@ def _read_jsonl(stream: IO[bytes]) -> Corpus:
                 f"line {lineno}: embedding of token {token_id!r} must be a "
                 "non-empty flat list of numbers"
             )
-        if x is None:
-            x = np.empty((capacity, len(embedding)))
-        elif len(embedding) != x.shape[1]:
+        if not dim:
+            dim = len(embedding)
+        elif len(embedding) != dim:
             raise DimensionMismatchError(
                 f"line {lineno}: token {token_id!r} has dimension {len(embedding)}, "
-                f"file started with {x.shape[1]}"
+                f"file started with {dim}"
             )
-        if len(token_ids) == capacity:
-            raise ParseError(f"line {lineno}: the file grew while it was read")
         try:
-            x[len(token_ids)] = embedding
+            values.extend(embedding)  # an int rounds to nearest, as numpy converts it
         except OverflowError:
             raise ValidationError(
                 f"line {lineno}: token {token_id!r}: embedding has non-finite values"
@@ -333,13 +331,13 @@ def _read_jsonl(stream: IO[bytes]) -> Corpus:
         token_ids.append(token_id)
         word_index.append(position.setdefault(word, len(position)))
         linenos.append(lineno)
-    if x is None:
+    if not dim:
         return Corpus.of([])
     return _checked_corpus(
         token_ids,
         list(position),
         word_index,
-        x[: len(token_ids)],
+        np.frombuffer(values).reshape(-1, dim),
         lambda i: f"line {linenos[i]}",
     )
 

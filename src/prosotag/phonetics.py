@@ -492,9 +492,6 @@ def _rule_breakers(
     return np.flatnonzero(bad)
 
 
-_ELEMENT_FAULT = "phonemes must be strings and syllable_breaks integers"
-
-
 def _check_elements(
     symbols: Sequence[object],
     ids: Sequence[int],
@@ -517,7 +514,8 @@ def _check_elements(
     )
     if bad_rows.size:
         raise ParseError(
-            f"line {linenos[bad_rows[0]]}: malformed lexicon record: {_ELEMENT_FAULT}"
+            f"line {linenos[bad_rows[0]]}: malformed lexicon record: "
+            "phonemes must be strings and syllable_breaks integers"
         )
 
 
@@ -565,14 +563,11 @@ def load_lexicon(source: str | Path | IO[bytes]) -> WordColumns:
         row_of[word] = len(words)
         words.append(word)
         linenos.append(lineno)
+        start = len(ids)
         try:
             ids += map(code, phonemes)
-        except TypeError:  # an unhashable phoneme, a JSON list or object: an earlier fault first
-            del ids[sum(num_phonemes) :]
-            _check_elements(tuple(codes), ids, num_phonemes, breaks, num_syllables, linenos)
-            raise ParseError(
-                f"line {lineno}: malformed lexicon record: {_ELEMENT_FAULT}"
-            ) from None
+        except TypeError:  # a JSON list or object: coded as null for the element check
+            ids[start:] = [code(p if type(p) is str else None) for p in phonemes]
         num_phonemes.append(len(phonemes))
         breaks += record_breaks
         num_syllables.append(len(record_breaks))

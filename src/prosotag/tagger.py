@@ -322,16 +322,6 @@ def tag_inventory(model: TaggerModel) -> list[ProsodyTag]:
 # ---------------------------------------------------------------------------
 # model file
 
-def _node_to_obj(node: TreeNode) -> dict:
-    if isinstance(node, InternalNode):
-        return {
-            "question_id": node.question_id,
-            "yes_child": node.yes_child,
-            "no_child": node.no_child,
-        }
-    return {"leaf_index": node.leaf_index}
-
-
 def _node_from_obj(obj: dict, pos: int) -> TreeNode:
     if not isinstance(obj, dict):
         raise ModelFormatError(f"tree node {pos} is not an object")
@@ -359,17 +349,7 @@ def _trace_to_rows(trace: GrowthTrace) -> list[dict]:
             "num_tokens": trace.num_tokens,
         }
     ]
-    for r in trace.records:
-        rows.append(
-            {
-                "step": r.step,
-                "leaf_split": r.leaf_split,
-                "question_id": r.question_id,
-                "gain": r.gain,
-                "total_leaf_ll": r.total_leaf_ll,
-                "avg_samples_per_leaf": r.avg_samples_per_leaf,
-            }
-        )
+    rows += map(asdict, trace.records)
     return rows
 
 
@@ -410,7 +390,7 @@ def model_to_json(model: TaggerModel) -> str:
         "classes": model.classes.to_dict(),
         "questions": [q.to_dict() for q in model.questions],
         "tree": {
-            "nodes": [_node_to_obj(n) for n in model.tree.nodes],
+            "nodes": [asdict(n) for n in model.tree.nodes],
             "leaf_letters": list(model.tree.leaf_letters),
         },
         "gmms": {

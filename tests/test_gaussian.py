@@ -28,7 +28,6 @@ from prosotag import (
     save_samples,
     stats_from_matrix,
 )
-from prosotag._io import READ_SIZE
 from oracles import closed_form_ll, per_sample_ll
 
 GOOD_LINE = b'{"token_id": "a", "word": "w", "embedding": [1.0, 2.0]}\n'
@@ -147,11 +146,13 @@ class TestProsodySample:
         assert s.embedding.tolist() == [0.0, 0.0, 0.0]
         assert not s.embedding.flags.writeable
 
-    def test_read_only_input_not_copied(self):
-        corpus = Corpus.of([ProsodySample("t1", "cat", np.array([1.0, 2.0]))])
-        row = corpus[0].embedding
-        assert np.shares_memory(row, corpus.x)
-        assert ProsodySample("t2", "cat", row).embedding is row
+    def test_read_only_view_of_writeable_array_copied(self):
+        a = np.zeros(3)
+        v = a[:]
+        v.setflags(write=False)
+        s = ProsodySample("t", "w", v)
+        a[0] = 5.0
+        assert s.embedding.tolist() == [0.0, 0.0, 0.0]
 
     def test_rejects_empty(self):
         with pytest.raises(ValidationError):
@@ -340,6 +341,24 @@ class TestEmbeddingIO:
         with pytest.raises(error, match="record 1"):
             load_samples(io.BytesIO(data))
 
+    def test_integer_embeddings_convert_as_numpy_does(self):
+        rows = [
+            [2**53 + 1, -(2**70) + 3],
+            [10**300, 0],
+            [0.1, 2**63 + 1025],
+            [-(2**64) - 4097, 1.5e-320],
+        ]
+        data = b"".join(
+            json.dumps({"token_id": f"t{i}", "word": "w", "embedding": row}).encode() + b"\n"
+            for i, row in enumerate(rows)
+        )
+        x = load_samples(io.BytesIO(data)).x
+        expected = np.array(rows, dtype=np.float64)
+        assert x.tobytes() == expected.tobytes()
+        too_large = data + b'{"token_id": "t4", "word": "w", "embedding": [1.0, 1' + b"0" * 400 + b"]}\n"
+        with pytest.raises(ValidationError, match="^line 5: token 't4': "):
+            load_samples(io.BytesIO(too_large))
+
     def test_non_finite_names_token(self):
         with pytest.raises(ValidationError, match="'b'"):
             load_samples(io.BytesIO(GOOD_LINE + BAD_LINES["non-finite"][0]))
@@ -419,7 +438,7 @@ class TestEmbeddingIO:
 
 
 class TestBoundedMemory:
-    """``load_samples`` holds at most one read block beside the corpus it
+    """``load_samples`` holds about one line at a time beside the corpus it
     builds from a JSON-lines file, and the file's bytes (never a float32 copy
     of the payloads) from a binary one. Each bound is on the ``tracemalloc``
     peak above what the returned corpus holds. Transient per-token
@@ -449,12 +468,12 @@ class TestBoundedMemory:
         )
 
     def test_jsonl_peak(self, tmp_path):
-        """Below one read block (``_io.READ_SIZE``, 1 MiB) plus eight lines;
-        the 1.8 MiB file held whole reads 2.7 MiB."""
+        """Below 1 MiB plus eight lines; the 1.8 MiB file held whole reads
+        2.7 MiB."""
         path = tmp_path / "embeddings.jsonl"
         save_samples(self.corpus(16), path)
         longest = max(map(len, path.read_bytes().splitlines()))
-        assert self.peak_above_corpus(path) < READ_SIZE + 8 * longest
+        assert self.peak_above_corpus(path) < (1 << 20) + 8 * longest
 
     def test_binary_peak(self, tmp_path):
         """Below the file size plus 1 MiB; a float32 copy of the payloads

@@ -26,7 +26,6 @@ from prosotag import (
     load_samples,
     save_samples,
 )
-from prosotag import gaussian
 from prosotag import _io
 from prosotag._io import write_bytes
 from prosotag.cli import main as cli_main
@@ -332,22 +331,6 @@ class TestLoadSamplesStreams:
             load(b"PTE")
         with pytest.raises(ParseError, match="truncated before header"):
             load(b"PTE1\x03")
-
-    def test_file_grown_between_passes_names_the_line(self, tmp_path, monkeypatch):
-        path = tmp_path / "embeddings.jsonl"
-        path.write_bytes(b"\n".join(EMBEDDING_LINES[:2]) + b"\n")
-        count_newlines = gaussian.count_newlines
-
-        def count_then_grow(stream):
-            count = count_newlines(stream)
-            with path.open("ab") as handle:  # another writer appends two lines
-                handle.write(EMBEDDING_LINES[2] + b"\n")
-                handle.write(EMBEDDING_LINES[2].replace(b"t2", b"t3") + b"\n")
-            return count
-
-        monkeypatch.setattr(gaussian, "count_newlines", count_then_grow)
-        with pytest.raises(ParseError, match="line 4: "):
-            load_samples(path)
 
 
 # ---------------------------------------------------------------------------

@@ -344,9 +344,17 @@ class TestLexiconIO:
         # a later line's JSON or duplicate-word error is found while reading,
         # before the element types of earlier lines are checked
         mistyped = b'{"word":"x","phonemes":[1],"syllable_breaks":[0]}\n'
-        for later in (b"not json\n", b'{"word":"x","phonemes":["K"],"syllable_breaks":[0]}\n'):
-            with pytest.raises(ParseError, match="^line 2: "):
-                load_lexicon(io.BytesIO(mistyped + later))
+        unhashable = (
+            b'{"word":"x","phonemes":[[1]],"syllable_breaks":[0]}\n',
+            b'{"word":"x","phonemes":["K",{},"L"],"syllable_breaks":[0]}\n',
+            b'{"word":"x","phonemes":["K"],"syllable_breaks":[[0]]}\n',
+        )
+        for first in (mistyped, *unhashable):
+            for later in (b"not json\n", b'{"word":"x","phonemes":["K"],"syllable_breaks":[0]}\n'):
+                with pytest.raises(ParseError, match="^line 2: "):
+                    load_lexicon(io.BytesIO(first + later))
+            with pytest.raises(ParseError, match="^line 1: malformed lexicon record: phonemes"):
+                load_lexicon(io.BytesIO(first + b'{"word":"y","phonemes":["K"],"syllable_breaks":[0]}\n'))
         # on one line too: a mistyped field or a repeated word is reported
         # ahead of a mistyped phoneme or break
         cases = {
