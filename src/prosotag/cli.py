@@ -20,6 +20,7 @@ import numpy as np
 from ._io import write_bytes
 from .errors import ConfigError, ProsotagError
 from .gaussian import Corpus, ProsodySample, load_samples, save_samples
+from .gmm import LeafGmm
 # route_word and assign_component no longer run here; perfbench/traced.py wraps them by name
 from .gmm import assign_component  # noqa: F401
 from .phonetics import (
@@ -33,7 +34,14 @@ from .phonetics import (
     save_lexicon,
     save_questions,
 )
-from .synth import SynthSpec, _growth_csv, generate, save_ground_truth, write_growth_csv
+from .synth import (
+    SynthSpec,
+    _growth_csv,
+    generate,
+    growth_report,
+    save_ground_truth,
+    write_growth_csv,
+)
 from .tagger import (
     TaggerConfig,
     TaggerModel,
@@ -104,11 +112,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     write_growth_csv(model.growth_trace, args.trace_csv or f"{args.model}.trace.csv")
     if args.out:
         write_bytes(args.out, _format_tags(model, lexicon, samples))
-    total_ll = (
-        model.growth_trace.records[-1].total_leaf_ll
-        if model.growth_trace.records
-        else model.growth_trace.initial_ll
-    )
+    total_ll = growth_report(model.growth_trace)[-1][1]
     print(
         f"fit: {model.num_leaves} leaves, {model.num_tags} tags, "
         f"final total leaf log-likelihood {total_ll:.6f}"
@@ -125,15 +129,19 @@ def cmd_tag(args: argparse.Namespace) -> int:
     return 0
 
 
+def _mixture_summary(gmm: LeafGmm) -> str:
+    """A leaf mixture as "N samples, m components, weights [...]", for stats and inspect."""
+    weights = ", ".join(f"{w:.4f}" for w in gmm.weights)
+    return f"{gmm.n_samples} samples, {gmm.m} components, weights [{weights}]"
+
+
 def cmd_stats(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     csv_bytes = _growth_csv(model.growth_trace)
     sys.stdout.write(csv_bytes.decode("utf-8"))
     print()
     for letter in model.tree.leaf_letters:
-        gmm = model.gmms[letter]
-        weights = ", ".join(f"{w:.4f}" for w in gmm.weights)
-        print(f"leaf {letter}: {gmm.n_samples} samples, {gmm.m} components, weights [{weights}]")
+        print(f"leaf {letter}: {_mixture_summary(model.gmms[letter])}")
     if args.out:
         write_bytes(args.out, (csv_bytes,))
     return 0
@@ -177,12 +185,7 @@ def _render_node(
         _render_node(model, node.no_child, "no  -> ", depth + 1, out)
     else:
         letter = model.tree.leaf_letters[node.leaf_index]
-        gmm = model.gmms[letter]
-        weights = ", ".join(f"{w:.4f}" for w in gmm.weights)
-        out.append(
-            f"{pad}{label}[node {pos}] leaf {letter!r}: {gmm.n_samples} samples, "
-            f"{gmm.m} components, weights [{weights}]"
-        )
+        out.append(f"{pad}{label}[node {pos}] leaf {letter!r}: {_mixture_summary(model.gmms[letter])}")
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:

@@ -155,8 +155,8 @@ def _ll_from_moments(
 
 def node_log_likelihood(stats: SufficientStats, floor: float) -> float:
     """Log-likelihood of a node's samples under their own ML diagonal Gaussian."""
-    if floor <= 0.0:
-        raise ValidationError(f"variance floor must be positive, got {floor}")
+    if not 0.0 < floor < math.inf:
+        raise ValidationError(f"variance floor must be positive and finite, got {floor}")
     if stats.n == 0:
         raise EmptyNodeError("log-likelihood of an empty node is undefined")
     return float(_ll_from_moments(stats.n, stats.sum, stats.sumsq, floor))

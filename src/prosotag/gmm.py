@@ -53,10 +53,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    ConfigError,
     DimensionMismatchError,
     InsufficientDataError,
     ValidationError,
+    _check_knobs,
 )
 from .gaussian import _in_float64_range
 
@@ -430,12 +430,7 @@ def fit_gmm(
     Samples so large that a squared distance, a variance or a second moment
     overflows float64 raise a ``ValidationError`` that names the leaf.
     """
-    if m < 1:
-        raise ConfigError(f"component count must be at least 1, got {m}")
-    if floor <= 0.0:
-        raise ConfigError(f"variance floor must be positive, got {floor}")
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
+    _check_knobs(m=m, seed=seed, floor=floor)
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] == 0:
         raise ValidationError(f"samples must form a 2-d array with at least one feature, got shape {x.shape}")

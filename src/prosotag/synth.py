@@ -27,7 +27,7 @@ from typing import IO, Hashable, Mapping
 import numpy as np
 
 from ._io import json_lines, write_bytes
-from .errors import ConfigError, ParseError, ValidationError
+from .errors import ConfigError, ParseError, ValidationError, _check_knobs
 from .gaussian import Corpus
 from .phonetics import (
     PhonemeClassTable,
@@ -68,19 +68,7 @@ class SynthSpec:
     class_distinctions: bool = False
 
     def __post_init__(self) -> None:
-        for name in (
-            "num_leaf_archetypes",
-            "words_per_archetype",
-            "tokens_per_word",
-            "components_per_archetype",
-            "d",
-        ):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.component_separation <= 0.0:
-            raise ConfigError(
-                f"component_separation must be positive, got {self.component_separation}"
-            )
+        _check_knobs(**{k: v for k, v in vars(self).items() if k != "class_distinctions"})
         if self.num_leaf_archetypes > MAX_ARCHETYPES:
             raise ConfigError(
                 f"cannot construct {self.num_leaf_archetypes} distinct phonetic "
@@ -91,8 +79,6 @@ class SynthSpec:
                 f"d={self.d} is too small to separate {self.components_per_archetype} "
                 f"components; need d >= components_per_archetype + 1"
             )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     @property
     def total_tokens(self) -> int:

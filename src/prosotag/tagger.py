@@ -15,7 +15,6 @@ its later tag digits simply never occur.
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -30,6 +29,7 @@ from .errors import (
     ModelFormatError,
     ParseError,
     ValidationError,
+    _check_knobs,
 )
 from .gaussian import _NUMBER_TYPES, Corpus, ProsodySample, _in_float64_range
 from .gmm import LeafGmm, _columns, fit_gmm
@@ -103,8 +103,8 @@ class ProsodyTag:
 class TaggerConfig:
     """Fit-time knobs. ``d`` may be None before fitting (inferred from data).
 
-    The one validation site for every knob: counts and the seed are exact
-    ints (a bool is not an int), ``min_gain`` and ``floor`` finite numbers.
+    Every knob is checked by ``errors._check_knobs``, whose rules ``SynthSpec``,
+    ``grow_tree`` and ``fit_gmm`` share.
     """
 
     d: int | None = None
@@ -116,28 +116,7 @@ class TaggerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("d", "m", "max_leaves", "min_leaf", "seed"):
-            value = getattr(self, name)
-            if type(value) is not int and not (name == "d" and value is None):
-                raise ConfigError(f"{name} must be int, got {type(value).__name__}")
-        for name in ("min_gain", "floor"):
-            value = getattr(self, name)
-            if type(value) not in (int, float) or not math.isfinite(value):
-                raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        if self.d is not None and self.d < 1:
-            raise ConfigError(f"embedding dimension must be positive, got {self.d}")
-        if self.m < 1:
-            raise ConfigError(f"components per leaf must be at least 1, got {self.m}")
-        if self.max_leaves < 1:
-            raise ConfigError(f"max_leaves must be at least 1, got {self.max_leaves}")
-        if self.min_gain < 0.0:
-            raise ConfigError(f"min_gain must be non-negative, got {self.min_gain}")
-        if self.min_leaf < 0:
-            raise ConfigError(f"min_leaf must be non-negative, got {self.min_leaf}")
-        if self.floor <= 0.0:
-            raise ConfigError(f"variance floor must be positive, got {self.floor}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        _check_knobs(**{k: v for k, v in vars(self).items() if k != "d" or v is not None})
 
 
 @dataclass(frozen=True)

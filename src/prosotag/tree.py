@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ModelFormatError, ValidationError
+from .errors import ModelFormatError, ValidationError, _check_knobs
 from .gaussian import Corpus, ProsodySample, _in_float64_range, _ll_from_moments
 from .phonetics import (
     PhonemeClassTable,
@@ -269,14 +269,7 @@ def grow_tree(
     gain drops below ``min_gain``, or when no leaf can be split with at least
     ``min_leaf`` tokens per child. Deterministic for identical inputs.
     """
-    if max_leaves < 1:
-        raise ConfigError(f"max_leaves must be at least 1, got {max_leaves}")
-    if min_gain < 0.0:
-        raise ConfigError(f"min_gain must be non-negative, got {min_gain}")
-    if min_leaf < 0:
-        raise ConfigError(f"min_leaf must be non-negative, got {min_leaf}")
-    if floor <= 0.0:
-        raise ConfigError(f"variance floor must be positive, got {floor}")
+    _check_knobs(max_leaves=max_leaves, min_gain=min_gain, min_leaf=min_leaf, floor=floor)
     if not samples:
         raise ValidationError("corpus is empty")
     corpus = Corpus.of(samples)

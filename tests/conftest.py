@@ -15,6 +15,38 @@ from prosotag import (
 )
 
 
+# bad knob values; every function that takes knobs rejects each one it takes
+KNOB_REJECTS = [
+    {"m": 0},
+    {"max_leaves": 0},
+    {"min_leaf": -1},
+    {"min_gain": -0.5},
+    {"floor": 0.0},
+    {"seed": -1},
+    {"d": 0},
+    {"seed": 1.5},
+    {"seed": True},
+    {"m": 2.5},
+    {"max_leaves": 2.5},
+    {"min_leaf": True},
+    {"d": 16.9},
+    {"min_gain": "0"},
+    {"min_gain": float("nan")},
+    {"floor": float("inf")},
+    {"floor": None},
+    {"floor": float("nan")},
+    {"m": True},
+    {"m": 2.0},
+    {"d": 16.0},
+    {"seed": None},
+]
+
+
+def knob_rejects(*names: str) -> list[dict]:
+    """The ``KNOB_REJECTS`` cases that set only knobs among ``names``."""
+    return [kwargs for kwargs in KNOB_REJECTS if set(kwargs) <= set(names)]
+
+
 @pytest.fixture(scope="session")
 def classes() -> PhonemeClassTable:
     return default_classes()

@@ -119,6 +119,14 @@ class TestSynth:
         assert "invalid configuration" in err
         assert not (tmp_path / "lexicon.jsonl").exists()
 
+    @pytest.mark.parametrize("separation", ["nan", "inf"])
+    def test_non_finite_separation_exits_2(self, tmp_path, capsys, separation):
+        assert main(synth_args(tmp_path, separation=separation)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("prosotag: invalid configuration: component_separation")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     def test_non_finite_embedding_exits_1_before_writing(self, tmp_path, capsys):
         # archetype 2's base mean is 2 * 1e308, which overflows to inf
         assert main(synth_args(tmp_path, separation="1e308", archetypes=3)) == 1

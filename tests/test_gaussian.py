@@ -219,6 +219,11 @@ class TestNodeLogLikelihood:
         with pytest.raises(ValidationError):
             node_log_likelihood(stats_of([[1.0]]), 0.0)
 
+    @pytest.mark.parametrize("floor", [float("nan"), float("inf")])
+    def test_non_finite_floor(self, floor):
+        with pytest.raises(ValidationError, match="variance floor"):
+            node_log_likelihood(stats_of([[1.0]]), floor)
+
     def test_matches_independent_closed_form(self):
         rng = np.random.default_rng(7)
         for _ in range(50):

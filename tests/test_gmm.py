@@ -35,7 +35,7 @@ from prosotag import (
     tag_tokens,
 )
 from prosotag import gmm as gmm_module
-from conftest import assert_monotone_trace
+from conftest import assert_monotone_trace, knob_rejects
 from oracles import diag_gaussian_log_density
 
 
@@ -180,6 +180,11 @@ class TestFitValidation:
     def test_bad_seed(self):
         with pytest.raises(ConfigError):
             fit_gmm(np.zeros((5, 2)), 1, -3)
+
+    @pytest.mark.parametrize("kwargs", knob_rejects("m", "seed", "floor"))
+    def test_rejects_knob(self, kwargs):
+        with pytest.raises(ConfigError):
+            fit_gmm(np.zeros((5, 2)), **{"m": 1, "seed": 0, **kwargs})
 
     def test_nan_samples(self):
         x = np.zeros((5, 2))

@@ -27,6 +27,7 @@ from prosotag import (
     save_ground_truth,
     write_growth_csv,
 )
+from conftest import knob_rejects
 from oracles import pair_counting_ari
 
 
@@ -64,6 +65,14 @@ class TestSynthSpec:
             {"components_per_archetype": 0},
             {"component_separation": 0.0},
             {"seed": -1},
+            *knob_rejects("d", "seed"),
+            {"num_leaf_archetypes": True},
+            {"words_per_archetype": 2.5},
+            {"tokens_per_word": None},
+            {"components_per_archetype": "2"},
+            {"component_separation": float("nan")},
+            {"component_separation": float("inf")},
+            {"component_separation": "8"},
         ],
     )
     def test_rejects(self, kwargs):

@@ -44,7 +44,7 @@ from prosotag import (
 )
 from prosotag.phonetics import WordColumns
 from prosotag.tree import _route_tokens
-from conftest import every_kind, random_instance, random_question, random_word
+from conftest import KNOB_REJECTS, every_kind, random_instance, random_question, random_word
 import oracles
 
 
@@ -94,28 +94,7 @@ class TestTaggerConfig:
         assert config.min_leaf == 10
         assert config.seed == 0
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"m": 0},
-            {"max_leaves": 0},
-            {"min_leaf": -1},
-            {"min_gain": -0.5},
-            {"floor": 0.0},
-            {"seed": -1},
-            {"d": 0},
-            {"seed": 1.5},
-            {"seed": True},
-            {"m": 2.5},
-            {"max_leaves": 2.5},
-            {"min_leaf": True},
-            {"d": 16.9},
-            {"min_gain": "0"},
-            {"min_gain": float("nan")},
-            {"floor": float("inf")},
-            {"floor": None},
-        ],
-    )
+    @pytest.mark.parametrize("kwargs", KNOB_REJECTS)
     def test_rejects(self, kwargs):
         with pytest.raises(ConfigError):
             TaggerConfig(**kwargs)

@@ -29,7 +29,7 @@ from prosotag import (
 from prosotag import tree as tree_module
 from prosotag.phonetics import WordColumns
 from prosotag.tree import _Growth, _route_tokens, _word_columns
-from conftest import random_instance, random_question, random_word
+from conftest import knob_rejects, random_instance, random_question, random_word
 from oracles import closed_form_ll, greedy_oracle
 import oracles
 
@@ -249,6 +249,12 @@ class TestValidation:
         w = word("w", ["K"])
         with pytest.raises(ConfigError):
             grow_tree([w], tokens(w, [1.0]), [], classes, floor=0.0)
+
+    @pytest.mark.parametrize("kwargs", knob_rejects("max_leaves", "min_gain", "min_leaf", "floor"))
+    def test_rejects_knob(self, classes, kwargs):
+        w = word("w", ["K"])
+        with pytest.raises(ConfigError):
+            grow_tree([w], tokens(w, [1.0]), [], classes, **kwargs)
 
     def test_duplicate_lexicon_word(self, classes):
         w = word("w", ["K"])
