@@ -418,7 +418,10 @@ def load_model(source: str | Path | IO[bytes]) -> TaggerModel:
     """Parse and validate a model file; never returns a partial model."""
     doc = read_json(source, "model file")
     if not isinstance(doc, dict):
-        raise ModelFormatError("model file must contain a JSON object")
+        raise ModelFormatError(
+            "model file must contain a JSON object holding the format version, "
+            "config, class table, questions, tree and gmms"
+        )
 
     version = _require(doc, "format_version")
     if version != FORMAT_VERSION:

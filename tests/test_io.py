@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import prosotag
 from prosotag import (
@@ -479,6 +479,7 @@ def assert_names_a_location(message: str) -> None:
 class TestFuzzedModelReaders:
     @settings(max_examples=400, deadline=None)
     @given(case=damaged(MODEL_FILES), as_path=st.booleans())
+    @example(case=("model", b"9"), as_path=False)  # valid JSON, but not an object
     def test_only_package_errors_escape(self, case, as_path, tmp_path_factory):
         name, data = case
         if as_path:
