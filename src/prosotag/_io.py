@@ -5,7 +5,10 @@ is opened here and closed when the read ends; a file object is used as given,
 from its current position. Readers stream: JSON lines are decoded one line at
 a time, so no text file is held whole. Writers take byte chunks, and a path
 is replaced atomically. Text files are UTF-8; the JSON and JSON-lines readers
-raise ``ParseError`` naming the file or the line for bad UTF-8 or bad JSON.
+raise ``ParseError`` naming the file or the line for bad UTF-8, bad JSON or an
+integer literal longer than Python converts to an int. JSON is decoded by the
+standard library, except that the embedding reader has orjson decode each
+line first (see ``json_lines``).
 """
 
 from __future__ import annotations
@@ -15,10 +18,13 @@ import json
 import os
 from typing import IO, Iterable, Iterator
 
+import orjson
+
 from .errors import ParseError
 
 _JSON_SPACE = " \t\n\r"
 _decode_json = json.JSONDecoder().raw_decode  # json.loads without its whitespace scans
+_LONG_INT = "integer literal has too many digits to convert"
 
 Source = str | os.PathLike | IO[bytes]
 
@@ -42,7 +48,8 @@ def write_bytes(sink: Source, chunks: Iterable[bytes]) -> None:
     written without its whole output in memory. A path is written through a
     temporary sibling that is renamed over it and removed if anything fails,
     the iteration of ``chunks`` included, so the path holds either its old
-    content or all of the chunks. The new file gets the mode ``open(path,
+    content or all of the chunks. An ``OSError`` about the temporary names
+    the path instead. The new file gets the mode ``open(path,
     "wb")`` gives a new file under the umask; a symlink at the path is
     replaced, not followed.
     """
@@ -51,27 +58,51 @@ def write_bytes(sink: Source, chunks: Iterable[bytes]) -> None:
         return
     path = os.fspath(sink)
     tmp = f"{path}.{os.urandom(4).hex()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "wb") as handle:
-            handle.writelines(chunks)  # releases each chunk before taking the next
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "wb") as handle:
+                handle.writelines(chunks)  # releases each chunk before taking the next
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
+        # name the path asked for, not the temporary
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
-def json_lines(source: Source) -> Iterator[tuple[int, dict]]:
+def json_lines(source: Source, *, exact_ints: bool = True) -> Iterator[tuple[int, dict]]:
     """Each non-blank line of a UTF-8 JSON-lines file as (line number, object).
 
     The file is read line by line from ``source`` (see ``opened``), and a line
     is decoded only when it is reached. A blank line, empty or JSON
     whitespace only, is skipped; any other line that is not one JSON object
     is a ``ParseError`` naming it.
+
+    With ``exact_ints=False`` each line is first decoded by orjson, a strict
+    RFC 8259 parser. Where orjson and the standard library both accept a
+    line, they differ only for an integer outside [-2**63, 2**64), which
+    orjson gives as the nearest float; a reader that converts every number to
+    float sees no difference. A line orjson refuses, or that is not an
+    object, is decoded as ``exact_ints=True`` decodes it: blank lines, NaN,
+    Infinity, numbers beyond float range, lone surrogates and every error
+    take that path.
     """
     with opened(source) as stream:
         for lineno, raw in enumerate(stream, start=1):
+            if not exact_ints:
+                try:
+                    obj = orjson.loads(raw)
+                except orjson.JSONDecodeError:
+                    pass
+                else:
+                    if type(obj) is dict:
+                        yield lineno, obj
+                        continue
             try:
                 text = raw.decode("utf-8").strip(_JSON_SPACE)
             except UnicodeDecodeError as exc:
@@ -82,6 +113,8 @@ def json_lines(source: Source) -> Iterator[tuple[int, dict]]:
                 obj, end = _decode_json(text)
             except json.JSONDecodeError as exc:
                 raise ParseError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
+            except ValueError:  # Python's limit on the digits of an int
+                raise ParseError(f"line {lineno}: {_LONG_INT}") from None
             if end != len(text):
                 raise ParseError(f"line {lineno}: invalid JSON: Extra data")
             if not isinstance(obj, dict):
@@ -105,3 +138,5 @@ def read_json(source: Source, what: str) -> object:
         raise ParseError(
             f"{what}: invalid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}"
         ) from exc
+    except ValueError:  # Python's limit on the digits of an int
+        raise ParseError(f"{what}: {_LONG_INT}") from None

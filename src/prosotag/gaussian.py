@@ -247,13 +247,32 @@ def _checked_corpus(
         raise ValidationError(
             f"{locate(i)}: token {token_ids[i]!r}: embedding has non-finite values"
         )
-    if len(set(token_ids)) != len(token_ids):
-        seen: set[str] = set()
-        for i, token_id in enumerate(token_ids):
-            if token_id in seen:
-                raise ParseError(f"{locate(i)}: duplicate token id {token_id!r}")
-            seen.add(token_id)
+    repeat = _first_repeat(token_ids)
+    if repeat >= 0:
+        raise ParseError(f"{locate(repeat)}: duplicate token id {token_ids[repeat]!r}")
     return Corpus(token_ids, words, np.array(word_index, dtype=np.int32), x)
+
+
+def _first_repeat(token_ids: list[str]) -> int:
+    """The index of the first token id equal to an earlier one, or -1.
+
+    Works on an int64 array of the ids' hashes, at most 24 bytes a token
+    where a set of the ids holds 60-130: sorted, the hashes show whether any
+    two ids may be equal, and only ids of equal hash are compared as strings.
+    """
+    hashes = np.fromiter(map(hash, token_ids), dtype=np.int64, count=len(token_ids))
+    ranked = np.sort(hashes)
+    if not (ranked[1:] == ranked[:-1]).any():
+        return -1
+    order = np.argsort(hashes, kind="stable")  # equal hashes keep file order
+    ranked = hashes[order]
+    later = order[np.flatnonzero(ranked[1:] == ranked[:-1]) + 1]
+    for i in np.sort(later).tolist():
+        h = hash(token_ids[i])
+        run = order[np.searchsorted(ranked, h) : np.searchsorted(ranked, h, side="right")]
+        if any(token_ids[j] == token_ids[i] for j in run[run < i].tolist()):
+            return i
+    return -1
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +292,11 @@ def load_samples(source: str | Path | IO[bytes]) -> Corpus:
 
     All records must share one dimension, embeddings must be finite and
     token ids must be unique; errors name the line or record. A JSON-lines
-    file is parsed in one pass, one line at a time. A stream that cannot seek
-    is read into memory first, for the sniff of the magic.
+    file is parsed in one pass, one line at a time, by orjson; each line
+    orjson refuses is decoded by the standard library, as the other
+    JSON-lines readers decode it (see ``_io.json_lines``). An integer converts
+    to the nearest float. A stream that cannot seek is read into memory
+    first, for the sniff of the magic.
     """
     with opened(source) as stream:
         if not stream.seekable():
@@ -299,7 +321,7 @@ def _read_jsonl(stream: IO[bytes]) -> Corpus:
     word_index: list[int] = []
     linenos = array("q")
     position: dict[str, int] = {}
-    for lineno, obj in json_lines(stream):
+    for lineno, obj in json_lines(stream, exact_ints=False):
         try:
             token_id, word, embedding = obj["token_id"], obj["word"], obj["embedding"]
         except KeyError as exc:

@@ -6,10 +6,13 @@ down the tree - and shares no code with the package under test: only its
 data types are imported. ``answer_question`` and ``route_word`` are the
 scalar references for the package's column code (``WordColumns.answer`` and
 ``tree._route_tokens``, and the public one-row calls built on them).
+``embedding_records`` is the reference JSON-lines embedding reader: one
+``json.loads`` a line.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from typing import Hashable, Mapping, Sequence
 
@@ -76,6 +79,18 @@ def route_word(
             ) from None
         pos = node.yes_child if answer_question(question, word, classes) else node.no_child
     raise ModelFormatError("tree walk did not terminate; node graph is cyclic")
+
+
+def embedding_records(data: bytes) -> list[tuple[str, str, list[float]]]:
+    """(token id, word, embedding) of each non-blank line of a JSON-lines
+    embedding file: each line decoded by ``json.loads``, each number
+    converted by ``float``. No record is checked."""
+    records = []
+    for line in data.decode("utf-8").split("\n"):
+        if line.strip(" \t\r"):
+            obj = json.loads(line)
+            records.append((obj["token_id"], obj["word"], [float(v) for v in obj["embedding"]]))
+    return records
 
 
 def closed_form_ll(vectors: Sequence[Sequence[float]], floor: float = 1e-6) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import importlib
 import json
 import os
@@ -376,6 +377,57 @@ def test_output_files_get_the_umask_mode(tmp_path, capsys):
         "model.json", "model.json.trace.csv", "fit_tags.jsonl", "tags.jsonl", "curve.csv",
     ])
     assert set(modes.values()) == {0o644}
+
+
+LONG_INT = b"1" + b"0" * 5000  # past Python's 4,300-digit limit on int conversion
+
+
+@pytest.mark.parametrize("kind", ["embeddings", "lexicon", "model", "class table"])
+def test_integer_over_the_digit_limit_exits_1(kind, corpus, fitted, tmp_path, capsys):
+    if kind in ("embeddings", "lexicon"):
+        name, where = f"{kind}.jsonl", "line 3"
+        lines = (corpus / name).read_bytes().splitlines()
+        lines[2] = (
+            b'{"token_id": "x", "word": "w00_000", "embedding": [%b, 0, 0, 0]}'
+            if kind == "embeddings"
+            else b'{"word": "x", "phonemes": ["K"], "syllable_breaks": [0], "stress_syllable": %b}'
+        ) % LONG_INT
+        data = b"\n".join(lines) + b"\n"
+    elif kind == "model":
+        name, where = "model.json", "model file"
+        data = fitted.read_bytes().replace(b'"seed": 0', b'"seed": %b' % LONG_INT, 1)
+        assert LONG_INT in data
+    else:
+        name, where, data = "classes.json", "class table", b'{"Vowel": [%b]}' % LONG_INT
+    bad = tmp_path / name
+    bad.write_bytes(data)
+    argv = {
+        "embeddings": ["tag", "--model", str(fitted), "--lexicon", str(corpus / "lexicon.jsonl"),
+                       "--embeddings", str(bad), "--out", str(tmp_path / "tags.jsonl")],
+        "model": ["inspect", "--model", str(bad)],
+        # fit_args gives the flag a second time, and the last one wins
+        "lexicon": fit_args(corpus, tmp_path / "out.json", lexicon=bad),
+        "class table": fit_args(corpus, tmp_path / "out.json", classes=bad),
+    }[kind]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"prosotag: error: {where}: integer literal has too many digits to convert\n"
+    assert os.listdir(tmp_path) == [name]
+
+
+@pytest.mark.parametrize("target", ["missing_dir/tags.jsonl", "adir"])
+def test_failed_write_names_the_out_path(target, corpus, fitted, tmp_path, capsys):
+    (tmp_path / "adir").mkdir()
+    out = tmp_path / target
+    args = ["tag", "--model", str(fitted), "--lexicon", str(corpus / "lexicon.jsonl"),
+            "--embeddings", str(corpus / "embeddings.jsonl"), "--out", str(out)]
+    capsys.readouterr()
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    number = errno.ENOENT if target.startswith("missing") else errno.EISDIR
+    assert err == f"prosotag: error: [Errno {number}] {os.strerror(number)}: {str(out)!r}\n"
+    assert os.listdir(tmp_path) == ["adir"] and os.listdir(tmp_path / "adir") == []
 
 
 def test_tracer_finds_every_name_it_wraps(monkeypatch):

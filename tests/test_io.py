@@ -107,6 +107,17 @@ class TestWriteBytes:
         assert target.read_bytes() == b"old"
         assert os.listdir(tmp_path) == ["out.bin"]
 
+    def test_error_names_the_path_not_the_temporary(self, tmp_path):
+        (tmp_path / "adir").mkdir()
+        for target, error in [
+            (tmp_path / "missing" / "out.bin", FileNotFoundError),
+            (tmp_path / "adir", IsADirectoryError),
+        ]:
+            with pytest.raises(error) as info:
+                write_bytes(target, [b"new"])
+            assert str(info.value) == f"[Errno {info.value.errno}] {info.value.strerror}: {str(target)!r}"
+        assert os.listdir(tmp_path) == ["adir"] and os.listdir(tmp_path / "adir") == []
+
     def test_symlink_is_replaced_not_followed(self, tmp_path):
         real = tmp_path / "real.bin"
         real.write_bytes(b"old")
@@ -385,9 +396,15 @@ def damaged(draw, files=VALID_FILES):
     return name, bytes(data)
 
 
+# an integer literal past Python's 4,300-digit limit on int conversion
+LONG_INT = b"1" + b"0" * 5000
+
+
 class TestFuzzedReaders:
     @settings(max_examples=400, deadline=None)
     @given(case=damaged(), as_path=st.booleans())
+    @example(case=("embeddings", b'{"token_id": "t", "word": "w", "embedding": [%b]}' % LONG_INT), as_path=False)
+    @example(case=("lexicon", b'{"word": "w", "phonemes": ["K"], "syllable_breaks": [%b]}' % LONG_INT), as_path=False)
     def test_only_package_errors_escape(self, case, as_path, tmp_path_factory):
         name, data = case
         if as_path:
@@ -480,6 +497,7 @@ class TestFuzzedModelReaders:
     @settings(max_examples=400, deadline=None)
     @given(case=damaged(MODEL_FILES), as_path=st.booleans())
     @example(case=("model", b"9"), as_path=False)  # valid JSON, but not an object
+    @example(case=("class table", b'{"Vowel": [%b]}' % LONG_INT), as_path=False)
     def test_only_package_errors_escape(self, case, as_path, tmp_path_factory):
         name, data = case
         if as_path:

@@ -369,12 +369,15 @@ class TestLexiconIO:
                 load_lexicon(io.BytesIO(data))
 
 
-_SPECIAL_TEXT = st.sampled_from(
-    ['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\u2029", "é", "漢", "😀"]
+# a fixed alphabet: JSON's escapes (quote, backslash, control characters),
+# DEL, U+2028 and U+2029, non-ASCII and astral characters, and plain ASCII
+_TEXT = st.text(
+    st.sampled_from('"\\\x00\x1f\x7f\u2028\u2029é漢😀 /aK0'), min_size=1, max_size=6
 )
-_TEXT = st.lists(
-    _SPECIAL_TEXT | st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6
-).map("".join)
+# a set of inner syllable breaks, by phoneme count
+_INNER_BREAKS = [st.just(())] + [st.sets(st.integers(1, n - 1), max_size=3) for n in range(2, 6)]
+# a stress syllable or none, by syllable count
+_STRESS = [st.none() | st.integers(0, n - 1) for n in range(1, 5)]
 
 
 @st.composite
@@ -383,11 +386,8 @@ def word_entries(draw):
     entries = []
     for name in words:
         phonemes = draw(st.lists(_TEXT, min_size=1, max_size=5))
-        inner = st.just(())
-        if len(phonemes) > 1:
-            inner = st.sets(st.integers(1, len(phonemes) - 1), max_size=3)
-        breaks = [0, *sorted(draw(inner))]
-        stress = draw(st.none() | st.integers(0, len(breaks) - 1))
+        breaks = [0, *sorted(draw(_INNER_BREAKS[len(phonemes) - 1]))]
+        stress = draw(_STRESS[len(breaks) - 1])
         entries.append(WordEntry(name, tuple(phonemes), tuple(breaks), stress))
     return entries
 
@@ -406,6 +406,51 @@ def lexicon_bytes(words) -> bytes:
     sink = io.BytesIO()
     save_lexicon(words, sink)
     return sink.getvalue()
+
+
+_PHONEMES = st.lists(st.sampled_from(["AA", "K", "S"]), min_size=1, max_size=5)
+_FAULTS = st.sampled_from(
+    ["none", "none", "phonemes", "breaks", "first", "order", "last", "stress", "int64"]
+)
+
+
+def _record(draw, word):
+    """A valid lexicon record, or one with a single fault: each rule of
+    WordEntry is then sometimes the only one a record breaks."""
+    phonemes = draw(_PHONEMES)
+    breaks = [0, *sorted(draw(_INNER_BREAKS[len(phonemes) - 1]))]
+    stress = draw(_STRESS[len(breaks) - 1])
+    fault = draw(_FAULTS)
+    if fault == "phonemes":
+        phonemes = []
+    elif fault == "breaks":
+        breaks = []
+    elif fault == "first":
+        breaks[0] = draw(st.sampled_from([-1, -(2**63)]))
+    elif fault == "order":
+        k = draw(st.integers(0, len(breaks) - 1))
+        breaks.insert(k, breaks[k])
+    elif fault == "last":
+        breaks.append(len(phonemes) + draw(st.integers(0, 2)))
+    elif fault == "stress":
+        stress = draw(st.sampled_from([-1, len(breaks)]))
+    elif fault == "int64":  # beyond int64: a break, a first break or the stress
+        place = draw(st.sampled_from(["break", "first", "stress"]))
+        if place == "break":
+            breaks.append(2**63)
+        elif place == "first":
+            breaks[0] = -(2**63) - 1
+        else:
+            stress = draw(st.sampled_from([2**70, -(2**64)]))
+    return word, phonemes, breaks, stress
+
+
+@st.composite
+def lexicon_records(draw):
+    """One to six records named w0, w1, ..., one of them perhaps empty."""
+    n = draw(st.integers(1, 6))
+    empty_at = draw(st.integers(-1, n - 1))
+    return [_record(draw, "" if i == empty_at else f"w{i}") for i in range(n)]
 
 
 class TestColumnarLexicon:
@@ -462,49 +507,10 @@ class TestColumnarLexicon:
             np.testing.assert_array_equal(loaded.answer(q, classes, rows), expected[rows])
             np.testing.assert_array_equal(taken.answer(q, classes), expected[rows])
 
-    @staticmethod
-    def record(data, word):
-        """A valid lexicon record, or one with a single fault: each rule of
-        WordEntry is then sometimes the only one a record breaks."""
-        phonemes = data.draw(st.lists(st.sampled_from(["AA", "K", "S"]), min_size=1, max_size=5))
-        inner = st.just(())
-        if len(phonemes) > 1:
-            inner = st.sets(st.integers(1, len(phonemes) - 1), max_size=3)
-        breaks = [0, *sorted(data.draw(inner))]
-        stress = data.draw(st.none() | st.integers(0, len(breaks) - 1))
-        fault = data.draw(st.sampled_from(
-            ["none", "none", "phonemes", "breaks", "first", "order", "last", "stress", "int64"]
-        ))
-        if fault == "phonemes":
-            phonemes = []
-        elif fault == "breaks":
-            breaks = []
-        elif fault == "first":
-            breaks[0] = data.draw(st.sampled_from([-1, -(2**63)]))
-        elif fault == "order":
-            k = data.draw(st.integers(0, len(breaks) - 1))
-            breaks.insert(k, breaks[k])
-        elif fault == "last":
-            breaks.append(len(phonemes) + data.draw(st.integers(0, 2)))
-        elif fault == "stress":
-            stress = data.draw(st.sampled_from([-1, len(breaks)]))
-        elif fault == "int64":  # beyond int64: a break, a first break or the stress
-            place = data.draw(st.sampled_from(["break", "first", "stress"]))
-            if place == "break":
-                breaks.append(2**63)
-            elif place == "first":
-                breaks[0] = -(2**63) - 1
-            else:
-                stress = data.draw(st.sampled_from([2**70, -(2**64)]))
-        return word, phonemes, breaks, stress
-
-    @given(data=st.data())
+    @given(records=lexicon_records())
     @settings(max_examples=300, deadline=None)
-    def test_rules_reported_like_word_entry(self, data):
+    def test_rules_reported_like_word_entry(self, records):
         # the first record WordEntry rejects is reported, with its message
-        n = data.draw(st.integers(1, 6))
-        empty_at = data.draw(st.integers(-1, n - 1))
-        records = [self.record(data, "" if i == empty_at else f"w{i}") for i in range(n)]
         text = "".join(
             json.dumps({"word": w, "phonemes": p, "syllable_breaks": b, "stress_syllable": s}) + "\n"
             for w, p, b, s in records
