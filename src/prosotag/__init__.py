@@ -56,10 +56,8 @@ from .synth import (
     SynthSpec,
     adjusted_rand_index,
     generate,
-    growth_report,
     load_ground_truth,
     save_ground_truth,
-    write_growth_csv,
 )
 from .tagger import (
     FORMAT_VERSION,
@@ -81,8 +79,10 @@ from .tree import (
     LeafNode,
     SplitRecord,
     grow_tree,
+    growth_report,
     leaf_letter,
     route_word,
+    write_growth_csv,
 )
 
 __version__ = "0.1.0"

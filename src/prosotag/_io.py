@@ -6,9 +6,10 @@ from its current position. Readers stream: JSON lines are decoded one line at
 a time, so no text file is held whole. Writers take byte chunks, and a path
 is replaced atomically. Text files are UTF-8; the JSON and JSON-lines readers
 raise ``ParseError`` naming the file or the line for bad UTF-8, bad JSON or an
-integer literal longer than Python converts to an int. JSON is decoded by the
-standard library, except that the embedding reader has orjson decode each
-line first (see ``json_lines``).
+integer literal longer than Python converts to an int, or JSON nested deeper
+than the standard library decoder recurses. JSON is decoded by the standard
+library, except that the embedding reader has orjson decode each line first
+(see ``json_lines``); orjson is imported only then.
 """
 
 from __future__ import annotations
@@ -16,15 +17,14 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from typing import IO, Iterable, Iterator
-
-import orjson
+from typing import IO, Iterable, Iterator, Mapping
 
 from .errors import ParseError
 
 _JSON_SPACE = " \t\n\r"
 _decode_json = json.JSONDecoder().raw_decode  # json.loads without its whitespace scans
 _LONG_INT = "integer literal has too many digits to convert"
+_TOO_DEEP = "JSON nested too deeply to decode"
 
 Source = str | os.PathLike | IO[bytes]
 
@@ -92,6 +92,8 @@ def json_lines(source: Source, *, exact_ints: bool = True) -> Iterator[tuple[int
     Infinity, numbers beyond float range, lone surrogates and every error
     take that path.
     """
+    if not exact_ints:
+        import orjson  # here, not at module level: only this path decodes with it
     with opened(source) as stream:
         for lineno, raw in enumerate(stream, start=1):
             if not exact_ints:
@@ -115,6 +117,8 @@ def json_lines(source: Source, *, exact_ints: bool = True) -> Iterator[tuple[int
                 raise ParseError(f"line {lineno}: invalid JSON: {exc.msg}") from exc
             except ValueError:  # Python's limit on the digits of an int
                 raise ParseError(f"line {lineno}: {_LONG_INT}") from None
+            except RecursionError:
+                raise ParseError(f"line {lineno}: {_TOO_DEEP}") from None
             if end != len(text):
                 raise ParseError(f"line {lineno}: invalid JSON: Extra data")
             if not isinstance(obj, dict):
@@ -140,3 +144,21 @@ def read_json(source: Source, what: str) -> object:
         ) from exc
     except ValueError:  # Python's limit on the digits of an int
         raise ParseError(f"{what}: {_LONG_INT}") from None
+    except RecursionError:
+        raise ParseError(f"{what}: {_TOO_DEEP}") from None
+
+
+def _field(obj: Mapping, key: str, kind: type, *, optional: bool = False):
+    """``obj[key]`` of a decoded JSON record if its type is exactly ``kind``
+    (a bool is not an int, a string not a list, but a float field takes a
+    JSON integer as a float); None for an absent or null optional field."""
+    if key not in obj:
+        if optional:
+            return None
+        raise ParseError(f"missing field {key!r}")
+    value = obj[key]
+    if type(value) is kind or (optional and value is None):
+        return value
+    if kind is float and type(value) is int:
+        return float(value)
+    raise ParseError(f"{key} must be {kind.__name__}, got {type(value).__name__}")

@@ -34,14 +34,7 @@ from .phonetics import (
     save_lexicon,
     save_questions,
 )
-from .synth import (
-    SynthSpec,
-    _growth_csv,
-    generate,
-    growth_report,
-    save_ground_truth,
-    write_growth_csv,
-)
+from .synth import SynthSpec, generate, save_ground_truth
 from .tagger import (
     TaggerConfig,
     TaggerModel,
@@ -51,7 +44,8 @@ from .tagger import (
     tag_inventory,
     tag_tokens,
 )
-from .tree import InternalNode, route_word  # noqa: F401
+from .tree import InternalNode, _growth_csv, growth_report, write_growth_csv
+from .tree import route_word  # noqa: F401
 
 PROG = "prosotag"
 

@@ -33,7 +33,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._io import json_lines, opened, write_bytes
-from .errors import DimensionMismatchError, EmptyNodeError, ParseError, ValidationError
+from .errors import DimensionMismatchError, EmptyNodeError, ParseError, ValidationError, _check_knobs
 
 __all__ = [
     "ProsodySample",
@@ -155,8 +155,7 @@ def _ll_from_moments(
 
 def node_log_likelihood(stats: SufficientStats, floor: float) -> float:
     """Log-likelihood of a node's samples under their own ML diagonal Gaussian."""
-    if not 0.0 < floor < math.inf:
-        raise ValidationError(f"variance floor must be positive and finite, got {floor}")
+    _check_knobs(floor=floor)
     if stats.n == 0:
         raise EmptyNodeError("log-likelihood of an empty node is undefined")
     return float(_ll_from_moments(stats.n, stats.sum, stats.sumsq, floor))

@@ -48,17 +48,20 @@ holds two copies of its leaf plus (m, n) scores.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
+from ._io import _field
 from .errors import (
     DimensionMismatchError,
     InsufficientDataError,
+    ModelFormatError,
+    ParseError,
     ValidationError,
     _check_knobs,
 )
-from .gaussian import _in_float64_range
+from .gaussian import _NUMBER_TYPES, _in_float64_range
 
 __all__ = [
     "LeafGmm",
@@ -150,6 +153,49 @@ class LeafGmm:
         smallest index, as ``np.argmax(self.log_joint(xt), axis=0)``."""
         joint = self.log_joint(xt)
         return _first_index_of(joint, joint.max(axis=0))
+
+    def to_dict(self) -> dict:
+        """The model file's record; ``tolist`` gives floats JSON writes exactly."""
+        return {
+            "weights": self.weights.tolist(),
+            "means": self.means.tolist(),
+            "vars": self.variances.tolist(),
+            "n_samples": self.n_samples,
+        }
+
+
+def _numbers(value: object, ndim: int) -> bool:
+    """Whether ``value`` is a JSON array of numbers nested ``ndim`` deep; a
+    bool or a string is not a number."""
+    if ndim == 0:
+        return type(value) in _NUMBER_TYPES
+    return type(value) is list and all(_numbers(v, ndim - 1) for v in value)
+
+
+def _number_array(obj: Mapping, key: str, ndim: int) -> np.ndarray:
+    """``obj[key]`` as a float64 array, if it holds numbers only."""
+    value = _field(obj, key, list)
+    if not _numbers(value, ndim):
+        raise ParseError(f"{key} must be a {ndim}-d array of numbers")
+    return np.asarray(value, dtype=np.float64)
+
+
+def _gmm_from_dict(leaf: str, obj: object) -> LeafGmm:
+    """A mixture record (the ``LeafGmm.to_dict`` form) as leaf ``leaf``'s
+    mixture; any fault is a ``ModelFormatError`` naming the leaf."""
+    if not isinstance(obj, dict):
+        raise ModelFormatError(f"gmm for leaf {leaf!r} is not an object")
+    try:
+        return LeafGmm(
+            leaf=leaf,
+            weights=_number_array(obj, "weights", 1),
+            means=_number_array(obj, "means", 2),
+            variances=_number_array(obj, "vars", 2),
+            n_samples=_field(obj, "n_samples", int),
+        )
+    except (ValueError, OverflowError, ParseError, ValidationError) as exc:
+        # ValueError: ragged arrays; OverflowError: an int beyond float range
+        raise ModelFormatError(f"malformed gmm for leaf {leaf!r}: {exc}") from exc
 
 
 def _columns(x: np.ndarray) -> np.ndarray:

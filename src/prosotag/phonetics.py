@@ -25,7 +25,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._io import json_lines, read_json, write_bytes
+from ._io import _field, json_lines, read_json, write_bytes
 from .errors import ConfigError, ParseError, ValidationError
 
 __all__ = [
@@ -432,22 +432,6 @@ def describe_question(q: Question) -> str:
 # object. Loaders accept a path or a binary file object.
 
 
-def _field(obj: Mapping, key: str, kind: type, *, optional: bool = False):
-    """``obj[key]`` if its type is exactly ``kind`` (a bool is not an int, a
-    string not a list, but a float field takes a JSON integer as a float);
-    None for an absent or null optional field."""
-    if key not in obj:
-        if optional:
-            return None
-        raise ParseError(f"missing field {key!r}")
-    value = obj[key]
-    if type(value) is kind or (optional and value is None):
-        return value
-    if kind is float and type(value) is int:
-        return float(value)
-    raise ParseError(f"{key} must be {kind.__name__}, got {type(value).__name__}")
-
-
 def _question_from_dict(obj: Mapping) -> Question:
     """A question record (the ``Question.to_dict`` form) as a ``Question``;
     shared by the question-file and model-file loaders."""
@@ -720,13 +704,8 @@ def default_questions(classes: PhonemeClassTable | None = None) -> list[Question
     return questions
 
 
-def question_index(
-    questions: Sequence[Question] | Mapping[int, Question],
-) -> Mapping[int, Question]:
-    """Index a question collection by id, rejecting duplicates; an index is
-    returned as it is."""
-    if isinstance(questions, Mapping):
-        return questions
+def question_index(questions: Sequence[Question]) -> dict[int, Question]:
+    """Index a question list by id, rejecting duplicates."""
     index: dict[int, Question] = {}
     for q in questions:
         if q.id in index:

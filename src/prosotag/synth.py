@@ -13,8 +13,7 @@ component means within an archetype sit at separation/sqrt(2) along distinct
 later coordinates, a regular simplex with exact pairwise distance equal to
 the separation. This needs d >= components_per_archetype + 1.
 
-``adjusted_rand_index`` scores recovered tags against the planted labels;
-``growth_report`` tabulates the tree-growth trace for plotting.
+``adjusted_rand_index`` scores recovered tags against the planted labels.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import IO, Hashable, Mapping
 
 import numpy as np
 
-from ._io import json_lines, write_bytes
+from ._io import _field, json_lines, write_bytes
 from .errors import ConfigError, ParseError, ValidationError, _check_knobs
 from .gaussian import Corpus
 from .phonetics import (
@@ -34,18 +33,14 @@ from .phonetics import (
     Question,
     QuestionKind,
     WordEntry,
-    _field,
     default_classes,
 )
-from .tree import GrowthTrace
 
 __all__ = [
     "SynthSpec",
     "GroundTruth",
     "generate",
     "adjusted_rand_index",
-    "growth_report",
-    "write_growth_csv",
     "save_ground_truth",
     "load_ground_truth",
 ]
@@ -252,24 +247,6 @@ def adjusted_rand_index(
         # both partitions trivial (all-singletons or one cluster): agreement is exact
         return 1.0
     return (index - expected) / (max_index - expected)
-
-
-def growth_report(trace: GrowthTrace) -> list[tuple[int, float, float]]:
-    """Rows of (num_leaves, total_leaf_ll, avg_samples_per_leaf), initial row first."""
-    rows = [(1, trace.initial_ll, float(trace.num_tokens))]
-    for r in trace.records:
-        rows.append((r.step + 1, r.total_leaf_ll, r.avg_samples_per_leaf))
-    return rows
-
-
-def _growth_csv(trace: GrowthTrace) -> bytes:
-    """``growth_report`` as CSV with a header row; floats in shortest repr."""
-    rows = [f"{leaves},{ll!r},{avg!r}\n" for leaves, ll, avg in growth_report(trace)]
-    return ("num_leaves,total_leaf_ll,avg_samples_per_leaf\n" + "".join(rows)).encode("ascii")
-
-
-def write_growth_csv(trace: GrowthTrace, sink: str | Path | IO[bytes]) -> None:
-    write_bytes(sink, (_growth_csv(trace),))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@
 on that leaf's embeddings. A tag pairs the leaf letter with the chosen
 mixture component, written "d3" style. The fitted model serializes to a
 single self-contained JSON document (questions and phoneme classes embedded)
-so tagging never needs side files.
+so tagging never needs side files. Each section of it is coded by the module
+that owns its type (``phonetics`` the classes and questions, ``tree`` the tree
+and the growth trace, ``gmm`` the mixtures); ``model_to_json`` and
+``load_model`` put the sections together and check the format version.
 
 Per-leaf EM seeds are ``config.seed XOR leaf_index``: reproducible, and a
 changed question set cannot silently reshuffle every leaf's initialization.
@@ -31,15 +34,14 @@ from .errors import (
     ValidationError,
     _check_knobs,
 )
-from .gaussian import _NUMBER_TYPES, Corpus, ProsodySample, _in_float64_range
-from .gmm import LeafGmm, _columns, fit_gmm
+from .gaussian import Corpus, ProsodySample, _in_float64_range
+from .gmm import LeafGmm, _columns, _gmm_from_dict, fit_gmm
 from .phonetics import (
     PhonemeClassTable,
     Question,
     WordColumns,
     WordEntry,
     _classes_from_dict,
-    _field,
     _question_from_dict,
     question_index,
 )
@@ -47,10 +49,9 @@ from .tree import (
     DecisionTree,
     GrowthTrace,
     InternalNode,
-    LeafNode,
-    SplitRecord,
-    TreeNode,
     _route_tokens,
+    _trace_from_rows,
+    _tree_from_dict,
     _word_columns,
     grow_tree,
 )
@@ -133,17 +134,11 @@ class TaggerModel:
     tree: DecisionTree
     gmms: Mapping[str, LeafGmm]
     growth_trace: GrowthTrace
-    format_version: int = FORMAT_VERSION
     question_by_id: Mapping[int, Question] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "questions", tuple(self.questions))
         object.__setattr__(self, "gmms", dict(self.gmms))
-        if self.format_version != FORMAT_VERSION:
-            raise ModelFormatError(
-                f"model format version {self.format_version} is not supported; "
-                f"this build reads version {FORMAT_VERSION}"
-            )
         if self.config.d is None:
             raise ConfigError("a fitted model must record the embedding dimension")
         for letter in self.tree.leaf_letters:
@@ -299,91 +294,20 @@ def tag_inventory(model: TaggerModel) -> list[ProsodyTag]:
 
 
 # ---------------------------------------------------------------------------
-# model file
-
-def _node_from_obj(obj: dict, pos: int) -> TreeNode:
-    if not isinstance(obj, dict):
-        raise ModelFormatError(f"tree node {pos} is not an object")
-    try:
-        if "leaf_index" in obj:
-            return LeafNode(leaf_index=_field(obj, "leaf_index", int))
-        return InternalNode(
-            question_id=_field(obj, "question_id", int),
-            yes_child=_field(obj, "yes_child", int),
-            no_child=_field(obj, "no_child", int),
-        )
-    except ParseError as exc:
-        raise ModelFormatError(f"tree node {pos}: {exc}") from None
-
-
-def _trace_to_rows(trace: GrowthTrace) -> list[dict]:
-    rows = [
-        {
-            "step": 0,
-            "leaf_split": None,
-            "question_id": None,
-            "gain": None,
-            "total_leaf_ll": trace.initial_ll,
-            "avg_samples_per_leaf": float(trace.num_tokens),
-            "num_tokens": trace.num_tokens,
-        }
-    ]
-    rows += map(asdict, trace.records)
-    return rows
-
-
-def _trace_from_rows(rows: list) -> GrowthTrace:
-    if not isinstance(rows, list) or not rows:
-        raise ModelFormatError("growth_trace must be a non-empty array")
-    head = rows[0]
-    if not isinstance(head, dict) or head.get("step") != 0:
-        raise ModelFormatError("growth_trace must start with the step-0 row")
-    pos = 0
-    try:
-        initial_ll = _field(head, "total_leaf_ll", float)
-        num_tokens = _field(head, "num_tokens", int)
-        records = []
-        for pos, r in enumerate(rows[1:], 1):
-            if not isinstance(r, dict):
-                raise ParseError("not an object")
-            records.append(
-                SplitRecord(
-                    step=_field(r, "step", int),
-                    leaf_split=_field(r, "leaf_split", str),
-                    question_id=_field(r, "question_id", int),
-                    gain=_field(r, "gain", float),
-                    total_leaf_ll=_field(r, "total_leaf_ll", float),
-                    avg_samples_per_leaf=_field(r, "avg_samples_per_leaf", float),
-                )
-            )
-    except ParseError as exc:
-        raise ModelFormatError(f"malformed growth_trace row {pos}: {exc}") from None
-    return GrowthTrace(initial_ll=initial_ll, num_tokens=num_tokens, records=tuple(records))
+# model file: each section is coded by the module that owns its type
 
 
 def model_to_json(model: TaggerModel) -> str:
     """Canonical JSON text for a model; identical models give identical text."""
     doc = {
-        "format_version": model.format_version,
+        "format_version": FORMAT_VERSION,
         "config": asdict(model.config),
         "classes": model.classes.to_dict(),
         "questions": [q.to_dict() for q in model.questions],
-        "tree": {
-            "nodes": [asdict(n) for n in model.tree.nodes],
-            "leaf_letters": list(model.tree.leaf_letters),
-        },
-        "gmms": {
-            letter: {
-                "weights": model.gmms[letter].weights.tolist(),
-                "means": model.gmms[letter].means.tolist(),
-                "vars": model.gmms[letter].variances.tolist(),
-                "n_samples": model.gmms[letter].n_samples,
-            }
-            for letter in model.tree.leaf_letters
-        },
-        "growth_trace": _trace_to_rows(model.growth_trace),
+        "tree": model.tree.to_dict(),
+        "gmms": {letter: model.gmms[letter].to_dict() for letter in model.tree.leaf_letters},
+        "growth_trace": model.growth_trace.to_rows(),
     }
-    # tolist() yields Python floats; json emits the shortest exact repr
     return json.dumps(doc, ensure_ascii=False, sort_keys=False, indent=1) + "\n"
 
 
@@ -396,22 +320,6 @@ def _require(doc: dict, key: str) -> object:
         return doc[key]
     except KeyError:
         raise ModelFormatError(f"model file is missing {key!r}") from None
-
-
-def _numbers(value: object, ndim: int) -> bool:
-    """Whether ``value`` is a JSON array of numbers nested ``ndim`` deep; a
-    bool or a string is not a number."""
-    if ndim == 0:
-        return type(value) in _NUMBER_TYPES
-    return type(value) is list and all(_numbers(v, ndim - 1) for v in value)
-
-
-def _number_array(obj: Mapping, key: str, ndim: int) -> np.ndarray:
-    """``obj[key]`` as a float64 array, if it holds numbers only."""
-    value = obj[key]
-    if not _numbers(value, ndim):
-        raise ParseError(f"{key} must be a {ndim}-d array of numbers")
-    return np.asarray(value, dtype=np.float64)
 
 
 def load_model(source: str | Path | IO[bytes]) -> TaggerModel:
@@ -456,42 +364,11 @@ def load_model(source: str | Path | IO[bytes]) -> TaggerModel:
             raise ModelFormatError(f"malformed question {pos}: {exc}") from exc
         questions.append(q)
 
-    raw_tree = _require(doc, "tree")
-    if not isinstance(raw_tree, dict):
-        raise ModelFormatError("tree must be an object")
-    raw_nodes = raw_tree.get("nodes")
-    raw_letters = raw_tree.get("leaf_letters")
-    if not isinstance(raw_nodes, list) or not isinstance(raw_letters, list):
-        raise ModelFormatError("tree must carry nodes and leaf_letters arrays")
-    try:
-        tree = DecisionTree(
-            nodes=tuple(_node_from_obj(o, i) for i, o in enumerate(raw_nodes)),
-            leaf_letters=tuple(str(s) for s in raw_letters),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ModelFormatError(f"malformed tree: {exc}") from exc
-    tree.validate()
-
+    tree = _tree_from_dict(_require(doc, "tree"))
     raw_gmms = _require(doc, "gmms")
     if not isinstance(raw_gmms, dict):
         raise ModelFormatError("gmms must be an object")
-    gmms: dict[str, LeafGmm] = {}
-    for letter, obj in raw_gmms.items():
-        if not isinstance(obj, dict):
-            raise ModelFormatError(f"gmm for leaf {letter!r} is not an object")
-        try:
-            gmms[letter] = LeafGmm(
-                leaf=letter,
-                weights=_number_array(obj, "weights", 1),
-                means=_number_array(obj, "means", 2),
-                variances=_number_array(obj, "vars", 2),
-                n_samples=_field(obj, "n_samples", int),
-            )
-        except (
-            KeyError, TypeError, ValueError, OverflowError, ParseError, ValidationError
-        ) as exc:
-            raise ModelFormatError(f"malformed gmm for leaf {letter!r}: {exc}") from exc
-
+    gmms = {letter: _gmm_from_dict(letter, obj) for letter, obj in raw_gmms.items()}
     trace = _trace_from_rows(_require(doc, "growth_trace"))
     try:
         return TaggerModel(

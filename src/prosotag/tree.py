@@ -13,18 +13,23 @@ current leaves in creation order; the letter recorded in a trace row is the
 split leaf's letter at that step, and the final tree's letters are therefore
 contiguous starting at "a".
 
-``_route_tokens`` routes a word list down the tree as index sets, for ``fit``
-and tagging; ``route_word`` is its one-word call.
+A ``DecisionTree`` checks its structure when built, so the walk from the
+root of any tree ends at a leaf. ``_route_tokens`` routes a word list down
+the tree as index sets, for ``fit`` and tagging; ``route_word`` is its
+one-word call. The model file's tree and growth-trace sections are coded
+here, and ``growth_report`` / ``write_growth_csv`` tabulate the trace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import asdict, dataclass
+from pathlib import Path
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ModelFormatError, ValidationError, _check_knobs
+from ._io import _field, write_bytes
+from .errors import ModelFormatError, ParseError, ValidationError, _check_knobs
 from .gaussian import Corpus, ProsodySample, _in_float64_range, _ll_from_moments
 from .phonetics import (
     PhonemeClassTable,
@@ -47,6 +52,8 @@ __all__ = [
     "leaf_letter",
     "grow_tree",
     "route_word",
+    "growth_report",
+    "write_growth_csv",
 ]
 
 
@@ -84,12 +91,10 @@ class DecisionTree:
     nodes: tuple[TreeNode, ...]
     leaf_letters: tuple[str, ...]
 
-    @property
-    def num_leaves(self) -> int:
-        return len(self.leaf_letters)
-
-    def validate(self) -> None:
-        """Structural check for trees read from files."""
+    def __post_init__(self) -> None:
+        """One rooted tree, leaf indices 0..num_leaves-1 once each, lettered in order."""
+        object.__setattr__(self, "nodes", tuple(self.nodes))
+        object.__setattr__(self, "leaf_letters", tuple(self.leaf_letters))
         if not self.nodes:
             raise ModelFormatError("tree has no nodes")
         referenced: set[int] = set()
@@ -116,6 +121,45 @@ class DecisionTree:
         if self.leaf_letters != expected:
             raise ModelFormatError("tree leaf letters are not contiguous from 'a'")
 
+    @property
+    def num_leaves(self) -> int:
+        return len(self.leaf_letters)
+
+    def to_dict(self) -> dict:
+        return {
+            "nodes": [asdict(n) for n in self.nodes],
+            "leaf_letters": list(self.leaf_letters),
+        }
+
+
+def _node_from_obj(obj: object, pos: int) -> TreeNode:
+    if not isinstance(obj, dict):
+        raise ModelFormatError(f"tree node {pos} is not an object")
+    try:
+        if "leaf_index" in obj:
+            return LeafNode(leaf_index=_field(obj, "leaf_index", int))
+        return InternalNode(
+            question_id=_field(obj, "question_id", int),
+            yes_child=_field(obj, "yes_child", int),
+            no_child=_field(obj, "no_child", int),
+        )
+    except ParseError as exc:
+        raise ModelFormatError(f"tree node {pos}: {exc}") from None
+
+
+def _tree_from_dict(obj: object) -> DecisionTree:
+    """A tree record (the ``DecisionTree.to_dict`` form) as a checked tree;
+    any fault is a ``ModelFormatError``."""
+    if not isinstance(obj, dict):
+        raise ModelFormatError("tree must be an object")
+    nodes, letters = obj.get("nodes"), obj.get("leaf_letters")
+    if not isinstance(nodes, list) or not isinstance(letters, list):
+        raise ModelFormatError("tree must carry nodes and leaf_letters arrays")
+    return DecisionTree(
+        nodes=tuple(_node_from_obj(o, i) for i, o in enumerate(nodes)),
+        leaf_letters=tuple(map(str, letters)),
+    )
+
 
 @dataclass(frozen=True)
 class SplitRecord:
@@ -138,6 +182,68 @@ class GrowthTrace:
     initial_ll: float
     num_tokens: int
     records: tuple[SplitRecord, ...] = ()
+
+    def to_rows(self) -> list[dict]:
+        """The model file's ``growth_trace`` rows: a step-0 row for the single
+        root leaf, then one row per ``SplitRecord``."""
+        head = {
+            "step": 0,
+            "leaf_split": None,
+            "question_id": None,
+            "gain": None,
+            "total_leaf_ll": self.initial_ll,
+            "avg_samples_per_leaf": float(self.num_tokens),
+            "num_tokens": self.num_tokens,
+        }
+        return [head, *map(asdict, self.records)]
+
+
+def _trace_from_rows(rows: object) -> GrowthTrace:
+    """``GrowthTrace.to_rows`` rows as a trace; any fault is a ``ModelFormatError``."""
+    if not isinstance(rows, list) or not rows:
+        raise ModelFormatError("growth_trace must be a non-empty array")
+    head = rows[0]
+    if not isinstance(head, dict) or head.get("step") != 0:
+        raise ModelFormatError("growth_trace must start with the step-0 row")
+    pos = 0
+    try:
+        initial_ll = _field(head, "total_leaf_ll", float)
+        num_tokens = _field(head, "num_tokens", int)
+        records = []
+        for pos, r in enumerate(rows[1:], 1):
+            if not isinstance(r, dict):
+                raise ParseError("not an object")
+            records.append(
+                SplitRecord(
+                    step=_field(r, "step", int),
+                    leaf_split=_field(r, "leaf_split", str),
+                    question_id=_field(r, "question_id", int),
+                    gain=_field(r, "gain", float),
+                    total_leaf_ll=_field(r, "total_leaf_ll", float),
+                    avg_samples_per_leaf=_field(r, "avg_samples_per_leaf", float),
+                )
+            )
+    except ParseError as exc:
+        raise ModelFormatError(f"malformed growth_trace row {pos}: {exc}") from None
+    return GrowthTrace(initial_ll=initial_ll, num_tokens=num_tokens, records=tuple(records))
+
+
+def growth_report(trace: GrowthTrace) -> list[tuple[int, float, float]]:
+    """Rows of (num_leaves, total_leaf_ll, avg_samples_per_leaf), initial row first."""
+    return [
+        (row["step"] + 1, row["total_leaf_ll"], row["avg_samples_per_leaf"])
+        for row in trace.to_rows()
+    ]
+
+
+def _growth_csv(trace: GrowthTrace) -> bytes:
+    """``growth_report`` as CSV with a header row; floats in shortest repr."""
+    rows = [f"{leaves},{ll!r},{avg!r}\n" for leaves, ll, avg in growth_report(trace)]
+    return ("num_leaves,total_leaf_ll,avg_samples_per_leaf\n" + "".join(rows)).encode("ascii")
+
+
+def write_growth_csv(trace: GrowthTrace, sink: str | Path | IO[bytes]) -> None:
+    write_bytes(sink, (_growth_csv(trace),))
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +474,7 @@ def _route_tokens(
     """
     word_leaf = np.empty(len(columns), dtype=np.intp)
     pending = [(0, np.arange(len(columns)))]
-    for _ in range(len(tree.nodes)):  # a node is reached at most once
-        if not pending:
-            break
+    while pending:  # a checked tree has no cycle: each node is reached at most once
         pos, rows = pending.pop()
         node = tree.nodes[pos]
         if isinstance(node, LeafNode):
@@ -390,8 +494,6 @@ def _route_tokens(
             pending.append((node.no_child, rows))
         else:
             pending.extend(((node.yes_child, rows[yes]), (node.no_child, rows[~yes])))
-    if pending:
-        raise ModelFormatError("tree walk did not terminate; node graph is cyclic")
     leaves = word_leaf[word_index]
     order, spans = _grouped(leaves, tree.num_leaves)
     return leaves, [order[start:end] for start, end in spans]
@@ -400,7 +502,7 @@ def _route_tokens(
 def route_word(
     tree: DecisionTree,
     word: WordEntry,
-    questions: Sequence[Question] | Mapping[int, Question],
+    questions: Sequence[Question],
     classes: PhonemeClassTable,
 ) -> str:
     """Route a word (seen or unseen) to its leaf letter: ``_route_tokens``

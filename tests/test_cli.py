@@ -416,6 +416,30 @@ def test_integer_over_the_digit_limit_exits_1(kind, corpus, fitted, tmp_path, ca
     assert os.listdir(tmp_path) == [name]
 
 
+DEEP = b"[" * 100_000  # deeper than the JSON decoders recurse
+
+
+@pytest.mark.parametrize("kind", ["embeddings", "model"])
+def test_deeply_nested_json_exits_1(kind, corpus, fitted, tmp_path, capsys):
+    if kind == "embeddings":
+        name, where = "embeddings.jsonl", "line 3"
+        lines = (corpus / name).read_bytes().splitlines()
+        lines[2] = b'{"token_id": "x", "word": "w00_000", "embedding": %b}' % DEEP
+        data = b"\n".join(lines) + b"\n"
+        argv = ["tag", "--model", str(fitted), "--lexicon", str(corpus / "lexicon.jsonl"),
+                "--embeddings", str(tmp_path / name), "--out", str(tmp_path / "tags.jsonl")]
+    else:
+        name, where = "model.json", "model file"
+        data = fitted.read_bytes().replace(b'"seed": 0', b'"seed": %b' % DEEP, 1)
+        argv = ["inspect", "--model", str(tmp_path / name)]
+    (tmp_path / name).write_bytes(data)
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"prosotag: error: {where}: JSON nested too deeply to decode\n"
+    assert os.listdir(tmp_path) == [name]
+
+
 @pytest.mark.parametrize("target", ["missing_dir/tags.jsonl", "adir"])
 def test_failed_write_names_the_out_path(target, corpus, fitted, tmp_path, capsys):
     (tmp_path / "adir").mkdir()

@@ -19,6 +19,7 @@ from prosotag import (
     Corpus,
     DimensionMismatchError,
     EmptyNodeError,
+    ConfigError,
     ParseError,
     ProsodySample,
     SufficientStats,
@@ -255,13 +256,15 @@ class TestNodeLogLikelihood:
             16.466450237332396, rel=1e-12
         )
 
-    def test_invalid_floor(self):
-        with pytest.raises(ValidationError):
-            node_log_likelihood(stats_of([[1.0]]), 0.0)
+    # the floor follows the knob rules of grow_tree, fit_gmm and TaggerConfig
+    @pytest.mark.parametrize("floor", [0.0, -1.0, True])
+    def test_invalid_floor(self, floor):
+        with pytest.raises(ConfigError, match="^floor must be"):
+            node_log_likelihood(stats_of([[1.0]]), floor)
 
     @pytest.mark.parametrize("floor", [float("nan"), float("inf")])
     def test_non_finite_floor(self, floor):
-        with pytest.raises(ValidationError, match="variance floor"):
+        with pytest.raises(ConfigError, match="^floor must be a finite number"):
             node_log_likelihood(stats_of([[1.0]]), floor)
 
     def test_matches_independent_closed_form(self):

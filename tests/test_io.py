@@ -7,6 +7,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from functools import partial
@@ -205,6 +207,10 @@ LINE_FILES = {
 }
 
 
+# deeper than the standard library decoder recurses (and than orjson's limit)
+DEEP = b"[" * 100_000
+
+
 class TestStreamedLines:
     @pytest.mark.parametrize("name", sorted(LINE_FILES))
     @pytest.mark.parametrize(
@@ -228,7 +234,11 @@ class TestStreamedLines:
     @pytest.mark.parametrize("name", sorted(LINE_FILES))
     @pytest.mark.parametrize(
         "bad, message",
-        [(b"not json", "invalid JSON"), (b'{"a": "\xff"}', "not valid UTF-8")],
+        [
+            (b"not json", "invalid JSON"),
+            (b'{"a": "\xff"}', "not valid UTF-8"),
+            pytest.param(b'{"a": %b}' % DEEP, "JSON nested too deeply to decode", id="deep"),
+        ],
     )
     def test_bad_line_named_after_crlf_and_blank_lines(self, name, bad, message, tmp_path):
         lines, load = LINE_FILES[name]
@@ -276,6 +286,27 @@ class TestStreamedLines:
             with pytest.raises(ProsotagError, match="line 2"):
                 load(path)
         assert len(handles) == 1 and handles[0].closed
+
+
+@pytest.mark.parametrize("what, load", [("model file", load_model), ("class table", load_classes)])
+def test_deeply_nested_json_names_the_file(what, load):
+    with pytest.raises(ParseError, match=f"^{what}: JSON nested too deeply to decode$"):
+        load(io.BytesIO(b'{"a": %b' % DEEP))
+
+
+def test_orjson_imported_only_to_decode_json_lines_embeddings(tmp_path):
+    path = tmp_path / "embeddings.jsonl"
+    path.write_bytes(b"\n".join(EMBEDDING_LINES) + b"\n")
+    code = (
+        "import sys, prosotag.cli\n"
+        "assert 'orjson' not in sys.modules\n"
+        "from prosotag import load_samples\n"
+        f"load_samples({str(path)!r})\n"
+        "assert 'orjson' in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
 
 
 class Unseekable(io.RawIOBase):

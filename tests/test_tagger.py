@@ -42,8 +42,9 @@ from prosotag import (
     tag_inventory,
     tag_tokens,
 )
+from prosotag.gmm import _gmm_from_dict
 from prosotag.phonetics import WordColumns
-from prosotag.tree import _route_tokens
+from prosotag.tree import _route_tokens, _trace_from_rows, _tree_from_dict
 from conftest import KNOB_REJECTS, every_kind, random_instance, random_question, random_word
 import oracles
 
@@ -313,9 +314,7 @@ def random_tree(rng, questions, num_leaves):
         nodes += [None, None]
     for index, pos in enumerate(rng.permutation(leaves)):
         nodes[pos] = LeafNode(index)
-    tree = DecisionTree(tuple(nodes), tuple(leaf_letter(i) for i in range(num_leaves)))
-    tree.validate()
-    return tree
+    return DecisionTree(tuple(nodes), tuple(leaf_letter(i) for i in range(num_leaves)))
 
 
 def assert_routes_like_route_word(tree, questions, classes, words, word_index):
@@ -375,16 +374,10 @@ class TestRouting:
                 tree, w, asked, classes
             )
 
-    def test_cyclic_tree_rejected(self, classes):
-        question = Question(id=0, kind=QuestionKind.PHONEME_COUNT_GT, int_param=0)
-        tree = DecisionTree((InternalNode(0, 1, 2), InternalNode(0, 0, 2), LeafNode(0)), ("a",))
-        word = WordEntry("w", ("K",), (0,))
-        with pytest.raises(ModelFormatError, match="cyclic"):
-            route_word(tree, word, [question], classes)
-        with pytest.raises(ModelFormatError, match="cyclic"):
-            _route_tokens(
-                tree, {0: question}, classes, WordColumns.of([word]), np.zeros(1, dtype=np.int32)
-            )
+    def test_cyclic_tree_rejected(self):
+        # a tree is checked when built, so no cyclic tree reaches the walk
+        with pytest.raises(ModelFormatError, match="node 1: the root node cannot be a child"):
+            DecisionTree((InternalNode(0, 1, 2), InternalNode(0, 0, 2), LeafNode(0)), ("a",))
 
     def test_fit_and_tag_ask_no_scalar_question(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -596,6 +589,32 @@ class TestModelFiles:
         letter = sorted(doc["gmms"])[0]
         value = doc["gmms"][letter]["means"][0][0]
         assert value == model.gmms[letter].means[0, 0]
+
+
+class TestSectionCodecs:
+    """Each model-file section read back by its own module, through JSON text."""
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_round_trip(self, seed, classes):
+        def through_json(value):
+            return json.loads(json.dumps(value))
+
+        rng = np.random.default_rng(seed)
+        asked = [random_question(rng, 3 * i + 1, classes) for i in range(6)]
+        tree = random_tree(rng, asked, int(rng.integers(1, 12)))
+        assert _tree_from_dict(through_json(tree.to_dict())) == tree
+        words, samples, _, questions = random_instance(rng, classes, max_words=20, max_tokens=150)
+        config = TaggerConfig(max_leaves=5, m=3, min_leaf=1, seed=seed)
+        model = fit(words, samples, questions, classes, config)
+        assert _tree_from_dict(through_json(model.tree.to_dict())) == model.tree
+        trace = model.growth_trace
+        assert _trace_from_rows(through_json(trace.to_rows())) == trace
+        for gmm in model.gmms.values():
+            back = _gmm_from_dict(gmm.leaf, through_json(gmm.to_dict()))
+            assert (back.leaf, back.n_samples) == (gmm.leaf, gmm.n_samples)
+            for name in ("weights", "means", "variances"):
+                assert getattr(back, name).tobytes() == getattr(gmm, name).tobytes()
 
 
 def test_public_names_resolve():

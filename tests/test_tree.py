@@ -296,31 +296,29 @@ class TestTreeValidate:
         long = word("long", ["K", "AE", "T", "IH", "NG"], (0, 3))
         question = Question(id=2, kind=QuestionKind.PHONEME_COUNT_GT, int_param=3)
         samples = tokens(short, [0.0, 1.0]) + tokens(long, [10.0, 11.0])
+        # construction checks the structure: a grown tree passes
         tree, _ = grow_tree(
             [short, long], samples, [question], classes, max_leaves=2, min_leaf=1
         )
-        tree.validate()
+        assert tree.nodes == (InternalNode(2, 1, 2), LeafNode(0), LeafNode(1))
 
     def test_child_out_of_range(self):
-        tree = DecisionTree(
-            nodes=(InternalNode(0, 1, 5), LeafNode(0), LeafNode(1)),
-            leaf_letters=("a", "b"),
-        )
-        with pytest.raises(ModelFormatError):
-            tree.validate()
+        with pytest.raises(ModelFormatError, match="node 0: child index 5 out of range"):
+            DecisionTree(
+                nodes=(InternalNode(0, 1, 5), LeafNode(0), LeafNode(1)),
+                leaf_letters=("a", "b"),
+            )
 
     def test_duplicate_leaf_index(self):
-        tree = DecisionTree(
-            nodes=(InternalNode(0, 1, 2), LeafNode(0), LeafNode(0)),
-            leaf_letters=("a", "b"),
-        )
-        with pytest.raises(ModelFormatError):
-            tree.validate()
+        with pytest.raises(ModelFormatError, match="leaf indices"):
+            DecisionTree(
+                nodes=(InternalNode(0, 1, 2), LeafNode(0), LeafNode(0)),
+                leaf_letters=("a", "b"),
+            )
 
     def test_non_contiguous_letters(self):
-        tree = DecisionTree(nodes=(LeafNode(0),), leaf_letters=("b",))
-        with pytest.raises(ModelFormatError):
-            tree.validate()
+        with pytest.raises(ModelFormatError, match="contiguous"):
+            DecisionTree(nodes=(LeafNode(0),), leaf_letters=("b",))
 
 
 class TestTraceInvariants:
@@ -339,7 +337,6 @@ class TestTraceInvariants:
         tree, trace = grow_tree(
             words, samples, questions, table, max_leaves=max_leaves, min_leaf=min_leaf
         )
-        tree.validate()
         assert trace.num_tokens == len(samples)
         assert tree.num_leaves == len(trace.records) + 1
         assert tree.num_leaves <= max_leaves
