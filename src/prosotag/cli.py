@@ -15,8 +15,6 @@ import sys
 from json.encoder import encode_basestring_ascii
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from ._io import write_bytes
 from .errors import ConfigError, ProsotagError
 from .gaussian import Corpus, ProsodySample, load_samples, save_samples
@@ -60,29 +58,25 @@ def _format_tags(
 
     The tokens are tagged here. The lines come as chunks of
     ``TAG_CHUNK_LINES`` lines, each encoded when it is asked for, one line at
-    a time, so no more than one chunk of the output is built at once.
+    a time, so no more than one chunk of the output is built at once. Each
+    word's text after the token id is escaped once, not once per token.
     """
     corpus = Corpus.of(samples)
     leaves, components = tag_tokens(model, lexicon, corpus)
     width = max(gmm.m for gmm in model.gmms.values())
-    tags = np.array(
-        [f"{letter}{k}" for letter in model.tree.leaf_letters for k in range(width)],
-        dtype=object,
-    )
-    words = np.array(corpus.words, dtype=object)
+    tails = [f', "word": {encode_basestring_ascii(word)}, "tag": "' for word in corpus.words]
+    tags = [f'{letter}{k}"}}\n' for letter in model.tree.leaf_letters for k in range(width)]
 
     def chunk(start: int) -> bytearray:
         stop = start + TAG_CHUNK_LINES
         text = bytearray()
         for token_id, word, tag in zip(
             corpus.token_ids[start:stop],
-            words[corpus.word_index[start:stop]],
-            tags[leaves[start:stop] * width + components[start:stop]],
+            corpus.word_index[start:stop].tolist(),
+            (leaves[start:stop] * width + components[start:stop]).tolist(),
         ):
-            text += (
-                f'{{"token_id": {encode_basestring_ascii(token_id)}, '
-                f'"word": {encode_basestring_ascii(word)}, "tag": "{tag}"}}\n'
-            ).encode("ascii")
+            line = f'{{"token_id": {encode_basestring_ascii(token_id)}{tails[word]}{tags[tag]}'
+            text += line.encode()  # ASCII, as every part is
         return text
 
     return map(chunk, range(0, len(corpus), TAG_CHUNK_LINES))

@@ -24,7 +24,7 @@ import struct
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Callable, Iterator, Sequence
@@ -280,10 +280,12 @@ def _first_repeat(token_ids: list[str]) -> int:
 # Text form: JSON lines {"token_id", "word", "embedding"}. Binary form: magic
 # "PTE1", u32 LE dimension, then per record a u16 LE byte length + UTF-8 word,
 # u16 LE byte length + UTF-8 token id, and d float32 LE values. Readers accept
-# both by sniffing the magic.
+# both by sniffing the magic. Where a binary record ends shows only from its two
+# lengths, so the reader walks the headers once, then decodes the records a
+# block at a time.
 
 _NUMBER_TYPES = {int, float}
-_BLOCK_RECORDS = 1024  # binary records converted from float32 at a time
+_BLOCK_RECORDS = 1024  # binary records decoded at a time
 
 
 def load_samples(source: str | Path | IO[bytes]) -> Corpus:
@@ -364,7 +366,13 @@ def _read_jsonl(stream: IO[bytes]) -> Corpus:
 
 
 def _read_binary(data: bytes) -> Corpus:
-    """A binary embedding file from the bytes after its magic."""
+    """A binary embedding file from the bytes after its magic.
+
+    One walk over the record headers finds where each complete record
+    starts; the records are then decoded a block at a time, their string and
+    payload offsets computed in numpy. Errors name the first faulty record,
+    as a record-by-record read finds them.
+    """
     size = len(data)
     if size < 4:
         raise ParseError("binary embedding file truncated before header")
@@ -372,47 +380,76 @@ def _read_binary(data: bytes) -> Corpus:
     if dim == 0:
         raise ParseError("binary embedding file declares dimension 0")
     width = 4 * dim
-    starts = array("q")  # each record's payload offset in ``data``
+    starts = array("q")  # each complete record's offset in ``data``
+    append = starts.append
+    offset = 4
+    try:  # an IndexError ends the walk where a header lies past the data, as at its end
+        while True:
+            token = offset + 2 + (data[offset] | data[offset + 1] << 8)
+            end = token + 2 + (data[token] | data[token + 1] << 8) + width
+            if end > size:
+                break
+            append(offset)
+            offset = end
+    except IndexError:
+        pass
     token_ids: list[str] = []
     word_index: list[int] = []
     position: dict[bytes, int] = {}  # encoded word -> index into words
     words: list[str] = []
-    offset = 4
-    while offset < size:
-        record = len(token_ids)
-        strings = []
-        for _ in range(2):  # word, then token id
-            if offset + 2 > size:
-                raise ParseError(f"record {record}: truncated record header")
-            end = offset + 2 + (data[offset] | data[offset + 1] << 8)
-            if end > size:
-                raise ParseError(f"record {record}: truncated string payload")
-            strings.append(data[offset + 2 : end])
-            offset = end
-        if offset + width > size:
-            raise ParseError(f"record {record}: truncated embedding payload")
-        starts.append(offset)
-        offset += width
-        word, token = strings
-        try:
-            token_ids.append(token.decode("utf-8"))
-            index = position.get(word)
-            if index is None:
-                index = position[word] = len(words)
-                words.append(word.decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"record {record}: text is not valid UTF-8: {exc.reason}") from None
-        word_index.append(index)
     x = np.empty((len(starts), dim))
-    if starts:
-        # row i of ``payloads`` views the ``width`` bytes at offset i; gathering
-        # a block of records' rows converts it without a float32 copy of the file
-        payloads = sliding_window_view(np.frombuffer(data, dtype=np.uint8), width)
-        offsets = np.frombuffer(starts, dtype=np.int64)
-        for first in range(0, len(offsets), _BLOCK_RECORDS):
-            block = offsets[first : first + _BLOCK_RECORDS]
-            x[first : first + block.size] = payloads[block].view("<f4")
+    u8 = np.frombuffer(data, dtype=np.uint8)
+    lengths = sliding_window_view(u8, 2).view("<u2")[:, 0]  # the u16 LE at each offset
+    # row i views the ``width`` bytes at offset i; gathering a block's rows
+    # converts them without a float32 copy of the file
+    rows = sliding_window_view(u8, width) if starts else None
+    offsets = np.frombuffer(starts, dtype=np.int64)
+    for first in range(0, len(offsets), _BLOCK_RECORDS):
+        at = offsets[first : first + _BLOCK_RECORDS]
+        word_end = at + 2 + lengths[at]
+        payload = word_end + 2 + lengths[word_end]
+        word_a, word_b, token_a, token_b = (
+            span.tolist() for span in (at + 2, word_end, word_end + 2, payload)
+        )
+        known = len(position)
+        index = [position.setdefault(data[a:b], len(position)) for a, b in zip(word_a, word_b)]
+        try:
+            token_ids += [data[a:b].decode() for a, b in zip(token_a, token_b)]
+            fresh = list(islice(reversed(position), len(position) - known))
+            words += [word.decode() for word in reversed(fresh)]
+        except UnicodeDecodeError:
+            raise _utf8_fault(data, first, word_a, word_b, token_a, token_b) from None
+        word_index += index
+        x[first : first + at.size] = rows[payload].view("<f4")
+    if offset < size:
+        raise _truncation(data, offset, width, len(starts))
     return _checked_corpus(token_ids, words, word_index, x, lambda i: f"record {i}")
+
+
+def _utf8_fault(data: bytes, first: int, *spans: list[int]) -> ParseError:
+    """The error for the first record, of the block that starts with record
+    ``first``, whose token id or word is not UTF-8; ``spans`` are the word
+    and token id offsets. A word decodes as it did where it first appeared,
+    so a faulty one is met there first."""
+    for record, (a, b, c, e) in enumerate(zip(*spans), first):
+        try:
+            data[c:e].decode()
+            data[a:b].decode()
+        except UnicodeDecodeError as exc:
+            return ParseError(f"record {record}: text is not valid UTF-8: {exc.reason}")
+    raise AssertionError("no UTF-8 fault in the block")
+
+
+def _truncation(data: bytes, offset: int, width: int, record: int) -> ParseError:
+    """The error for the incomplete record at ``offset``."""
+    size = len(data)
+    for _ in range(2):  # word, then token id
+        if offset + 2 > size:
+            return ParseError(f"record {record}: truncated record header")
+        offset += 2 + (data[offset] | data[offset + 1] << 8)
+        if offset > size:
+            return ParseError(f"record {record}: truncated string payload")
+    return ParseError(f"record {record}: truncated embedding payload")
 
 
 def save_samples(

@@ -111,7 +111,15 @@ class DecisionTree:
                     referenced.add(child)
             else:
                 leaf_indices.append(node.leaf_index)
-        if len(referenced) != len(self.nodes) - 1:
+        # each node has at most one parent and the root none, so the walk
+        # from the root meets no node twice; it must meet them all
+        reached, pending = 0, [0]
+        while pending:
+            node = self.nodes[pending.pop()]
+            reached += 1
+            if isinstance(node, InternalNode):
+                pending += (node.yes_child, node.no_child)
+        if reached != len(self.nodes):
             raise ModelFormatError("tree nodes are not a single rooted structure")
         if sorted(leaf_indices) != list(range(len(self.leaf_letters))):
             raise ModelFormatError(

@@ -7,23 +7,30 @@ data types are imported. ``answer_question`` and ``route_word`` are the
 scalar references for the package's column code (``WordColumns.answer`` and
 ``tree._route_tokens``, and the public one-row calls built on them).
 ``embedding_records`` is the reference JSON-lines embedding reader: one
-``json.loads`` a line.
+``json.loads`` a line. ``binary_corpus`` is the reference binary embedding
+reader: one record at a time, checked as it is read.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import struct
 from typing import Hashable, Mapping, Sequence
+
+import numpy as np
 
 from prosotag import (
     ConfigError,
+    Corpus,
     DecisionTree,
     LeafNode,
     ModelFormatError,
+    ParseError,
     PhonemeClassTable,
     Question,
     QuestionKind,
+    ValidationError,
     WordEntry,
 )
 
@@ -91,6 +98,64 @@ def embedding_records(data: bytes) -> list[tuple[str, str, list[float]]]:
             obj = json.loads(line)
             records.append((obj["token_id"], obj["word"], [float(v) for v in obj["embedding"]]))
     return records
+
+
+def binary_corpus(data: bytes) -> Corpus:
+    """A binary embedding file from the bytes after its magic, read one
+    record at a time: each string is decoded where it is read (a word only
+    where it first appears), and the first fault raises, naming its record.
+    Non-finite values, then repeated token ids, are checked once every record
+    is read."""
+    size = len(data)
+    if size < 4:
+        raise ParseError("binary embedding file truncated before header")
+    (dim,) = struct.unpack_from("<I", data)
+    if dim == 0:
+        raise ParseError("binary embedding file declares dimension 0")
+    width = 4 * dim
+    token_ids: list[str] = []
+    word_index: list[int] = []
+    position: dict[bytes, int] = {}
+    words: list[str] = []
+    rows: list[tuple[float, ...]] = []
+    offset = 4
+    while offset < size:
+        record = len(token_ids)
+        strings = []
+        for _ in range(2):  # word, then token id
+            if offset + 2 > size:
+                raise ParseError(f"record {record}: truncated record header")
+            end = offset + 2 + (data[offset] | data[offset + 1] << 8)
+            if end > size:
+                raise ParseError(f"record {record}: truncated string payload")
+            strings.append(data[offset + 2 : end])
+            offset = end
+        if offset + width > size:
+            raise ParseError(f"record {record}: truncated embedding payload")
+        rows.append(struct.unpack_from(f"<{dim}f", data, offset))
+        offset += width
+        word, token = strings
+        try:
+            token_ids.append(token.decode("utf-8"))
+            index = position.get(word)
+            if index is None:
+                index = position[word] = len(words)
+                words.append(word.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"record {record}: text is not valid UTF-8: {exc.reason}") from None
+        word_index.append(index)
+    for record, row in enumerate(rows):
+        if not all(math.isfinite(v) for v in row):
+            raise ValidationError(
+                f"record {record}: token {token_ids[record]!r}: embedding has non-finite values"
+            )
+    seen: set[str] = set()
+    for record, token_id in enumerate(token_ids):
+        if token_id in seen:
+            raise ParseError(f"record {record}: duplicate token id {token_id!r}")
+        seen.add(token_id)
+    x = np.array(rows, dtype=np.float64).reshape(len(rows), dim)
+    return Corpus(token_ids, words, np.array(word_index, dtype=np.int32), x)
 
 
 def closed_form_ll(vectors: Sequence[Sequence[float]], floor: float = 1e-6) -> float:

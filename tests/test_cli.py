@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -491,9 +492,12 @@ class TestUsage:
 class TestTagWriter:
     @staticmethod
     def tokens(corpus_dir, n):
-        """The corpus's lexicon and ``n`` tokens of its words, some token ids
-        with quotes, backslashes and non-ASCII text."""
-        lexicon = load_lexicon(corpus_dir / "lexicon.jsonl")
+        """The corpus's lexicon and ``n`` tokens of its words, some words and
+        token ids with quotes, backslashes and non-ASCII text."""
+        lexicon = [
+            replace(entry, word=f'{entry.word}"\\é') if i % 2 else entry
+            for i, entry in enumerate(load_lexicon(corpus_dir / "lexicon.jsonl"))
+        ]
         names = [entry.word for entry in lexicon]
         rng = np.random.default_rng(n)
         return lexicon, Corpus(

@@ -30,7 +30,8 @@ from prosotag import (
     stats_from_matrix,
 )
 from prosotag import gaussian
-from oracles import closed_form_ll, embedding_records, per_sample_ll
+from prosotag.gaussian import EMBEDDING_MAGIC
+from oracles import binary_corpus, closed_form_ll, embedding_records, per_sample_ll
 
 GOOD_LINE = b'{"token_id": "a", "word": "w", "embedding": [1.0, 2.0]}\n'
 
@@ -143,6 +144,69 @@ def sample_lists(draw, floats, min_size=0):
         )
     )
     return [ProsodySample(t, w, np.array(v)) for t, w, v in records]
+
+
+# bytes no UTF-8 text holds where they are put: a lone continuation byte, an
+# invalid start byte, a cut-off sequence and an encoded surrogate
+BAD_UTF8 = [b"\x80", b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80"]
+
+
+@st.composite
+def cut_in(draw, fields: list[bytes]) -> int:
+    """How many bytes of a record, its fields given, a truncation keeps:
+    any number short of all of them, often one either side of where a field
+    or a length ends."""
+    word, token_id, payload = fields
+    ends = [0, 1, 2, 2 + len(word), 4 + len(word), 4 + len(word) + len(token_id)]
+    size = ends[-1] + len(payload)
+    near = sorted({k + e for k in ends for e in (-1, 0, 1) if 0 <= k + e < size})
+    return draw(st.one_of(st.sampled_from(near), st.integers(0, size - 1)))
+
+
+@st.composite
+def damaged_binary_files(draw) -> bytes:
+    """A binary embedding file of 1,023 to 1,025 records, one block of
+    records either side of the reader's block size, with at most one fault:
+    a truncation at any byte of a record; bad UTF-8 in a token id, in one
+    occurrence of a word, in every occurrence of it or in both a token id and
+    its word; or such text followed by a truncation in a later record."""
+    d = draw(st.integers(1, 4))
+    count = draw(st.sampled_from([1023, 1024, 1025]))
+    words = [w.encode("utf-8") for w in draw(st.lists(TEXT, min_size=1, max_size=5, unique=True))]
+    suffixes = draw(st.lists(TEXT, min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(count, d)).astype("<f4")
+    records = [
+        [words[w], f"t{i}:{suffixes[s]}".encode("utf-8"), x[i].tobytes()]
+        for i, (w, s) in enumerate(
+            zip(rng.integers(0, len(words), count), rng.integers(0, len(suffixes), count))
+        )
+    ]
+    near_blocks = st.sampled_from([0, 1, 1022, 1023, 1024])
+    record = min(draw(st.one_of(near_blocks, st.integers(0, count - 1))), count - 1)
+    fault = draw(st.sampled_from(["none", "truncation", "token id", "word", "every word", "both"]))
+    cut = None
+    if fault == "truncation":
+        cut = (record, draw(cut_in(records[record])))
+    elif fault != "none":
+        for field in {"token id": [1], "both": [0, 1]}.get(fault, [0]):
+            text = records[record][field]
+            at = draw(st.integers(0, len(text)))
+            bad = text[:at] + draw(st.sampled_from(BAD_UTF8)) + text[at:]
+            for fields in records if fault == "every word" else [records[record]]:
+                if fields[field] == text:
+                    fields[field] = bad
+        if record + 1 < count and draw(st.booleans()):
+            later = draw(st.integers(record + 1, count - 1))
+            cut = (later, draw(cut_in(records[later])))
+    parts = [b"PTE1", struct.pack("<I", d)]
+    for word, token_id, payload in records:
+        parts += [struct.pack("<H", len(word)), word, struct.pack("<H", len(token_id)), token_id, payload]
+    data = b"".join(parts)
+    if cut is not None:
+        later, into = cut
+        data = data[: 8 + sum(4 + sum(map(len, fields)) for fields in records[:later]) + into]
+    return data
 
 
 def jsonl_oracle(samples) -> bytes:
@@ -523,6 +587,49 @@ class TestEmbeddingIO:
         buf = io.BytesIO()
         save_samples(samples, buf, binary=True)
         assert load_samples(io.BytesIO(buf.getvalue()))[0].word == "naïve"
+
+
+class TestBinaryReader:
+    @staticmethod
+    def outcome(read, data):
+        try:
+            return read(data)
+        except (ParseError, ValidationError) as exc:
+            return type(exc), str(exc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=damaged_binary_files())
+    def test_matches_record_by_record_reader(self, data):
+        """The block reader returns the corpus the reference returns, or
+        raises the error it raises, with the same message."""
+        got = self.outcome(lambda data: load_samples(io.BytesIO(data)), data)
+        want = self.outcome(binary_corpus, data[4:])
+        if isinstance(want, tuple):
+            assert got == want
+            return
+        assert isinstance(got, Corpus)
+        assert got.token_ids == want.token_ids
+        assert got.words == want.words
+        np.testing.assert_array_equal(got.word_index, want.word_index)
+        assert got.x.shape == want.x.shape and got.x.tobytes() == want.x.tobytes()
+
+    def test_token_id_checked_before_its_word(self):
+        data = binary_file((b"w", b"a", [1.0, 2.0]), (b"\xff", b"\xc3", [1.0, 2.0]))
+        message = "record 1: text is not valid UTF-8: unexpected end of data"
+        assert self.outcome(binary_corpus, data[4:]) == (ParseError, message)
+        with pytest.raises(ParseError) as info:
+            load_samples(io.BytesIO(data))
+        assert str(info.value) == message
+
+    def test_every_truncation_matches_record_by_record_reader(self):
+        data = binary_file((b"w", b"a", [1.0, 2.0]), ("é".encode(), b"bc", [3.0, 4.0]), (b"", b"d", [5.0, 6.0]))
+        for size in range(len(EMBEDDING_MAGIC), len(data) + 1):
+            got = self.outcome(lambda data: load_samples(io.BytesIO(data)), data[:size])
+            want = self.outcome(binary_corpus, data[4:size])
+            if isinstance(want, tuple):
+                assert got == want, size
+            else:
+                assert got.token_ids == want.token_ids, size
 
 
 class TestBoundedMemory:

@@ -489,6 +489,26 @@ class TestModelFiles:
         with pytest.raises(ModelFormatError, match="unknown question id"):
             load_model(path)
 
+    def test_tree_with_detached_cycle_rejected(self, tmp_path):
+        model, _ = self.fitted()
+        doc = json.loads(model_to_json(model))
+        q = doc["tree"]["nodes"][0]["question_id"]
+        doc["tree"] = {
+            "nodes": [
+                {"leaf_index": 0},
+                {"question_id": q, "yes_child": 2, "no_child": 3},
+                {"question_id": q, "yes_child": 1, "no_child": 4},
+                {"leaf_index": 1},
+                {"leaf_index": 2},
+            ],
+            "leaf_letters": ["a", "b", "c"],
+        }
+        doc["gmms"]["c"] = doc["gmms"]["b"]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match="not a single rooted structure"):
+            load_model(path)
+
     def test_duplicate_question_ids(self, tmp_path):
         model, _ = self.fitted()
         doc = json.loads(model_to_json(model))

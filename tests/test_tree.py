@@ -316,6 +316,15 @@ class TestTreeValidate:
                 leaf_letters=("a", "b"),
             )
 
+    def test_cycle_apart_from_root(self):
+        # every node but the root has one parent, yet the walk from the leaf
+        # root never reaches the cycle 1 -> 2 -> 1 or leaves b and c
+        with pytest.raises(ModelFormatError, match="not a single rooted structure"):
+            DecisionTree(
+                nodes=(LeafNode(0), InternalNode(0, 2, 3), InternalNode(0, 1, 4), LeafNode(1), LeafNode(2)),
+                leaf_letters=("a", "b", "c"),
+            )
+
     def test_non_contiguous_letters(self):
         with pytest.raises(ModelFormatError, match="contiguous"):
             DecisionTree(nodes=(LeafNode(0),), leaf_letters=("b",))
