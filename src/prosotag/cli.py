@@ -208,12 +208,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--model", required=True, help="output model JSON path")
     p_fit.add_argument("--out", help="optional output path for the training set's tags")
     p_fit.add_argument("--trace-csv", help="growth trace CSV path (default: <model>.trace.csv)")
-    p_fit.add_argument("--max-leaves", type=int, default=10)
-    p_fit.add_argument("--components", type=int, default=5)
-    p_fit.add_argument("--min-gain", type=float, default=0.0)
-    p_fit.add_argument("--min-leaf", type=int, default=10)
-    p_fit.add_argument("--var-floor", type=float, default=1e-6)
-    p_fit.add_argument("--seed", type=int, default=0)
+    p_fit.add_argument("--max-leaves", type=int, default=TaggerConfig.max_leaves)
+    p_fit.add_argument("--components", type=int, default=TaggerConfig.m)
+    p_fit.add_argument("--min-gain", type=float, default=TaggerConfig.min_gain)
+    p_fit.add_argument("--min-leaf", type=int, default=TaggerConfig.min_leaf)
+    p_fit.add_argument("--var-floor", type=float, default=TaggerConfig.floor)
+    p_fit.add_argument("--seed", type=int, default=TaggerConfig.seed)
     p_fit.set_defaults(handler=cmd_fit)
 
     p_tag = sub.add_parser("tag", help="tag tokens with a fitted model")
@@ -234,13 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--classes", required=True, help="output class table path")
     p_synth.add_argument("--embeddings", required=True, help="output embedding path")
     p_synth.add_argument("--ground-truth", required=True, help="output planted-label path")
-    p_synth.add_argument("--archetypes", type=int, default=10)
-    p_synth.add_argument("--words-per-archetype", type=int, default=50)
-    p_synth.add_argument("--tokens-per-word", type=int, default=10)
-    p_synth.add_argument("--components", type=int, default=5)
-    p_synth.add_argument("--d", type=int, default=16)
-    p_synth.add_argument("--separation", type=float, default=8.0)
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--archetypes", type=int, default=SynthSpec.num_leaf_archetypes)
+    p_synth.add_argument("--words-per-archetype", type=int, default=SynthSpec.words_per_archetype)
+    p_synth.add_argument("--tokens-per-word", type=int, default=SynthSpec.tokens_per_word)
+    p_synth.add_argument("--components", type=int, default=SynthSpec.components_per_archetype)
+    p_synth.add_argument("--d", type=int, default=SynthSpec.d)
+    p_synth.add_argument("--separation", type=float, default=SynthSpec.component_separation)
+    p_synth.add_argument("--seed", type=int, default=SynthSpec.seed)
     p_synth.add_argument(
         "--class-distinctions",
         action="store_true",

@@ -2,6 +2,17 @@
 
 import math
 
+__all__ = [
+    "ProsotagError",
+    "ValidationError",
+    "ParseError",
+    "ConfigError",
+    "DimensionMismatchError",
+    "EmptyNodeError",
+    "InsufficientDataError",
+    "ModelFormatError",
+]
+
 
 class ProsotagError(Exception):
     """Base class for all errors raised by this package."""

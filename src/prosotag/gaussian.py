@@ -100,15 +100,6 @@ class SufficientStats:
         object.__setattr__(self, "sum", s)
         object.__setattr__(self, "sumsq", ss)
 
-    @property
-    def dim(self) -> int:
-        return self.sum.size
-
-    def mean(self) -> np.ndarray:
-        if self.n == 0:
-            raise EmptyNodeError("mean of an empty node is undefined")
-        return self.sum / self.n
-
     def ml_variances(self, floor: float) -> np.ndarray:
         """Per-dimension ML variance (divide by n), floored from below."""
         if self.n == 0:

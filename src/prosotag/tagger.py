@@ -18,7 +18,6 @@ its later tag digits simply never occur.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import IO, Mapping, Sequence
@@ -69,11 +68,10 @@ __all__ = [
     "tag_inventory",
     "save_model",
     "load_model",
+    "model_to_json",
 ]
 
 FORMAT_VERSION = 1
-
-_TAG_RE = re.compile(r"^([a-z]+)([0-9]+)$")
 
 
 @dataclass(frozen=True, order=True)
@@ -91,13 +89,6 @@ class ProsodyTag:
 
     def __str__(self) -> str:
         return f"{self.leaf}{self.component}"
-
-    @classmethod
-    def parse(cls, text: str) -> "ProsodyTag":
-        match = _TAG_RE.match(text)
-        if match is None:
-            raise ValidationError(f"malformed prosody tag {text!r}")
-        return cls(leaf=match.group(1), component=int(match.group(2)))
 
 
 @dataclass(frozen=True)

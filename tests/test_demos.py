@@ -1,8 +1,10 @@
-"""Every script under ``demos/`` runs to completion without writing to stderr."""
+"""Every script under ``demos/`` runs to completion without writing to stderr,
+and every Python block in README.md runs."""
 
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +13,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(
+    r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"), re.M | re.S
+)
 
 
 def test_demos_exist():
@@ -25,3 +30,10 @@ def test_demo_runs_cleanly(script, tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert out.stderr == ""
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch):
+    assert README_BLOCKS
+    monkeypatch.chdir(tmp_path)
+    for block in README_BLOCKS:
+        exec(compile(block, "README.md", "exec"), {})

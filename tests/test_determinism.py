@@ -9,6 +9,14 @@ column; the ``long`` synth corpus before ``synth`` drew each word's phonemes
 and normals in one call. Any refactor of the load, growth, fitting, tagging
 or writing path must keep them. A change that alters output on purpose
 updates them and says so.
+
+The digests hold for one numpy build, one CPU dispatch level and one OpenBLAS
+kernel. Under ``NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR"`` or
+``OPENBLAS_CORETYPE=Haswell`` the three ``[jsonl]`` tests
+``test_cli_outputs_pinned``, ``test_api_model_pinned`` and
+``test_cli_builds_no_word_entries`` differ, in the last digits of mixture
+numbers: numpy's float64 ``exp`` and ``log`` and the OpenBLAS kernels give
+other last bits there.
 """
 
 from __future__ import annotations

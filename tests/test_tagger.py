@@ -55,24 +55,10 @@ class TestProsodyTag:
         assert str(ProsodyTag("d", 3)) == "d3"
         assert str(ProsodyTag("aa", 12)) == "aa12"
 
-    def test_parse(self):
-        assert ProsodyTag.parse("a0") == ProsodyTag("a", 0)
-        assert ProsodyTag.parse("j4") == ProsodyTag("j", 4)
-        assert ProsodyTag.parse("ba17") == ProsodyTag("ba", 17)
-
-    @pytest.mark.parametrize("bad", ["", "3a", "A0", "a-1", "a", "7", "a0b", "a 0"])
-    def test_parse_rejects(self, bad):
-        with pytest.raises((ValidationError, ParseError, ValueError)):
-            ProsodyTag.parse(bad)
-
-    @given(
-        leaf=st.text(alphabet="abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=3),
-        component=st.integers(0, 999),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_round_trip(self, leaf, component):
-        original = ProsodyTag(leaf, component)
-        assert ProsodyTag.parse(str(original)) == original
+    @pytest.mark.parametrize("leaf, component", [("", 0), ("A", 0), ("a1", 0), ("a", -1)])
+    def test_construction_rejects(self, leaf, component):
+        with pytest.raises(ValidationError):
+            ProsodyTag(leaf, component)
 
     def test_ordering(self):
         tags = [ProsodyTag("b", 0), ProsodyTag("a", 1), ProsodyTag("a", 0)]
@@ -220,6 +206,13 @@ class TestTagging:
         model, lexicon = self.fitted()
         with pytest.raises(DimensionMismatchError):
             tag(model, lexicon[0], np.zeros(7))
+        with pytest.raises(DimensionMismatchError):
+            tag(model, lexicon[0], np.zeros((1, 4)))
+
+    def test_non_finite_embedding_names_word(self):
+        model, lexicon = self.fitted()
+        with pytest.raises(ValidationError, match=repr(lexicon[0].word)):
+            tag(model, lexicon[0], np.array([0.0, np.nan, 0.0, 0.0]))
 
     def test_unknown_word_names_it(self):
         model, lexicon = self.fitted()
@@ -562,6 +555,50 @@ class TestModelFiles:
                 "growth_trace row 0",
                 id="num_tokens",
             ),
+            pytest.param(lambda doc: doc["gmms"].pop("a"), "has no mixture", id="missing-mixture"),
+            pytest.param(
+                lambda doc: doc["gmms"].update(zz=doc["gmms"]["a"]),
+                "mixtures for unknown leaves",
+                id="extra-mixture",
+            ),
+            pytest.param(
+                lambda doc: doc["config"].update(d=None),
+                "must record the embedding dimension",
+                id="config-d-null",
+            ),
+            pytest.param(
+                lambda doc: doc["gmms"]["a"].update(
+                    means=[row[:3] for row in doc["gmms"]["a"]["means"]],
+                    vars=[row[:3] for row in doc["gmms"]["a"]["vars"]],
+                ),
+                "mixture dimension 3",
+                id="mixture-d",
+            ),
+            pytest.param(lambda doc: doc["tree"].update(nodes=[]), "tree has no nodes", id="no-nodes"),
+            pytest.param(lambda doc: doc.update(tree=[]), "tree must be an object", id="tree-array"),
+            pytest.param(
+                lambda doc: doc["tree"]["nodes"].__setitem__(0, 5),
+                "tree node 0 is not an object",
+                id="node-number",
+            ),
+            pytest.param(
+                lambda doc: doc["tree"]["nodes"][0].update(no_child=doc["tree"]["nodes"][0]["yes_child"]),
+                "multiple parents",
+                id="shared-child",
+            ),
+            pytest.param(lambda doc: doc.update(growth_trace=[]), "non-empty array", id="empty-trace"),
+            pytest.param(lambda doc: doc["growth_trace"][0].update(step=1), "step-0 row", id="head-step"),
+            pytest.param(
+                lambda doc: doc["growth_trace"].__setitem__(1, 3), "growth_trace row 1", id="trace-row-number"
+            ),
+            pytest.param(
+                lambda doc: doc["gmms"].update(a=3), "gmm for leaf 'a' is not an object", id="gmm-number"
+            ),
+            pytest.param(
+                lambda doc: doc["gmms"]["a"].update(n_samples=0, means=[[], []], vars=[[], []]),
+                "gmm for leaf 'a'",
+                id="empty-mixture",
+            ),
         ],
     )
     def test_mistyped_model_field(self, tmp_path, edit, where):
@@ -638,5 +675,8 @@ class TestSectionCodecs:
 
 
 def test_public_names_resolve():
+    namespace: dict = {}
+    exec("from prosotag import *", namespace)
+    assert len(set(prosotag.__all__)) == len(prosotag.__all__)
     for name in prosotag.__all__:
-        assert hasattr(prosotag, name), name
+        assert name in namespace, name
