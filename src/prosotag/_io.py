@@ -3,8 +3,11 @@
 Sources and sinks are a filesystem path or an open binary file object. A path
 is opened here and closed when the read ends; a file object is used as given,
 from its current position. Readers stream: JSON lines are decoded one line at
-a time, so no text file is held whole. Writers take byte chunks, and a path
-is replaced atomically. Text files are UTF-8; the JSON and JSON-lines readers
+a time, so no text file is held whole. A binary embedding file is read
+whole; its bytes are freed, and a path it was read from is closed, once its
+records are decoded, before the corpus is checked (see
+``gaussian.load_samples``). Writers take byte chunks, and a path is replaced
+atomically. Text files are UTF-8; the JSON and JSON-lines readers
 raise ``ParseError`` naming the file or the line for bad UTF-8, bad JSON or an
 integer literal longer than Python converts to an int, or JSON nested deeper
 than the standard library decoder recurses. JSON is decoded by the standard

@@ -288,7 +288,9 @@ def load_samples(source: str | Path | IO[bytes]) -> Corpus:
     orjson refuses is decoded by the standard library, as the other
     JSON-lines readers decode it (see ``_io.json_lines``). An integer converts
     to the nearest float. A stream that cannot seek is read into memory
-    first, for the sniff of the magic.
+    first, for the sniff of the magic, and that copy is kept until the read
+    ends. Otherwise a binary file's bytes are freed, and a path closed, once
+    its records are decoded, before the corpus is checked.
     """
     with opened(source) as stream:
         if not stream.seekable():
@@ -296,12 +298,13 @@ def load_samples(source: str | Path | IO[bytes]) -> Corpus:
         start = stream.tell()
         end = stream.seek(0, io.SEEK_END)
         stream.seek(start)
-        if stream.read(len(EMBEDDING_MAGIC)) == EMBEDDING_MAGIC:
-            # a sized read: ``read()`` would join the buffered bytes to the
-            # rest of the file, a second copy of it
-            return _read_binary(stream.read(end - stream.tell()))
-        stream.seek(start)
-        return _read_jsonl(stream)
+        if stream.read(len(EMBEDDING_MAGIC)) != EMBEDDING_MAGIC:
+            stream.seek(start)
+            return _read_jsonl(stream)
+        # a sized read: ``read()`` would join the buffered bytes to the rest
+        # of the file, a second copy of it
+        decoded = _decode_binary(stream.read(end - stream.tell()))
+    return _checked_corpus(*decoded, lambda i: f"record {i}")
 
 
 def _read_jsonl(stream: IO[bytes]) -> Corpus:
@@ -356,13 +359,15 @@ def _read_jsonl(stream: IO[bytes]) -> Corpus:
     )
 
 
-def _read_binary(data: bytes) -> Corpus:
-    """A binary embedding file from the bytes after its magic.
+def _decode_binary(data: bytes) -> tuple[list[str], list[str], list[int], np.ndarray]:
+    """The token ids, words, word indices and embeddings of a binary
+    embedding file, from the bytes after its magic; nothing returned refers
+    to ``data``, so the caller checks them with the file's bytes freed.
 
     One walk over the record headers finds where each complete record
     starts; the records are then decoded a block at a time, their string and
-    payload offsets computed in numpy. Errors name the first faulty record,
-    as a record-by-record read finds them.
+    payload offsets computed in numpy. Decoding errors name the first faulty
+    record, as a record-by-record read finds them.
     """
     size = len(data)
     if size < 4:
@@ -414,7 +419,7 @@ def _read_binary(data: bytes) -> Corpus:
         x[first : first + at.size] = rows[payload].view("<f4")
     if offset < size:
         raise _truncation(data, offset, width, len(starts))
-    return _checked_corpus(token_ids, words, word_index, x, lambda i: f"record {i}")
+    return token_ids, words, word_index, x
 
 
 def _utf8_fault(data: bytes, first: int, *spans: list[int]) -> ParseError:

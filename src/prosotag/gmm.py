@@ -3,11 +3,13 @@
 Each tree leaf gets its own mixture, fit by EM on that leaf's embeddings.
 Initialization runs ``KMEANS_RESTARTS`` seeded restarts of greedy k-means++
 followed by at most ``KMEANS_SWEEPS`` Lloyd sweeps each (a restart stops
-early once its labels repeat), keeping the restart with the lowest inertia;
-a one-component mixture runs one restart, as every restart ends at the mean.
-EM then runs in log space (log-sum-exp responsibilities) until the relative
-gain in total log-likelihood falls below ``EM_REL_TOL`` or ``EM_MAX_ITERS``
-M-steps have run. Everything downstream of the seed is deterministic.
+early once its labels repeat), keeping the restart with the lowest inertia.
+A one-component mixture starts from its rows' mean and variance, where every
+restart would end: it draws nothing from its seed, and a process that fits
+only one-component mixtures never loads ``numpy.random``. EM then runs in
+log space (log-sum-exp responsibilities) until the relative gain in total
+log-likelihood falls below ``EM_REL_TOL`` or ``EM_MAX_ITERS`` M-steps have
+run. Everything downstream of the seed is deterministic.
 
 A component whose responsibility mass collapses below 1e-8 of the sample
 count is re-seeded at the sample the mixture currently explains worst, with
@@ -21,14 +23,16 @@ plus log weight), which scores both EM and tagging; a fitted ``LeafGmm``
 keeps the sample-independent terms (``_fixed_terms``), so tagging computes
 them once per mixture, not once per call.
 
-Layout. A fit holds its leaf twice: as the (n, d) rows it was given and as
-one (d, n) copy with contiguous rows, the columns (``_columns``). The
-kernel, the joint and the log-sum-exp work on the columns and give (m, n)
-arrays, so every reduction over the short d or m axis is a few long adds
-of whole rows, not one numpy reduction per sample. The reductions over n
-stay on the (n, d) rows and on (n, m) responsibilities: the Lloyd means
-(``mean(axis=0)``), the M-step's ``resp.sum(axis=0)`` and its
-``resp.T @ x``, which a transpose would sum in another order.
+Layout. A fit holds its leaf twice: as C-contiguous (n, d) rows (the rows
+it was given, or a copy if they are laid out otherwise, so the fit does not
+depend on their layout) and as one (d, n) copy with contiguous rows, the
+columns (``_columns``). The kernel, the joint and the log-sum-exp work on
+the columns and give (m, n) arrays, so every reduction over the short d or
+m axis is a few long adds of whole rows, not one numpy reduction per
+sample. The reductions over n stay on the (n, d) rows and on (n, m)
+responsibilities: the Lloyd means (``mean(axis=0)``), the M-step's
+``resp.sum(axis=0)`` and its ``resp.T @ x``, which a transpose, or rows
+laid out otherwise, would sum in another order.
 
 Summation order. ``_sum_rows`` adds the rows of a (k, n) array in the order
 numpy's pairwise summation adds k contiguous terms (numpy 2.x, float64), so
@@ -395,11 +399,13 @@ def _run_kmeans(
 def _initial_parameters(
     x: np.ndarray, xt: np.ndarray, m: int, seed: int, floor: float, global_var: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    if m == 1:
+        # every k-means restart would end at the moments of ``x[member]``, a
+        # copy of the C-contiguous rows, so of ``x`` itself, bit for bit
+        return np.ones(1), x.mean(axis=0)[None], global_var[None]
     rng = np.random.default_rng(seed)
     centers, labels, best_inertia = _run_kmeans(x, xt, m, rng)
-    # with one component every restart's first sweep moves the centre to the
-    # mean of all rows, whatever row seeded it, so a later restart never wins
-    for _ in range(KMEANS_RESTARTS - 1 if m > 1 else 0):
+    for _ in range(KMEANS_RESTARTS - 1):
         other, other_labels, inertia = _run_kmeans(x, xt, m, rng)
         # strict < keeps the earliest restart on ties, for determinism
         if inertia < best_inertia:
@@ -468,16 +474,22 @@ def fit_gmm(
     """Fit an m-component diagonal GMM by EM; deterministic given the seed.
 
     Returns the fitted mixture and the total log-likelihood trace. The first
-    trace entry evaluates the k-means initialization and the last evaluates
-    the returned parameters. EM updates never lower the trace, but reseeding
-    a collapsed component can; the fit then stops at the reseeded parameters,
+    trace entry evaluates the initialization and the last evaluates the
+    returned parameters. EM updates never lower the trace, but reseeding a
+    collapsed component can; the fit then stops at the reseeded parameters,
     so the trace may end below its maximum.
+
+    The initialization is k-means for m > 1. With m = 1 it is the rows'
+    mean and variance: the fit draws nothing from the seed, whose value
+    does not change it, and does not load ``numpy.random``. Rows that are
+    not C-contiguous are copied into that layout first, so the fit does not
+    depend on their layout either.
 
     Samples so large that a squared distance, a variance or a second moment
     overflows float64 raise a ``ValidationError`` that names the leaf.
     """
     _check_knobs(m=m, seed=seed, floor=floor)
-    x = np.asarray(samples, dtype=np.float64)
+    x = np.require(samples, np.float64, ["C_CONTIGUOUS", "ALIGNED", "ENSUREARRAY"])
     if x.ndim != 2 or x.shape[1] == 0:
         raise ValidationError(f"samples must form a 2-d array with at least one feature, got shape {x.shape}")
     if not np.all(np.isfinite(x)):

@@ -11,8 +11,11 @@ and the growth trace, ``gmm`` the mixtures); ``model_to_json`` and
 
 Per-leaf EM seeds are ``config.seed XOR leaf_index``: reproducible, and a
 changed question set cannot silently reshuffle every leaf's initialization.
-A leaf holding fewer tokens than ``m`` falls back to one component per token;
-its later tag digits simply never occur.
+A one-component mixture starts from its leaf's mean and variance and draws
+nothing from its seed, so with ``m`` = 1 the seed changes no mixture and the
+fit does not load ``numpy.random``. A leaf holding fewer tokens than ``m``
+falls back to one component per token; its later tag digits simply never
+occur.
 """
 
 from __future__ import annotations

@@ -245,6 +245,29 @@ class TestFit:
         assert out.stderr.count("\n") == 1
         assert not (tmp_path / "model.json").exists()
 
+    def test_one_component_fit_leaves_numpy_random_unloaded(self, corpus, tmp_path):
+        # one-component leaves start from their rows' moments and create no
+        # generator; a two-component fit's k-means++ seeding loads it
+        args = fit_args(corpus, tmp_path / "model.json", components=1)
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from prosotag import fit_gmm\n"
+            "from prosotag.cli import main\n"
+            "assert 'numpy.random' not in sys.modules\n"
+            "x = np.sin(np.arange(60.0)).reshape(20, 3)\n"
+            "fit_gmm(x, 1, 7)\n"
+            "assert 'numpy.random' not in sys.modules\n"
+            f"assert main({args!r}) == 0\n"
+            "assert 'numpy.random' not in sys.modules\n"
+            "fit_gmm(x, 2, 7)\n"
+            "assert 'numpy.random' in sys.modules\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+
 
 class TestTag:
     def test_tag_lines_shape(self, corpus, fitted, tmp_path):

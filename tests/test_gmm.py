@@ -70,8 +70,9 @@ class TestSingleComponent:
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 60), d=st.integers(1, 5))
     @settings(max_examples=60, deadline=None)
     def test_one_restart_equals_every_restart(self, seed, n, d):
-        # one component runs one k-means restart; running all of them, as for
-        # m > 1, and keeping the first of the least inertia gives the same fit
+        # one component starts from its rows' moments; running every k-means
+        # restart, as for m > 1, and keeping the first of the least inertia
+        # gives the same fit
         def every_restart(x, xt, m, seed, floor, global_var):
             rng = np.random.default_rng(seed)
             runs = [gmm_module._run_kmeans(x, xt, m, rng) for _ in range(gmm_module.KMEANS_RESTARTS)]
@@ -91,6 +92,26 @@ class TestSingleComponent:
         for name in ("weights", "means", "variances"):
             np.testing.assert_array_equal(getattr(gmm, name), getattr(ref, name))
         assert trace == ref_trace
+
+    @given(
+        seeds=st.lists(st.integers(0, 2**63 - 1), min_size=2, max_size=2, unique=True),
+        n=st.integers(1, 60),
+        d=st.integers(1, 5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_independent_of_seed_and_layout(self, seeds, n, d):
+        # one component starts from its rows' moments and draws nothing, and
+        # the fit copies rows that are not C-contiguous into that layout
+        rng = np.random.default_rng(seeds[0])
+        x = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=d)
+        spaced = np.zeros((2 * n, 3 * d))
+        spaced[::2, ::3] = x
+        gmm, trace = fit_gmm(x, 1, seeds[0])
+        for rows, seed in ((x, seeds[1]), (np.asfortranarray(x), seeds[0]), (spaced[::2, ::3], seeds[0])):
+            other, other_trace = fit_gmm(rows, 1, seed)
+            for name in ("weights", "means", "variances"):
+                assert getattr(other, name).tobytes() == getattr(gmm, name).tobytes()
+            assert other_trace == trace
 
     def test_variance_floor_applies(self):
         x = np.full((20, 2), 7.0)
@@ -391,10 +412,19 @@ class TestOverflow:
     def test_huge_samples_name_the_leaf(self, scale):
         # finite samples whose squared distances or moments overflow float64
         x = np.random.default_rng(2).normal(size=(400, 8)) * scale
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no numpy RuntimeWarning either
-            with pytest.raises(ValidationError, match="^leaf 'q': samples too large in magnitude"):
-                fit_gmm(x, 3, 0, leaf="q")
+        for m in (3, 1):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no numpy RuntimeWarning either
+                with pytest.raises(ValidationError, match="^leaf 'q': samples too large in magnitude"):
+                    fit_gmm(x, m, 0, leaf="q")
+
+    def test_one_component_needs_only_its_moments_in_range(self):
+        # each column's sum of squares just below float64's limit: the
+        # k-means inertia, summed over the columns too, would overflow
+        x = np.random.default_rng(2).normal(size=(400, 8))
+        x *= np.sqrt(1.2e308 / (x * x).sum(axis=0))
+        gmm, trace = fit_gmm(x, 1, 0, leaf="q")
+        assert np.isfinite(gmm.variances).all() and np.isfinite(trace).all()
 
 
 class TestNumericKernels:
