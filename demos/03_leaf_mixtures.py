@@ -32,7 +32,7 @@ lexicon, questions, samples, _ = generate(spec)
 config = TaggerConfig(m=2, max_leaves=3, min_leaf=10, seed=19)
 model = fit(lexicon, samples, questions, classes, config)
 
-print(f"inventory: {' '.join(str(t) for t in tag_inventory(model))}")
+print(f"inventory: {' '.join(tag_inventory(model))}")
 print()
 for letter in model.tree.leaf_letters:
     gmm = model.gmms[letter]
@@ -56,6 +56,6 @@ for s in samples[:6]:
 # nearer-in-posterior component, deterministically
 letter = model.tree.leaf_letters[0]
 gmm = model.gmms[letter]
-word = next(w for w in lexicon if str(tag(model, w, gmm.means[0])) == f"{letter}0")
+word = next(w for w in lexicon if tag(model, w, gmm.means[0]) == f"{letter}0")
 midpoint = 0.5 * (gmm.means[0] + gmm.means[1])
 print(f"\nmidpoint probe on leaf {letter}: tag {tag(model, word, midpoint)}")

@@ -35,9 +35,7 @@ for separation in (1.0, 2.0, 4.0, 8.0):
         config = TaggerConfig(m=3, max_leaves=3, min_leaf=10, seed=seed)
         model = fit(lexicon, samples, questions, classes, config)
         by_word = {w.word: w for w in lexicon}
-        predicted = {
-            s.token_id: str(tag(model, by_word[s.word], s.embedding)) for s in samples
-        }
+        predicted = {s.token_id: tag(model, by_word[s.word], s.embedding) for s in samples}
         scores.append(adjusted_rand_index(predicted, truth))
     joined = "  ".join(f"{s:.3f}" for s in scores)
     print(f"{separation:>10.1f}   {joined}")

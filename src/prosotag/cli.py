@@ -161,21 +161,6 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _render_node(
-    model: TaggerModel, pos: int, label: str, depth: int, out: list[str]
-) -> None:
-    node = model.tree.nodes[pos]
-    pad = "  " * depth
-    if isinstance(node, InternalNode):
-        question = model.question_by_id[node.question_id]
-        out.append(f"{pad}{label}[node {pos}] Q{question.id}: {describe_question(question)}")
-        _render_node(model, node.yes_child, "yes -> ", depth + 1, out)
-        _render_node(model, node.no_child, "no  -> ", depth + 1, out)
-    else:
-        letter = model.tree.leaf_letters[node.leaf_index]
-        out.append(f"{pad}{label}[node {pos}] leaf {letter!r}: {_mixture_summary(model.gmms[letter])}")
-
-
 def cmd_inspect(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     cfg = model.config
@@ -183,12 +168,22 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         f"model: d={cfg.d}, {model.num_leaves} leaves, {model.num_tags} tags, "
         f"seed={cfg.seed}, floor={cfg.floor}"
     )
-    lines: list[str] = []
-    _render_node(model, 0, "", 0, lines)
-    for line in lines:
-        print(line)
-    inventory = " ".join(str(t) for t in tag_inventory(model))
-    print(f"tag inventory: {inventory}")
+    # depth first, yes side before no side, with an explicit stack, so a
+    # tree of any depth prints
+    pending = [(0, "", 0)]
+    while pending:
+        pos, label, depth = pending.pop()
+        node = model.tree.nodes[pos]
+        head = f"{'  ' * depth}{label}[node {pos}]"
+        if isinstance(node, InternalNode):
+            question = model.question_by_id[node.question_id]
+            print(f"{head} Q{question.id}: {describe_question(question)}")
+            depth += 1
+            pending += ((node.no_child, "no  -> ", depth), (node.yes_child, "yes -> ", depth))
+        else:
+            letter = model.tree.leaf_letters[node.leaf_index]
+            print(f"{head} leaf {letter!r}: {_mixture_summary(model.gmms[letter])}")
+    print(f"tag inventory: {' '.join(tag_inventory(model))}")
     return 0
 
 

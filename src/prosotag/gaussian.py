@@ -288,22 +288,27 @@ def load_samples(source: str | Path | IO[bytes]) -> Corpus:
     orjson refuses is decoded by the standard library, as the other
     JSON-lines readers decode it (see ``_io.json_lines``). An integer converts
     to the nearest float. A stream that cannot seek is read into memory
-    first, for the sniff of the magic, and that copy is kept until the read
-    ends. Otherwise a binary file's bytes are freed, and a path closed, once
-    its records are decoded, before the corpus is checked.
+    whole, for the sniff of the magic. A binary file's bytes are read once,
+    decoded in place and freed, and a path closed, before the corpus is
+    checked.
     """
     with opened(source) as stream:
-        if not stream.seekable():
-            stream = io.BytesIO(stream.read())
-        start = stream.tell()
-        end = stream.seek(0, io.SEEK_END)
-        stream.seek(start)
-        if stream.read(len(EMBEDDING_MAGIC)) != EMBEDDING_MAGIC:
+        if stream.seekable():
+            start = stream.tell()
+            end = stream.seek(0, io.SEEK_END)
             stream.seek(start)
-            return _read_jsonl(stream)
-        # a sized read: ``read()`` would join the buffered bytes to the rest
-        # of the file, a second copy of it
-        decoded = _decode_binary(stream.read(end - stream.tell()))
+            if stream.read(len(EMBEDDING_MAGIC)) != EMBEDDING_MAGIC:
+                stream.seek(start)
+                return _read_jsonl(stream)
+            # a sized read: ``read()`` would join the buffered bytes to the
+            # rest of the file, a second copy of it
+            data, offset = stream.read(end - stream.tell()), 0
+        else:
+            data, offset = stream.read(), len(EMBEDDING_MAGIC)
+            if not data.startswith(EMBEDDING_MAGIC):
+                return _read_jsonl(io.BytesIO(data))
+        decoded = _decode_binary(data, offset)
+        del data
     return _checked_corpus(*decoded, lambda i: f"record {i}")
 
 
@@ -359,10 +364,10 @@ def _read_jsonl(stream: IO[bytes]) -> Corpus:
     )
 
 
-def _decode_binary(data: bytes) -> tuple[list[str], list[str], list[int], np.ndarray]:
-    """The token ids, words, word indices and embeddings of a binary
-    embedding file, from the bytes after its magic; nothing returned refers
-    to ``data``, so the caller checks them with the file's bytes freed.
+def _decode_binary(data: bytes, offset: int) -> tuple[list[str], list[str], list[int], np.ndarray]:
+    """The token ids, words, word indices and embeddings of a binary embedding
+    file, from its bytes after the magic, at ``offset`` in ``data``; nothing
+    returned refers to ``data``, so the caller checks them with it freed.
 
     One walk over the record headers finds where each complete record
     starts; the records are then decoded a block at a time, their string and
@@ -370,15 +375,15 @@ def _decode_binary(data: bytes) -> tuple[list[str], list[str], list[int], np.nda
     record, as a record-by-record read finds them.
     """
     size = len(data)
-    if size < 4:
+    if size - offset < 4:
         raise ParseError("binary embedding file truncated before header")
-    (dim,) = struct.unpack_from("<I", data)
+    (dim,) = struct.unpack_from("<I", data, offset)
     if dim == 0:
         raise ParseError("binary embedding file declares dimension 0")
     width = 4 * dim
     starts = array("q")  # each complete record's offset in ``data``
     append = starts.append
-    offset = 4
+    offset += 4
     try:  # an IndexError ends the walk where a header lies past the data, as at its end
         while True:
             token = offset + 2 + (data[offset] | data[offset + 1] << 8)

@@ -95,10 +95,9 @@ class LeafGmm:
     ``variances`` (m, d). ``n_samples`` records how many embeddings the fit
     saw, which reporting tools read back from saved models. The scoring
     terms that depend on the parameters alone are computed once, at
-    construction.
+    construction. A model names each mixture by its key in ``gmms``.
     """
 
-    leaf: str
     weights: np.ndarray
     means: np.ndarray
     variances: np.ndarray
@@ -110,8 +109,6 @@ class LeafGmm:
         object.__setattr__(self, "weights", _frozen(self.weights))
         object.__setattr__(self, "means", _frozen(self.means))
         object.__setattr__(self, "variances", _frozen(self.variances))
-        if not self.leaf or not self.leaf.isalpha() or not self.leaf.islower():
-            raise ValidationError(f"leaf letter must be lowercase alphabetic, got {self.leaf!r}")
         if self.weights.ndim != 1 or self.means.ndim != 2:
             raise ValidationError("weights must be 1-d and means 2-d")
         m = self.weights.shape[0]
@@ -185,13 +182,12 @@ def _number_array(obj: Mapping, key: str, ndim: int) -> np.ndarray:
 
 
 def _gmm_from_dict(leaf: str, obj: object) -> LeafGmm:
-    """A mixture record (the ``LeafGmm.to_dict`` form) as leaf ``leaf``'s
-    mixture; any fault is a ``ModelFormatError`` naming the leaf."""
+    """A mixture record (the ``LeafGmm.to_dict`` form) as a mixture; any
+    fault is a ``ModelFormatError`` naming leaf ``leaf``."""
     if not isinstance(obj, dict):
         raise ModelFormatError(f"gmm for leaf {leaf!r} is not an object")
     try:
         return LeafGmm(
-            leaf=leaf,
             weights=_number_array(obj, "weights", 1),
             means=_number_array(obj, "means", 2),
             variances=_number_array(obj, "vars", 2),
@@ -486,7 +482,7 @@ def fit_gmm(
     depend on their layout either.
 
     Samples so large that a squared distance, a variance or a second moment
-    overflows float64 raise a ``ValidationError`` that names the leaf.
+    overflows float64 raise a ``ValidationError`` naming ``leaf``, its only use.
     """
     _check_knobs(m=m, seed=seed, floor=floor)
     x = np.require(samples, np.float64, ["C_CONTIGUOUS", "ALIGNED", "ENSUREARRAY"])
@@ -500,22 +496,26 @@ def fit_gmm(
 
     with _in_float64_range(leaf):
         weights, means, variances, trace = _em(x, _columns(x), m, seed, floor)
-    gmm = LeafGmm(
-        leaf=leaf, weights=weights, means=means, variances=variances, n_samples=n
-    )
-    return gmm, trace
+    return LeafGmm(weights, means, variances, n), trace
 
 
-def posterior_log_scores(e: np.ndarray, gmm: LeafGmm) -> np.ndarray:
-    """Unnormalized log posteriors: log density plus log weight, per component."""
+def _column(e: np.ndarray, gmm: LeafGmm) -> np.ndarray:
+    """``e`` as the (d, 1) column ``gmm`` scores, if it is a finite (d,) vector."""
     e = np.asarray(e, dtype=np.float64)
     if e.ndim != 1 or e.shape[0] != gmm.d:
         raise DimensionMismatchError(
             f"embedding shape {e.shape} does not match mixture dimension {gmm.d}"
         )
-    return gmm.log_joint(e[:, None])[:, 0]
+    if not np.isfinite(e).all():  # a NaN would make every score NaN and the argmax arbitrary
+        raise ValidationError("embedding has non-finite values")
+    return e[:, None]
+
+
+def posterior_log_scores(e: np.ndarray, gmm: LeafGmm) -> np.ndarray:
+    """Unnormalized log posteriors: log density plus log weight, per component."""
+    return gmm.log_joint(_column(e, gmm))[:, 0]
 
 
 def assign_component(e: np.ndarray, gmm: LeafGmm) -> int:
-    """Index of the maximum-posterior component; ties go to the smallest index."""
-    return int(np.argmax(posterior_log_scores(e, gmm)))
+    """The maximum-posterior component, by ``LeafGmm.assign``: ties to the smallest."""
+    return int(gmm.assign(_column(e, gmm))[0])

@@ -13,7 +13,8 @@ component means within an archetype sit at separation/sqrt(2) along distinct
 later coordinates, a regular simplex with exact pairwise distance equal to
 the separation. This needs d >= components_per_archetype + 1.
 
-``adjusted_rand_index`` scores recovered tags against the planted labels.
+The planted labels are a plain dict from token id to (archetype index,
+component index); ``adjusted_rand_index`` scores recovered tags against them.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .phonetics import (
 
 __all__ = [
     "SynthSpec",
-    "GroundTruth",
     "generate",
     "adjusted_rand_index",
     "save_ground_truth",
@@ -78,20 +78,6 @@ class SynthSpec:
     @property
     def total_tokens(self) -> int:
         return self.num_leaf_archetypes * self.words_per_archetype * self.tokens_per_word
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    """Planted label per token: (archetype index, component index)."""
-
-    labels: Mapping[str, tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        if not self.labels:
-            raise ValidationError("ground truth has no tokens")
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
 
 def _phoneme_count(archetype: int) -> int:
@@ -158,7 +144,7 @@ def _make_word(
 
 def generate(
     spec: SynthSpec, classes: PhonemeClassTable | None = None
-) -> tuple[list[WordEntry], list[Question], Corpus, GroundTruth]:
+) -> tuple[list[WordEntry], list[Question], Corpus, dict[str, tuple[int, int]]]:
     """Build a corpus with planted structure; identical bytes for one seed.
 
     Each word draws its phonemes, then its ``tokens_per_word x d`` normals in
@@ -208,7 +194,7 @@ def generate(
     archetypes = [a for a in range(spec.num_leaf_archetypes) for _ in range(tokens_per_archetype)]
     labels = dict(zip(token_ids, zip(archetypes, comps.tolist() * len(words))))
     corpus = Corpus(token_ids, words, word_index, x)
-    return lexicon, _planted_questions(spec), corpus, GroundTruth(labels)
+    return lexicon, _planted_questions(spec), corpus, labels
 
 
 # ---------------------------------------------------------------------------
@@ -220,20 +206,19 @@ def _pairs(counts: np.ndarray) -> float:
     return float((c * (c - 1.0) / 2.0).sum())
 
 
-def adjusted_rand_index(
-    pred: Mapping[str, Hashable], truth: "GroundTruth | Mapping[str, Hashable]"
-) -> float:
-    """Chance-corrected partition agreement over a shared token set."""
-    truth_map: Mapping[str, Hashable] = truth.labels if isinstance(truth, GroundTruth) else truth
-    if pred.keys() != truth_map.keys():
-        only_pred = len(pred.keys() - truth_map.keys())
-        only_truth = len(truth_map.keys() - pred.keys())
+def adjusted_rand_index(pred: Mapping[str, Hashable], truth: Mapping[str, Hashable]) -> float:
+    """Chance-corrected partition agreement over a shared, non-empty token set."""
+    if pred.keys() != truth.keys():
+        only_pred = len(pred.keys() - truth.keys())
+        only_truth = len(truth.keys() - pred.keys())
         raise ValidationError(
             f"token sets differ: {only_pred} only in prediction, {only_truth} only in truth"
         )
+    if not pred:
+        raise ValidationError("no tokens to compare")
     tokens = sorted(pred)
     _, row = np.unique([str(pred[t]) for t in tokens], return_inverse=True)
-    _, col = np.unique([str(truth_map[t]) for t in tokens], return_inverse=True)
+    _, col = np.unique([str(truth[t]) for t in tokens], return_inverse=True)
     table = np.zeros((row.max() + 1, col.max() + 1), dtype=np.int64)
     np.add.at(table, (row, col), 1)
 
@@ -253,16 +238,17 @@ def adjusted_rand_index(
 # ground-truth file
 
 
-def save_ground_truth(truth: GroundTruth, sink: str | Path | IO[bytes]) -> None:
+def save_ground_truth(truth: Mapping[str, tuple[int, int]], sink: str | Path | IO[bytes]) -> None:
     """One JSON line per token, as ``json.dumps`` writes it."""
     lines = [
         f'{{"token_id": {encode_basestring_ascii(token)}, "archetype": {a}, "component": {c}}}'
-        for token, (a, c) in truth.labels.items()
+        for token, (a, c) in truth.items()
     ]
     write_bytes(sink, (("\n".join(lines) + "\n").encode("ascii"),))
 
 
-def load_ground_truth(source: str | Path | IO[bytes]) -> GroundTruth:
+def load_ground_truth(source: str | Path | IO[bytes]) -> dict[str, tuple[int, int]]:
+    """The labels ``save_ground_truth`` wrote; a file of none is a ``ValidationError``."""
     labels: dict[str, tuple[int, int]] = {}
     for lineno, obj in json_lines(source):
         try:
@@ -273,4 +259,6 @@ def load_ground_truth(source: str | Path | IO[bytes]) -> GroundTruth:
         if token in labels:
             raise ParseError(f"line {lineno}: duplicate token id {token!r}")
         labels[token] = pair
-    return GroundTruth(labels)
+    if not labels:
+        raise ValidationError("ground truth has no tokens")
+    return labels

@@ -1,13 +1,15 @@
 """Two-stage word prosody tagger: question tree, then per-leaf mixtures.
 
 ``fit`` grows the decision tree over all tokens, then fits one GMM per leaf
-on that leaf's embeddings. A tag pairs the leaf letter with the chosen
-mixture component, written "d3" style. The fitted model serializes to a
-single self-contained JSON document (questions and phoneme classes embedded)
-so tagging never needs side files. Each section of it is coded by the module
-that owns its type (``phonetics`` the classes and questions, ``tree`` the tree
-and the growth trace, ``gmm`` the mixtures); ``model_to_json`` and
-``load_model`` put the sections together and check the format version.
+on that leaf's embeddings. A tag is text: the leaf letter, then the chosen
+mixture component, e.g. "d3". ``tag_tokens`` tags a batch and returns leaf
+and component index arrays; ``tag`` is its batch of one and returns the text.
+The fitted model serializes to a single self-contained JSON document
+(questions and phoneme classes embedded) so tagging never needs side files.
+Each section of it is coded by the module that owns its type (``phonetics``
+the classes and questions, ``tree`` the tree and the growth trace, ``gmm``
+the mixtures, keyed by leaf letter); ``model_to_json`` and ``load_model``
+put the sections together and check the format version.
 
 Per-leaf EM seeds are ``config.seed XOR leaf_index``: reproducible, and a
 changed question set cannot silently reshuffle every leaf's initialization.
@@ -62,7 +64,6 @@ from .tree import route_word  # noqa: F401
 
 __all__ = [
     "FORMAT_VERSION",
-    "ProsodyTag",
     "TaggerConfig",
     "TaggerModel",
     "fit",
@@ -75,23 +76,6 @@ __all__ = [
 ]
 
 FORMAT_VERSION = 1
-
-
-@dataclass(frozen=True, order=True)
-class ProsodyTag:
-    """Leaf letter plus component index; prints as e.g. "d3"."""
-
-    leaf: str
-    component: int
-
-    def __post_init__(self) -> None:
-        if not self.leaf or not self.leaf.isalpha() or not self.leaf.islower():
-            raise ValidationError(f"tag leaf must be lowercase alphabetic, got {self.leaf!r}")
-        if self.component < 0:
-            raise ValidationError(f"tag component must be non-negative, got {self.component}")
-
-    def __str__(self) -> str:
-        return f"{self.leaf}{self.component}"
 
 
 @dataclass(frozen=True)
@@ -139,10 +123,6 @@ class TaggerModel:
             gmm = self.gmms.get(letter)
             if gmm is None:
                 raise ModelFormatError(f"leaf {letter!r} has no mixture")
-            if gmm.leaf != letter:
-                raise ModelFormatError(
-                    f"mixture stored under {letter!r} is labeled {gmm.leaf!r}"
-                )
             if gmm.d != self.config.d:
                 raise ModelFormatError(
                     f"leaf {letter!r} mixture dimension {gmm.d} does not match model d={self.config.d}"
@@ -262,8 +242,8 @@ def tag_tokens(
     return _tag_corpus(model, _word_columns(lexicon, corpus.words), corpus)
 
 
-def tag(model: TaggerModel, word: WordEntry, e: np.ndarray) -> ProsodyTag:
-    """Tag one token: ``tag_tokens`` on a one-token corpus."""
+def tag(model: TaggerModel, word: WordEntry, e: np.ndarray) -> str:
+    """Tag one token, e.g. ``"d3"``: ``tag_tokens`` on a one-token corpus."""
     e = np.array(e, dtype=np.float64)  # a copy: the corpus freezes its matrix
     if e.shape != (model.config.d,):
         raise DimensionMismatchError(
@@ -273,18 +253,13 @@ def tag(model: TaggerModel, word: WordEntry, e: np.ndarray) -> ProsodyTag:
         raise ValidationError(f"word {word.word!r}: embedding has non-finite values")
     corpus = Corpus((word.word,), (word.word,), np.zeros(1, dtype=np.int32), e[None, :])
     leaves, components = _tag_corpus(model, WordColumns.of((word,)), corpus)
-    return ProsodyTag(
-        leaf=model.tree.leaf_letters[leaves[0]], component=int(components[0])
-    )
+    return f"{model.tree.leaf_letters[leaves[0]]}{components[0]}"
 
 
-def tag_inventory(model: TaggerModel) -> list[ProsodyTag]:
+def tag_inventory(model: TaggerModel) -> list[str]:
     """All emittable tags: leaves in letter order, components ascending."""
-    return [
-        ProsodyTag(leaf=letter, component=k)
-        for letter in model.tree.leaf_letters
-        for k in range(model.gmms[letter].m)
-    ]
+    letters = model.tree.leaf_letters
+    return [f"{letter}{k}" for letter in letters for k in range(model.gmms[letter].m)]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ here, and ``growth_report`` / ``write_growth_csv`` tabulate the trace.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
@@ -86,15 +86,15 @@ TreeNode = InternalNode | LeafNode
 
 @dataclass(frozen=True)
 class DecisionTree:
-    """Immutable fitted tree; node 0 is the root."""
+    """Immutable fitted tree; node 0 is the root. ``leaf_letters`` is derived:
+    leaf index i is lettered ``leaf_letter(i)``."""
 
     nodes: tuple[TreeNode, ...]
-    leaf_letters: tuple[str, ...]
+    leaf_letters: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        """One rooted tree, leaf indices 0..num_leaves-1 once each, lettered in order."""
+        """One rooted tree, leaf indices 0..num_leaves-1 once each."""
         object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "leaf_letters", tuple(self.leaf_letters))
         if not self.nodes:
             raise ModelFormatError("tree has no nodes")
         referenced: set[int] = set()
@@ -121,13 +121,12 @@ class DecisionTree:
                 pending += (node.yes_child, node.no_child)
         if reached != len(self.nodes):
             raise ModelFormatError("tree nodes are not a single rooted structure")
-        if sorted(leaf_indices) != list(range(len(self.leaf_letters))):
+        if sorted(leaf_indices) != list(range(len(leaf_indices))):
             raise ModelFormatError(
                 "tree leaf indices must cover 0..num_leaves-1 exactly once"
             )
-        expected = tuple(leaf_letter(i) for i in range(len(self.leaf_letters)))
-        if self.leaf_letters != expected:
-            raise ModelFormatError("tree leaf letters are not contiguous from 'a'")
+        letters = tuple(map(leaf_letter, range(len(leaf_indices))))
+        object.__setattr__(self, "leaf_letters", letters)
 
     @property
     def num_leaves(self) -> int:
@@ -156,17 +155,17 @@ def _node_from_obj(obj: object, pos: int) -> TreeNode:
 
 
 def _tree_from_dict(obj: object) -> DecisionTree:
-    """A tree record (the ``DecisionTree.to_dict`` form) as a checked tree;
-    any fault is a ``ModelFormatError``."""
+    """A tree record (the ``DecisionTree.to_dict`` form, letters included) as a
+    checked tree; any fault is a ``ModelFormatError``."""
     if not isinstance(obj, dict):
         raise ModelFormatError("tree must be an object")
     nodes, letters = obj.get("nodes"), obj.get("leaf_letters")
     if not isinstance(nodes, list) or not isinstance(letters, list):
         raise ModelFormatError("tree must carry nodes and leaf_letters arrays")
-    return DecisionTree(
-        nodes=tuple(_node_from_obj(o, i) for i, o in enumerate(nodes)),
-        leaf_letters=tuple(map(str, letters)),
-    )
+    tree = DecisionTree(tuple(_node_from_obj(o, i) for i, o in enumerate(nodes)))
+    if letters != list(tree.leaf_letters):
+        raise ModelFormatError("tree leaf letters are not contiguous from 'a'")
+    return tree
 
 
 @dataclass(frozen=True)
@@ -448,10 +447,7 @@ def grow_tree(
 
     for index, leaf in enumerate(leaves):
         nodes[leaf.node_pos] = LeafNode(leaf_index=index)
-    tree = DecisionTree(
-        nodes=tuple(nodes),  # type: ignore[arg-type]
-        leaf_letters=tuple(leaf_letter(i) for i in range(len(leaves))),
-    )
+    tree = DecisionTree(tuple(nodes))  # type: ignore[arg-type]
     trace = GrowthTrace(
         initial_ll=root.ll, num_tokens=total_tokens, records=tuple(records)
     )

@@ -17,7 +17,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prosotag import Corpus, cli, load_lexicon, load_model, tag_tokens
+from prosotag import (
+    Corpus,
+    DecisionTree,
+    GrowthTrace,
+    InternalNode,
+    LeafGmm,
+    LeafNode,
+    Question,
+    QuestionKind,
+    TaggerConfig,
+    TaggerModel,
+    cli,
+    default_classes,
+    leaf_letter,
+    load_lexicon,
+    load_model,
+    save_model,
+    tag_tokens,
+)
 from prosotag._io import write_bytes
 from prosotag.cli import TAG_CHUNK_LINES, _format_tags, main
 
@@ -380,6 +398,37 @@ class TestInspect:
     def test_missing_model(self, tmp_path, capsys):
         assert main(["inspect", "--model", str(tmp_path / "nope.json")]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_chain_deeper_than_the_recursion_limit(self, tmp_path, capsys):
+        # node 2k asks question 0: yes goes to leaf k (node 2k + 1), no on
+        # down the chain; the last no side is leaf `depth` (node 2 * depth)
+        depth = sys.getrecursionlimit() + 100
+        nodes = [LeafNode(depth)]
+        for k in reversed(range(depth)):
+            nodes[:0] = (InternalNode(0, 2 * k + 1, 2 * k + 2), LeafNode(k))
+        tree = DecisionTree(nodes)
+        gmm = LeafGmm(np.ones(1), np.zeros((1, 1)), np.ones((1, 1)), 1)
+        model = TaggerModel(
+            config=TaggerConfig(d=1),
+            classes=default_classes(),
+            questions=(Question(id=0, kind=QuestionKind.PHONEME_COUNT_GT, int_param=2),),
+            tree=tree,
+            gmms=dict.fromkeys(tree.leaf_letters, gmm),
+            growth_trace=GrowthTrace(initial_ll=0.0, num_tokens=1),
+        )
+        save_model(model, tmp_path / "chain.json")
+        assert main(["inspect", "--model", str(tmp_path / "chain.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(nodes) + 2
+        summary = "1 samples, 1 components, weights [1.0000]"
+        for k in range(depth):
+            label = "no  -> " if k else ""
+            assert lines[1 + 2 * k].startswith(f"{'  ' * k}{label}[node {2 * k}] Q0: ")
+            assert lines[2 + 2 * k] == (
+                f"{'  ' * (k + 1)}yes -> [node {2 * k + 1}] leaf {leaf_letter(k)!r}: {summary}"
+            )
+        assert lines[-2] == f"{'  ' * depth}no  -> [node {2 * depth}] leaf {leaf_letter(depth)!r}: {summary}"
+        assert lines[-1] == "tag inventory: " + " ".join(f"{t}0" for t in tree.leaf_letters)
 
 
 def test_output_files_get_the_umask_mode(tmp_path, capsys):

@@ -698,7 +698,9 @@ class TestBoundedMemory:
         """The corpus checks start with the decoded records held, not the
         file: at 30,000 records the traced memory on entering them stays
         below what the returned corpus holds plus half the 1.4 MB file. It
-        reads 0.15 MB above the corpus, 1.9 MB with the file's bytes held."""
+        reads 0.15 MB above the corpus, 1.9 MB with the file's bytes held.
+        The same holds for a stream that cannot seek, which is read whole
+        for the sniff of the magic."""
         path = tmp_path / "embeddings.bin"
         save_samples(self.corpus(8, n=30_000), path, binary=True)
         checked_corpus = gaussian._checked_corpus
@@ -708,12 +710,20 @@ class TestBoundedMemory:
             entered.append(tracemalloc.get_traced_memory()[0])
             return checked_corpus(*args)
 
+        class Pipe(io.FileIO):
+            def seekable(self) -> bool:
+                return False
+
         monkeypatch.setattr(gaussian, "_checked_corpus", recorded)
-        tracemalloc.start()
-        try:
-            corpus = load_samples(path)
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert len(corpus) == 30_000 and len(entered) == 1
-        assert entered[0] - held < path.stat().st_size // 2
+        with io.BufferedReader(Pipe(path)) as pipe:
+            assert not pipe.seekable()
+            for source in (path, pipe):
+                entered.clear()
+                tracemalloc.start()
+                try:
+                    corpus = load_samples(source)
+                    held = tracemalloc.get_traced_memory()[0]
+                finally:
+                    tracemalloc.stop()
+                assert len(corpus) == 30_000 and len(entered) == 1
+                assert entered[0] - held < path.stat().st_size // 2

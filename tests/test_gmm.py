@@ -217,7 +217,6 @@ class TestFitValidation:
 class TestLeafGmmValidation:
     def good_kwargs(self):
         return dict(
-            leaf="a",
             weights=np.array([0.5, 0.5]),
             means=np.zeros((2, 3)),
             variances=np.ones((2, 3)),
@@ -275,12 +274,6 @@ class TestLeafGmmValidation:
             with pytest.raises(ValidationError, match="log normaliser"):
                 LeafGmm(**kwargs)
 
-    def test_leaf_must_be_lowercase(self):
-        kwargs = self.good_kwargs()
-        kwargs["leaf"] = "A"
-        with pytest.raises(ValidationError):
-            LeafGmm(**kwargs)
-
     def test_shape_mismatch(self):
         kwargs = self.good_kwargs()
         kwargs["variances"] = np.ones((3, 3))
@@ -337,7 +330,6 @@ class TestPosteriorScores:
 
     def test_exact_tie_takes_first(self):
         gmm = LeafGmm(
-            leaf="a",
             weights=np.array([0.5, 0.5]),
             means=np.array([[0.0], [4.0]]),
             variances=np.array([[1.0], [1.0]]),
@@ -349,7 +341,7 @@ class TestPosteriorScores:
             config=TaggerConfig(d=1),
             classes=default_classes(),
             questions=(),
-            tree=DecisionTree(nodes=(LeafNode(leaf_index=0),), leaf_letters=("a",)),
+            tree=DecisionTree(nodes=(LeafNode(leaf_index=0),)),
             gmms={"a": gmm},
             growth_trace=GrowthTrace(initial_ll=0.0, num_tokens=10),
         )
@@ -360,22 +352,32 @@ class TestPosteriorScores:
 
     def test_dimension_mismatch(self):
         gmm, _ = self.fitted()
-        with pytest.raises(DimensionMismatchError):
-            posterior_log_scores(np.zeros(5), gmm)
+        for bad in (np.zeros(5), np.zeros((1, 3))):
+            with pytest.raises(DimensionMismatchError):
+                posterior_log_scores(bad, gmm)
+            with pytest.raises(DimensionMismatchError):
+                assign_component(bad, gmm)
+
+    def test_non_finite_embedding_rejected(self):
+        gmm, _ = self.fitted()
+        for bad in (np.nan, np.inf, -np.inf):
+            e = np.array([0.0, bad, 0.0])
+            with pytest.raises(ValidationError, match="non-finite"):
+                posterior_log_scores(e, gmm)
+            with pytest.raises(ValidationError, match="non-finite"):
+                assign_component(e, gmm)
 
     @given(shift=st.floats(-50.0, 50.0, allow_nan=False))
     @settings(max_examples=30, deadline=None)
     def test_assignment_shift_covariance(self, shift):
         # translating both the mixture and the probe preserves the winner
         base = LeafGmm(
-            leaf="a",
             weights=np.array([0.3, 0.7]),
             means=np.array([[-1.0, 2.0], [3.0, 0.5]]),
             variances=np.array([[0.5, 1.5], [2.0, 0.25]]),
             n_samples=25,
         )
         moved = LeafGmm(
-            leaf="a",
             weights=base.weights.copy(),
             means=base.means + shift,
             variances=base.variances.copy(),
@@ -552,7 +554,6 @@ class TestBoundedMemory:
         x = self.data()
         rng = np.random.default_rng(1)
         gmm = LeafGmm(
-            leaf="a",
             weights=np.full(self.M, 1.0 / self.M),
             means=rng.normal(scale=6.0, size=(self.M, self.D)),
             variances=rng.uniform(0.5, 2.0, size=(self.M, self.D)),
@@ -562,7 +563,7 @@ class TestBoundedMemory:
             config=TaggerConfig(d=self.D),
             classes=default_classes(),
             questions=(),
-            tree=DecisionTree(nodes=(LeafNode(leaf_index=0),), leaf_letters=("a",)),
+            tree=DecisionTree(nodes=(LeafNode(leaf_index=0),)),
             gmms={"a": gmm},
             growth_trace=GrowthTrace(initial_ll=0.0, num_tokens=self.N),
         )

@@ -20,6 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import prosotag
 from prosotag import (
+    EMBEDDING_MAGIC,
     Corpus,
     ParseError,
     ProsodySample,
@@ -41,7 +42,6 @@ from prosotag.phonetics import (
     save_questions,
 )
 from prosotag.synth import (
-    GroundTruth,
     SynthSpec,
     generate,
     load_ground_truth,
@@ -164,8 +164,8 @@ def test_class_table_names_the_file_for_non_utf8(tmp_path):
 
 
 def _entries(loaded):
-    if isinstance(loaded, GroundTruth):
-        return dict(loaded.labels)
+    if isinstance(loaded, dict):  # ground truth
+        return loaded
     if isinstance(loaded, Corpus):
         return loaded.token_ids, loaded.words, loaded.word_index.tolist(), loaded.x.tolist()
     return list(loaded)
@@ -349,6 +349,22 @@ class TestLoadSamplesStreams:
         lines, load = LINE_FILES[name]
         data = b"\n".join(lines) + b"\n"
         assert _entries(load(Unseekable(data))) == _entries(load(io.BytesIO(data)))
+
+    def test_unseekable_binary_faults_match_seekable(self):
+        # an unseekable stream's bytes are decoded from just past the magic:
+        # every truncation, a zero dimension and bad UTF-8 read as from a seekable stream
+        def outcome(stream):
+            try:
+                return _entries(load_samples(stream))
+            except ProsotagError as exc:
+                return type(exc), str(exc)
+
+        data = _embedding_file(binary=True)
+        bad_text = data.replace("é".encode(), b"\xff\xfe", 3)
+        for damaged in (data, bad_text, data[:4] + bytes(4) + data[8:]):
+            for size in range(len(EMBEDDING_MAGIC), len(damaged) + 1, 3):
+                want = outcome(io.BytesIO(damaged[:size]))
+                assert outcome(Unseekable(damaged[:size])) == want, size
 
     def test_binary_stream_read_from_its_position(self):
         data = _embedding_file(binary=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ import pytest
 from prosotag import (
     ConfigError,
     Corpus,
-    GroundTruth,
     GrowthTrace,
     ParseError,
     QuestionKind,
@@ -94,7 +94,7 @@ class TestGenerate:
         assert [s.token_id for s in first[2]] == [s.token_id for s in second[2]]
         for a, b in zip(first[2], second[2]):
             np.testing.assert_array_equal(a.embedding, b.embedding)
-        assert first[3].labels == second[3].labels
+        assert first[3] == second[3]
 
     def test_seed_changes_embeddings(self):
         first = generate(tiny_spec())
@@ -169,7 +169,7 @@ class TestGenerate:
         spec = tiny_spec()
         _, _, samples, truth = generate(spec)
         for sample in samples:
-            archetype, component = truth.labels[sample.token_id]
+            archetype, component = truth[sample.token_id]
             assert sample.word.startswith(f"w{archetype:02d}_")
             t = int(sample.token_id.rsplit(":", 1)[1])
             assert component == t % spec.components_per_archetype
@@ -181,7 +181,7 @@ class TestGenerate:
         _, _, samples, truth = generate(spec)
         by_label: dict[tuple[int, int], list[np.ndarray]] = {}
         for s in samples:
-            by_label.setdefault(truth.labels[s.token_id], []).append(s.embedding)
+            by_label.setdefault(truth[s.token_id], []).append(s.embedding)
         centers = {k: np.mean(v, axis=0) for k, v in by_label.items()}
         for a in range(spec.num_leaf_archetypes):
             gap = np.linalg.norm(centers[(a, 0)] - centers[(a, 1)])
@@ -225,16 +225,15 @@ class TestAdjustedRandIndex:
         expected = pair_counting_ari(pred, truth)
         assert adjusted_rand_index(pred, truth) == pytest.approx(expected, rel=1e-12)
 
-    def test_accepts_ground_truth_object(self):
-        truth = GroundTruth({f"t{i}": (i % 2, 0) for i in range(10)})
-        pred = {f"t{i}": i % 2 for i in range(10)}
-        assert adjusted_rand_index(pred, truth) == 1.0
-
     def test_token_set_mismatch(self):
         pred = {"a": 0, "b": 1}
         truth = {"a": 0, "c": 1}
         with pytest.raises(ValidationError):
             adjusted_rand_index(pred, truth)
+
+    def test_no_tokens(self):
+        with pytest.raises(ValidationError, match="no tokens"):
+            adjusted_rand_index({}, {})
 
 
 class TestGrowthReport:
@@ -287,12 +286,28 @@ class TestGroundTruthIO:
         _, _, _, truth = generate(tiny_spec())
         path = tmp_path / "truth.jsonl"
         save_ground_truth(truth, path)
-        assert load_ground_truth(path).labels == truth.labels
+        assert load_ground_truth(path) == truth
+        assert type(truth) is dict and len(truth) == tiny_spec().total_tokens
+
+    @pytest.mark.parametrize("content", [b"", b"\n\n"])
+    def test_empty_file(self, tmp_path, content):
+        path = tmp_path / "truth.jsonl"
+        path.write_bytes(content)
+        with pytest.raises(ValidationError, match="ground truth has no tokens"):
+            load_ground_truth(path)
+
+    def test_saves_any_mapping(self):
+        labels = {"t0": (1, 2), "t1": (0, 0)}
+        buf, proxy = io.BytesIO(), io.BytesIO()
+        save_ground_truth(labels, buf)
+        save_ground_truth(MappingProxyType(labels), proxy)
+        assert proxy.getvalue() == buf.getvalue()
+        assert load_ground_truth(io.BytesIO(buf.getvalue())) == labels
 
     def test_lines_match_json_dumps(self):
         labels = {"w00_000:000": (0, 1), 'q"\\\n\u00e9\U0001f600': (12, 0), "": (3, 25)}
         buf = io.BytesIO()
-        save_ground_truth(GroundTruth(labels), buf)
+        save_ground_truth(labels, buf)
         expected = "".join(
             json.dumps({"token_id": t, "archetype": a, "component": c}) + "\n"
             for t, (a, c) in labels.items()

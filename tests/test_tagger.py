@@ -17,7 +17,6 @@ from prosotag import (
     ModelFormatError,
     ParseError,
     ProsodySample,
-    ProsodyTag,
     Question,
     QuestionKind,
     SynthSpec,
@@ -32,7 +31,6 @@ from prosotag import (
     default_questions,
     fit,
     generate,
-    leaf_letter,
     load_model,
     model_to_json,
     posterior_log_scores,
@@ -47,26 +45,6 @@ from prosotag.phonetics import WordColumns
 from prosotag.tree import _route_tokens, _trace_from_rows, _tree_from_dict
 from conftest import KNOB_REJECTS, every_kind, random_instance, random_question, random_word
 import oracles
-
-
-class TestProsodyTag:
-    def test_str(self):
-        assert str(ProsodyTag("a", 0)) == "a0"
-        assert str(ProsodyTag("d", 3)) == "d3"
-        assert str(ProsodyTag("aa", 12)) == "aa12"
-
-    @pytest.mark.parametrize("leaf, component", [("", 0), ("A", 0), ("a1", 0), ("a", -1)])
-    def test_construction_rejects(self, leaf, component):
-        with pytest.raises(ValidationError):
-            ProsodyTag(leaf, component)
-
-    def test_ordering(self):
-        tags = [ProsodyTag("b", 0), ProsodyTag("a", 1), ProsodyTag("a", 0)]
-        assert sorted(tags) == [
-            ProsodyTag("a", 0),
-            ProsodyTag("a", 1),
-            ProsodyTag("b", 0),
-        ]
 
 
 def _leaf_node(doc):
@@ -187,6 +165,15 @@ class TestTagging:
         model = fit(lexicon, samples, questions, default_classes(), config)
         return model, lexicon
 
+    def test_tags_are_text(self):
+        # a tag is the leaf letter, then the component index
+        model, lexicon = self.fitted()
+        result = tag(model, lexicon[0], np.zeros(4))
+        assert type(result) is str and result in tag_inventory(model)
+        assert tag_inventory(model) == [
+            f"{letter}{k}" for letter in model.tree.leaf_letters for k in range(2)
+        ]
+
     def test_unseen_word(self):
         model, _ = self.fitted()
         novel = WordEntry("novel", ("ZH", "UH", "P"), (0,), 0)
@@ -274,7 +261,7 @@ class TestTagging:
         for sample, leaf, k in zip(batch, leaves, components):
             entry = by_word[sample.word]
             letter = model.tree.leaf_letters[leaf]
-            assert tag(model, entry, sample.embedding) == ProsodyTag(letter, int(k))
+            assert tag(model, entry, sample.embedding) == f"{letter}{k}"
             assert letter == route_word(model.tree, entry, model.questions, classes)
             scores = posterior_log_scores(sample.embedding, model.gmms[letter])
             assert k == int(np.argmax(scores))
@@ -291,7 +278,7 @@ class TestTagging:
             for k in range(gmm.m):
                 probe = gmm.means[k] + 0.01
                 result = tag(model, by_word[entry.word], probe)
-                assert result == ProsodyTag(letter, k)
+                assert result == f"{letter}{k}"
 
 
 def random_tree(rng, questions, num_leaves):
@@ -307,7 +294,7 @@ def random_tree(rng, questions, num_leaves):
         nodes += [None, None]
     for index, pos in enumerate(rng.permutation(leaves)):
         nodes[pos] = LeafNode(index)
-    return DecisionTree(tuple(nodes), tuple(leaf_letter(i) for i in range(num_leaves)))
+    return DecisionTree(tuple(nodes))
 
 
 def assert_routes_like_route_word(tree, questions, classes, words, word_index):
@@ -370,7 +357,7 @@ class TestRouting:
     def test_cyclic_tree_rejected(self):
         # a tree is checked when built, so no cyclic tree reaches the walk
         with pytest.raises(ModelFormatError, match="node 1: the root node cannot be a child"):
-            DecisionTree((InternalNode(0, 1, 2), InternalNode(0, 0, 2), LeafNode(0)), ("a",))
+            DecisionTree((InternalNode(0, 1, 2), InternalNode(0, 0, 2), LeafNode(0)))
 
     def test_fit_and_tag_ask_no_scalar_question(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -388,7 +375,7 @@ class TestRouting:
         assert model.num_leaves == 4
         leaves, _ = tag_tokens(model, lexicon, samples)
         assert leaves.shape == (len(samples),)
-        assert tag(model, lexicon[0], samples[0].embedding).leaf in model.tree.leaf_letters
+        assert tag(model, lexicon[0], samples[0].embedding) in tag_inventory(model)
 
 
 class TestModelFiles:
@@ -667,9 +654,9 @@ class TestSectionCodecs:
         assert _tree_from_dict(through_json(model.tree.to_dict())) == model.tree
         trace = model.growth_trace
         assert _trace_from_rows(through_json(trace.to_rows())) == trace
-        for gmm in model.gmms.values():
-            back = _gmm_from_dict(gmm.leaf, through_json(gmm.to_dict()))
-            assert (back.leaf, back.n_samples) == (gmm.leaf, gmm.n_samples)
+        for letter, gmm in model.gmms.items():
+            back = _gmm_from_dict(letter, through_json(gmm.to_dict()))
+            assert back.n_samples == gmm.n_samples
             for name in ("weights", "means", "variances"):
                 assert getattr(back, name).tobytes() == getattr(gmm, name).tobytes()
 

@@ -28,7 +28,7 @@ from prosotag import (
 )
 from prosotag import tree as tree_module
 from prosotag.phonetics import WordColumns
-from prosotag.tree import _Growth, _route_tokens, _word_columns
+from prosotag.tree import _Growth, _route_tokens, _tree_from_dict, _word_columns
 from conftest import knob_rejects, random_instance, random_question, random_word
 from oracles import closed_form_ll, greedy_oracle
 import oracles
@@ -304,17 +304,11 @@ class TestTreeValidate:
 
     def test_child_out_of_range(self):
         with pytest.raises(ModelFormatError, match="node 0: child index 5 out of range"):
-            DecisionTree(
-                nodes=(InternalNode(0, 1, 5), LeafNode(0), LeafNode(1)),
-                leaf_letters=("a", "b"),
-            )
+            DecisionTree(nodes=(InternalNode(0, 1, 5), LeafNode(0), LeafNode(1)))
 
     def test_duplicate_leaf_index(self):
         with pytest.raises(ModelFormatError, match="leaf indices"):
-            DecisionTree(
-                nodes=(InternalNode(0, 1, 2), LeafNode(0), LeafNode(0)),
-                leaf_letters=("a", "b"),
-            )
+            DecisionTree(nodes=(InternalNode(0, 1, 2), LeafNode(0), LeafNode(0)))
 
     def test_cycle_apart_from_root(self):
         # every node but the root has one parent, yet the walk from the leaf
@@ -322,12 +316,18 @@ class TestTreeValidate:
         with pytest.raises(ModelFormatError, match="not a single rooted structure"):
             DecisionTree(
                 nodes=(LeafNode(0), InternalNode(0, 2, 3), InternalNode(0, 1, 4), LeafNode(1), LeafNode(2)),
-                leaf_letters=("a", "b", "c"),
             )
 
+    def test_letters_follow_leaf_indices(self):
+        tree = DecisionTree((InternalNode(0, 2, 1), LeafNode(1), LeafNode(0)))
+        assert tree.leaf_letters == ("a", "b")
+        assert tree.to_dict()["leaf_letters"] == ["a", "b"]
+
     def test_non_contiguous_letters(self):
-        with pytest.raises(ModelFormatError, match="contiguous"):
-            DecisionTree(nodes=(LeafNode(0),), leaf_letters=("b",))
+        # the model file stores the letters the tree derives; any other list is corrupt
+        for letters in (["b"], ["a", "b"], [], ["A"], [0]):
+            with pytest.raises(ModelFormatError, match="not contiguous from 'a'"):
+                _tree_from_dict({"nodes": [{"leaf_index": 0}], "leaf_letters": letters})
 
 
 class TestTraceInvariants:
