@@ -151,17 +151,19 @@ def read_json(source: Source, what: str) -> object:
         raise ParseError(f"{what}: {_TOO_DEEP}") from None
 
 
-def _field(obj: Mapping, key: str, kind: type, *, optional: bool = False):
+def _field(obj: Mapping, key: str, kind: type, *, optional: bool = False, error: type = ParseError):
     """``obj[key]`` of a decoded JSON record if its type is exactly ``kind``
     (a bool is not an int, a string not a list, but a float field takes a
-    JSON integer as a float); None for an absent or null optional field."""
+    JSON integer as a float); None for an absent or null optional field.
+    A fault raises ``error``; a record type checking its own fields
+    (``vars(self)``) passes ``ValidationError``."""
     if key not in obj:
         if optional:
             return None
-        raise ParseError(f"missing field {key!r}")
+        raise error(f"missing field {key!r}")
     value = obj[key]
     if type(value) is kind or (optional and value is None):
         return value
     if kind is float and type(value) is int:
         return float(value)
-    raise ParseError(f"{key} must be {kind.__name__}, got {type(value).__name__}")
+    raise error(f"{key} must be {kind.__name__}, got {type(value).__name__}")

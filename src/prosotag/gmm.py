@@ -128,6 +128,7 @@ class LeafGmm:
             raise ValidationError(f"mixture weights sum to {float(self.weights.sum())!r}, expected 1")
         if np.any(self.variances <= 0.0):
             raise ValidationError("mixture variances must be positive")
+        _field(vars(self), "n_samples", int, error=ValidationError)  # as load_model reads it
         if self.n_samples < 1:
             raise ValidationError(f"n_samples must be at least 1, got {self.n_samples}")
         with np.errstate(over="ignore"):

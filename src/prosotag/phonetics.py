@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property
 from json.encoder import encode_basestring
@@ -48,6 +48,9 @@ __all__ = [
 
 
 class QuestionKind(str, Enum):
+    """A question's predicate. A new kind needs a row in ``_KINDS`` and a
+    branch in ``WordColumns.answer``."""
+
     PHONEME_COUNT_GT = "PhonemeCountGt"
     SYLLABLE_COUNT_GT = "SyllableCountGt"
     ENDS_CLOSED_SYLLABLE = "EndsClosedSyllable"
@@ -57,20 +60,16 @@ class QuestionKind(str, Enum):
     STRESS_ON_SYLLABLE = "StressOnSyllable"
 
 
-_INT_KINDS = frozenset(
-    {
-        QuestionKind.PHONEME_COUNT_GT,
-        QuestionKind.SYLLABLE_COUNT_GT,
-        QuestionKind.STRESS_ON_SYLLABLE,
-    }
-)
-_CLASS_KINDS = frozenset(
-    {
-        QuestionKind.STARTS_WITH_CLASS,
-        QuestionKind.ENDS_WITH_CLASS,
-        QuestionKind.CONTAINS_CLASS,
-    }
-)
+# kind -> (the parameter field it reads, if any; its description)
+_KINDS: dict[QuestionKind, tuple[str | None, str]] = {
+    QuestionKind.PHONEME_COUNT_GT: ("int_param", "phoneme count > {}"),
+    QuestionKind.SYLLABLE_COUNT_GT: ("int_param", "syllable count > {}"),
+    QuestionKind.ENDS_CLOSED_SYLLABLE: (None, "ends with a closed syllable"),
+    QuestionKind.STARTS_WITH_CLASS: ("class_param", "first phoneme in {}"),
+    QuestionKind.ENDS_WITH_CLASS: ("class_param", "last phoneme in {}"),
+    QuestionKind.CONTAINS_CLASS: ("class_param", "contains a phoneme in {}"),
+    QuestionKind.STRESS_ON_SYLLABLE: ("int_param", "primary stress on syllable {}"),
+}
 
 
 @dataclass(frozen=True)
@@ -154,9 +153,13 @@ class PhonemeClassTable:
     classes: Mapping[str, frozenset[str]]
 
     def __post_init__(self) -> None:
-        frozen = {name: frozenset(members) for name, members in self.classes.items()}
+        given = self.classes
+        frozen = {name: frozenset(members) for name, members in given.items()}
         object.__setattr__(self, "classes", frozen)
         for name, members in frozen.items():
+            # exact types, as load_classes reads them: a string is not a member list
+            if type(name) is not str or isinstance(given[name], str) or set(map(type, members)) - {str}:
+                raise ValidationError(f"class {name!r} must be a collection of phoneme strings")
             if not members:
                 raise ValidationError(f"phoneme class {name!r} is empty")
         if "Vowel" not in frozen:
@@ -179,8 +182,10 @@ class PhonemeClassTable:
 class Question:
     """One phonetic predicate, identified by a set-unique id.
 
-    Count and stress kinds carry ``int_param``; class kinds carry
-    ``class_param`` naming an entry of the class table.
+    Each kind carries the parameter ``_KINDS`` names for it: ``int_param``
+    (>= 0) for counts and stress, ``class_param`` naming an entry of the
+    class table for classes. Every field has the exact type a question file
+    gives it (a bool is not an int); any fault is a ``ValidationError``.
     """
 
     id: int
@@ -189,33 +194,34 @@ class Question:
     class_param: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", QuestionKind(self.kind))
+        try:
+            object.__setattr__(self, "kind", QuestionKind(self.kind))
+        except ValueError:
+            raise ValidationError(f"unknown question kind {self.kind!r}") from None
+        fields = vars(self)
+        _field(fields, "id", int, error=ValidationError)
+        _field(fields, "int_param", int, optional=True, error=ValidationError)
+        _field(fields, "class_param", str, optional=True, error=ValidationError)
         if self.id < 0:
             raise ValidationError(f"question id must be non-negative, got {self.id}")
-        if self.kind in _INT_KINDS:
-            if self.int_param is None or self.int_param < 0:
-                raise ValidationError(
-                    f"question {self.id}: kind {self.kind.value} requires int_param >= 0"
-                )
-        elif self.kind in _CLASS_KINDS:
-            if not self.class_param:
-                raise ValidationError(
-                    f"question {self.id}: kind {self.kind.value} requires class_param"
-                )
+        param = _KINDS[self.kind][0]
+        if param == "int_param" and (self.int_param is None or self.int_param < 0):
+            raise ValidationError(
+                f"question {self.id}: kind {self.kind.value} requires int_param >= 0"
+            )
+        if param == "class_param" and not self.class_param:
+            raise ValidationError(
+                f"question {self.id}: kind {self.kind.value} requires class_param"
+            )
 
     def validate_against(self, classes: PhonemeClassTable) -> None:
-        if self.kind in _CLASS_KINDS and self.class_param not in classes:
+        if _KINDS[self.kind][0] == "class_param" and self.class_param not in classes:
             raise ConfigError(
                 f"question {self.id}: unknown phoneme class {self.class_param!r}"
             )
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "kind": self.kind.value,
-            "int_param": self.int_param,
-            "class_param": self.class_param,
-        }
+        return asdict(self)
 
 
 # a count or stress parameter above every int64 answers like int64's maximum
@@ -396,9 +402,7 @@ class WordColumns(Sequence[WordEntry]):
         if kind is QuestionKind.CONTAINS_CLASS:
             hits = self._member(classes, q.class_param)[self.ids]
             return pick(np.logical_or.reduceat(hits, self.starts))
-        if kind is QuestionKind.STRESS_ON_SYLLABLE:
-            return pick(self.stress) == param
-        raise ConfigError(f"unhandled question kind {kind!r}")
+        return pick(self.stress) == param  # StressOnSyllable
 
 
 def answer_question(q: Question, w: WordEntry, classes: PhonemeClassTable) -> bool:
@@ -409,20 +413,8 @@ def answer_question(q: Question, w: WordEntry, classes: PhonemeClassTable) -> bo
 
 def describe_question(q: Question) -> str:
     """Short human-readable rendering, used by the tree inspector."""
-    kind = q.kind
-    if kind is QuestionKind.PHONEME_COUNT_GT:
-        return f"phoneme count > {q.int_param}"
-    if kind is QuestionKind.SYLLABLE_COUNT_GT:
-        return f"syllable count > {q.int_param}"
-    if kind is QuestionKind.ENDS_CLOSED_SYLLABLE:
-        return "ends with a closed syllable"
-    if kind is QuestionKind.STARTS_WITH_CLASS:
-        return f"first phoneme in {q.class_param}"
-    if kind is QuestionKind.ENDS_WITH_CLASS:
-        return f"last phoneme in {q.class_param}"
-    if kind is QuestionKind.CONTAINS_CLASS:
-        return f"contains a phoneme in {q.class_param}"
-    return f"primary stress on syllable {q.int_param}"
+    param, text = _KINDS[q.kind]
+    return text.format(getattr(q, param)) if param else text
 
 
 # ---------------------------------------------------------------------------
@@ -435,17 +427,10 @@ def describe_question(q: Question) -> str:
 def _question_from_dict(obj: Mapping) -> Question:
     """A question record (the ``Question.to_dict`` form) as a ``Question``;
     shared by the question-file and model-file loaders."""
-    kind = _field(obj, "kind", str)
-    try:
-        kind = QuestionKind(kind)
-    except ValueError:
-        raise ParseError(f"unknown question kind {kind!r}") from None
-    return Question(
-        id=_field(obj, "id", int),
-        kind=kind,
-        int_param=_field(obj, "int_param", int, optional=True),
-        class_param=_field(obj, "class_param", str, optional=True),
-    )
+    for key in ("kind", "id"):
+        if key not in obj:
+            raise ParseError(f"missing field {key!r}")
+    return Question(obj["id"], obj["kind"], obj.get("int_param"), obj.get("class_param"))
 
 
 def _rule_breakers(
@@ -642,7 +627,7 @@ def _classes_from_dict(obj: object) -> PhonemeClassTable:
     for name, members in obj.items():
         if type(members) is not list or not all(type(m) is str for m in members):
             raise ParseError(f"class {name!r} must be a list of phoneme strings")
-    return PhonemeClassTable({name: frozenset(members) for name, members in obj.items()})
+    return PhonemeClassTable(obj)
 
 
 def load_classes(source: str | Path | IO[bytes]) -> PhonemeClassTable:
@@ -674,7 +659,7 @@ _DEFAULT_CLASSES = {
 
 
 def default_classes() -> PhonemeClassTable:
-    return PhonemeClassTable({k: frozenset(v) for k, v in _DEFAULT_CLASSES.items()})
+    return PhonemeClassTable(_DEFAULT_CLASSES)
 
 
 def default_questions(classes: PhonemeClassTable | None = None) -> list[Question]:
@@ -705,10 +690,10 @@ def default_questions(classes: PhonemeClassTable | None = None) -> list[Question
 
 
 def question_index(questions: Sequence[Question]) -> dict[int, Question]:
-    """Index a question list by id, rejecting duplicates."""
+    """Index a question list by id, in id order, rejecting duplicates."""
     index: dict[int, Question] = {}
     for q in questions:
         if q.id in index:
             raise ValidationError(f"duplicate question id {q.id}")
         index[q.id] = q
-    return index
+    return dict(sorted(index.items()))

@@ -239,7 +239,10 @@ def adjusted_rand_index(pred: Mapping[str, Hashable], truth: Mapping[str, Hashab
 
 
 def save_ground_truth(truth: Mapping[str, tuple[int, int]], sink: str | Path | IO[bytes]) -> None:
-    """One JSON line per token, as ``json.dumps`` writes it."""
+    """One JSON line per token, as ``json.dumps`` writes it; at least one
+    token, as ``load_ground_truth`` requires."""
+    if not truth:
+        raise ValidationError("ground truth has no tokens")
     lines = [
         f'{{"token_id": {encode_basestring_ascii(token)}, "archetype": {a}, "component": {c}}}'
         for token, (a, c) in truth.items()

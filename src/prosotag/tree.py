@@ -59,8 +59,8 @@ __all__ = [
 
 def leaf_letter(index: int) -> str:
     """Letter for a leaf index: 0 -> "a", 25 -> "z", 26 -> "aa"."""
-    if index < 0:
-        raise ValueError(f"leaf index must be non-negative, got {index}")
+    if type(index) is not int or index < 0:
+        raise ValidationError(f"leaf index must be a non-negative int, got {index!r}")
     letters: list[str] = []
     index += 1
     while index:
@@ -69,16 +69,26 @@ def leaf_letter(index: int) -> str:
     return "".join(reversed(letters))
 
 
+def _exact_ints(node: object) -> None:
+    """Every field of ``node`` an exact int, as ``load_model`` reads it."""
+    for name in vars(node):
+        _field(vars(node), name, int, error=ValidationError)
+
+
 @dataclass(frozen=True)
 class InternalNode:
     question_id: int
     yes_child: int
     no_child: int
 
+    __post_init__ = _exact_ints
+
 
 @dataclass(frozen=True)
 class LeafNode:
     leaf_index: int
+
+    __post_init__ = _exact_ints
 
 
 TreeNode = InternalNode | LeafNode
@@ -352,11 +362,6 @@ class _Growth:
         return int(valid[pos]), float(gains[pos])
 
 
-def _sorted_questions(questions: Sequence[Question]) -> list[Question]:
-    index = question_index(questions)
-    return [index[qid] for qid in sorted(index)]
-
-
 def _word_columns(lexicon: Sequence[WordEntry], words: Sequence[str]) -> WordColumns:
     """The lexicon's rows of ``words``, in order, as ``WordColumns.take``
     gives them; a list of entries is first made columns by ``WordColumns.of``
@@ -388,7 +393,7 @@ def grow_tree(
     corpus = Corpus.of(samples)
     columns = _word_columns(lexicon, corpus.words)
 
-    ordered = _sorted_questions(questions)
+    ordered = list(question_index(questions).values())
     for q in ordered:
         q.validate_against(classes)
     root_widx = np.arange(len(columns))

@@ -298,6 +298,18 @@ class TestSufficientStats:
         stats = stats_of([[5.0], [5.0]])
         assert stats.ml_variances(1e-6)[0] == 1e-6
 
+    @pytest.mark.parametrize(
+        "sum_, sumsq", [(np.zeros(3), np.zeros(2)), (np.zeros((1, 3)), np.zeros((1, 3)))]
+    )
+    def test_vectors_of_one_dimension(self, sum_, sumsq):
+        with pytest.raises(ValidationError, match="vectors of equal dimension"):
+            SufficientStats(n=1, sum=sum_, sumsq=sumsq)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2)])
+    def test_matrix_must_be_2d(self, shape):
+        with pytest.raises(ValidationError, match="2-d sample matrix"):
+            stats_from_matrix(np.zeros(shape))
+
     def test_empty_node_errors(self):
         empty = SufficientStats(n=0, sum=np.zeros(2), sumsq=np.zeros(2))
         with pytest.raises(EmptyNodeError):

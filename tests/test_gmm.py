@@ -213,6 +213,11 @@ class TestFitValidation:
         with pytest.raises(ValidationError):
             fit_gmm(x, 1, 0)
 
+    @pytest.mark.parametrize("shape", [(6,), (6, 0), (3, 2, 2)])
+    def test_samples_must_be_rows_of_features(self, shape):
+        with pytest.raises(ValidationError, match="2-d array with at least one feature"):
+            fit_gmm(np.zeros(shape), 1, 0)
+
 
 class TestLeafGmmValidation:
     def good_kwargs(self):
@@ -279,6 +284,23 @@ class TestLeafGmmValidation:
         kwargs["variances"] = np.ones((3, 3))
         with pytest.raises(ValidationError):
             LeafGmm(**kwargs)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"weights": np.full((1, 2), 0.5)}, "weights must be 1-d and means 2-d"),
+            ({"means": np.zeros(3)}, "weights must be 1-d and means 2-d"),
+            ({"weights": np.array([0.5, np.nan])}, "mixture weights must be finite"),
+            ({"means": np.full((2, 3), np.inf)}, "mixture means must be finite"),
+            ({"variances": np.full((2, 3), np.nan)}, "mixture variances must be finite"),
+            ({"n_samples": 0}, "n_samples must be at least 1, got 0"),
+            ({"n_samples": True}, "n_samples must be int, got bool"),
+            ({"n_samples": 10.0}, "n_samples must be int, got float"),
+        ],
+    )
+    def test_field_rejected(self, change, message):
+        with pytest.raises(ValidationError, match=message):
+            LeafGmm(**{**self.good_kwargs(), **change})
 
 
 class TestPosteriorScores:

@@ -29,7 +29,7 @@ from prosotag import (
     save_lexicon,
     save_questions,
 )
-from prosotag.phonetics import WordColumns
+from prosotag.phonetics import WordColumns, question_index
 from conftest import every_kind, random_question, random_word
 import oracles
 
@@ -135,6 +135,23 @@ class TestQuestionValidation:
     def test_kind_coerced_from_string(self):
         q = Question(id=3, kind="PhonemeCountGt", int_param=4)
         assert q.kind is QuestionKind.PHONEME_COUNT_GT
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"id": "3", "kind": "EndsClosedSyllable"}, "id must be int, got str"),
+            ({"id": 3, "kind": "Nope"}, "unknown question kind 'Nope'"),
+            ({"id": "3", "kind": "Nope"}, "unknown question kind 'Nope'"),  # kind first
+            ({"id": True, "kind": "EndsClosedSyllable"}, "id must be int, got bool"),
+            ({"id": 3, "kind": "PhonemeCountGt", "int_param": 2.5}, "int_param must be int, got float"),
+            ({"id": 3, "kind": "PhonemeCountGt", "int_param": True}, "int_param must be int, got bool"),
+            ({"id": 3, "kind": "ContainsClass", "class_param": 5}, "class_param must be str, got int"),
+        ],
+    )
+    def test_mistyped_field_rejected(self, fields, message):
+        """Values ``load_questions`` refuses: a ``Question`` cannot hold them."""
+        with pytest.raises(ValidationError, match=message):
+            Question(**fields)
 
 
 class TestAnswers:
@@ -583,6 +600,32 @@ class TestQuestionIO:
             load_questions(io.BytesIO(b'{"id":1,"kind":"RhymesWith"}\n'), classes)
 
     @pytest.mark.parametrize(
+        "record, message",
+        [
+            (b'{"id":1}', "missing field 'kind'"),
+            (b'{"kind":"EndsClosedSyllable"}', "missing field 'id'"),
+            (b'{"kind":"Nope"}', "missing field 'id'"),
+            (b'{"id":true,"kind":"Nope"}', "unknown question kind 'Nope'"),
+            (b'{"id":true,"kind":"EndsClosedSyllable"}', "id must be int, got bool"),
+        ],
+    )
+    def test_fault_named(self, classes, record, message):
+        with pytest.raises(ParseError, match=f"^line 1: malformed question record: {message}$"):
+            load_questions(io.BytesIO(record + b"\n"), classes)
+
+    def test_record_is_json_dumps_of_fields(self, classes):
+        for q in default_questions(classes):
+            fields = {"id": q.id, "kind": q.kind.value, "int_param": q.int_param, "class_param": q.class_param}
+            for options in ({}, {"indent": 1, "ensure_ascii": False}):
+                assert json.dumps(q.to_dict(), **options) == json.dumps(fields, **options)
+
+    def test_index_in_id_order(self, classes):
+        questions = default_questions(classes)[::-1]
+        assert list(question_index(questions)) == sorted(q.id for q in questions)
+        with pytest.raises(ValidationError, match="duplicate question id 0"):
+            question_index(questions + questions[-1:])
+
+    @pytest.mark.parametrize(
         "record",
         [
             b'{"id":true,"kind":"EndsClosedSyllable"}',
@@ -635,6 +678,18 @@ class TestClassIO:
         with pytest.raises(ParseError, match="'Vowel'"):
             load_classes(io.BytesIO(data))
 
+    @pytest.mark.parametrize(
+        "table",
+        [{"Vowel": ["AA", 3]}, {"Vowel": "AEIOU"}, {"Vowel": ["AA"], 5: ["M"]}],
+        ids=["int-member", "string", "int-name"],
+    )
+    def test_table_refuses_what_load_classes_refuses(self, tmp_path, table):
+        with pytest.raises(ValidationError, match="must be a collection of phoneme strings"):
+            PhonemeClassTable(table)
+        path = tmp_path / "classes.json"
+        save_classes(PhonemeClassTable({"Vowel": ["AA"], "Nasal": ["M", "N"]}), path)
+        assert load_classes(path).classes == {"Vowel": {"AA"}, "Nasal": {"M", "N"}}
+
 
 class TestDefaults:
     def test_default_questions_have_contiguous_ids(self, classes):
@@ -645,6 +700,20 @@ class TestDefaults:
     def test_default_questions_cover_every_kind(self, classes):
         kinds = {q.kind for q in default_questions(classes)}
         assert kinds == set(QuestionKind)
+
+    def test_describe_each_kind(self, classes):
+        first: dict = {}
+        for q in default_questions(classes):
+            first.setdefault(q.kind, describe_question(q))
+        assert first == {
+            QuestionKind.PHONEME_COUNT_GT: "phoneme count > 2",
+            QuestionKind.SYLLABLE_COUNT_GT: "syllable count > 1",
+            QuestionKind.ENDS_CLOSED_SYLLABLE: "ends with a closed syllable",
+            QuestionKind.STARTS_WITH_CLASS: "first phoneme in Vowel",
+            QuestionKind.ENDS_WITH_CLASS: "last phoneme in Nasal",
+            QuestionKind.CONTAINS_CLASS: "contains a phoneme in Nasal",
+            QuestionKind.STRESS_ON_SYLLABLE: "primary stress on syllable 0",
+        }
 
     def test_describe_is_total(self, classes):
         for q in default_questions(classes):

@@ -289,6 +289,14 @@ class TestGroundTruthIO:
         assert load_ground_truth(path) == truth
         assert type(truth) is dict and len(truth) == tiny_spec().total_tokens
 
+    def test_no_tokens_not_saved(self, tmp_path):
+        path = tmp_path / "truth.jsonl"
+        with pytest.raises(ValidationError, match="ground truth has no tokens"):
+            save_ground_truth({}, path)
+        assert not path.exists()
+        save_ground_truth({"t0": (1, 2)}, path)
+        assert load_ground_truth(path) == {"t0": (1, 2)}
+
     @pytest.mark.parametrize("content", [b"", b"\n\n"])
     def test_empty_file(self, tmp_path, content):
         path = tmp_path / "truth.jsonl"

@@ -24,7 +24,9 @@ from prosotag import (
     ValidationError,
     DecisionTree,
     InternalNode,
+    LeafGmm,
     LeafNode,
+    PhonemeClassTable,
     WordEntry,
     answer_question,
     default_classes,
@@ -586,6 +588,16 @@ class TestModelFiles:
                 "gmm for leaf 'a'",
                 id="empty-mixture",
             ),
+            pytest.param(lambda doc: doc.update(config=[]), "config must be an object", id="config-array"),
+            pytest.param(
+                lambda doc: doc.update(questions={}), "questions must be an array", id="questions-object"
+            ),
+            pytest.param(lambda doc: doc.update(gmms=[]), "gmms must be an object", id="gmms-array"),
+            pytest.param(
+                lambda doc: doc["tree"].pop("leaf_letters"),
+                "tree must carry nodes and leaf_letters arrays",
+                id="no-leaf-letters",
+            ),
         ],
     )
     def test_mistyped_model_field(self, tmp_path, edit, where):
@@ -596,6 +608,79 @@ class TestModelFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match=where):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "build, edit, message",
+        [
+            pytest.param(
+                lambda: LeafGmm(np.ones(1), np.zeros((1, 1)), np.ones((1, 1)), True),
+                lambda doc: doc["gmms"]["a"].update(n_samples=True),
+                "n_samples must be int, got bool",
+                id="n_samples",
+            ),
+            pytest.param(
+                lambda: LeafNode(False),
+                lambda doc: _leaf_node(doc).update(leaf_index=False),
+                "leaf_index must be int, got bool",
+                id="leaf_index",
+            ),
+            pytest.param(
+                lambda: InternalNode(0, 1, 2.0),
+                lambda doc: doc["tree"]["nodes"][0].update(no_child=2.0),
+                "no_child must be int, got float",
+                id="no_child",
+            ),
+            pytest.param(
+                lambda: Question(id=True, kind=QuestionKind.ENDS_CLOSED_SYLLABLE),
+                lambda doc: doc["questions"][0].update(id=True),
+                "id must be int, got bool",
+                id="question-id",
+            ),
+            pytest.param(
+                lambda: Question(id=0, kind=QuestionKind.PHONEME_COUNT_GT, int_param=2.5),
+                lambda doc: next(q for q in doc["questions"] if q["int_param"] is not None).update(
+                    int_param=2.5
+                ),
+                "int_param must be int, got float",
+                id="int_param",
+            ),
+            pytest.param(
+                lambda: PhonemeClassTable({"Vowel": ["AA", 3]}),
+                lambda doc: doc["classes"].update(Vowel=["AA", 3]),
+                "class 'Vowel' must be a",
+                id="class-member",
+            ),
+            pytest.param(
+                lambda: PhonemeClassTable({"Vowel": "AEIOU"}),
+                lambda doc: doc["classes"].update(Vowel="AEIOU"),
+                "class 'Vowel' must be a",
+                id="class-string",
+            ),
+        ],
+    )
+    def test_constructor_refuses_what_load_model_refuses(self, tmp_path, build, edit, message):
+        """A value the model file cannot hold cannot be built either, so
+        ``save_model`` never writes a file ``load_model`` refuses."""
+        with pytest.raises(ValidationError, match=message):
+            build()
+        model, _ = self.fitted()
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert model_to_json(load_model(path)) == model_to_json(model)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+
+    def test_integer_gain_loads_as_float(self, tmp_path):
+        model, _ = self.fitted()
+        doc = json.loads(model_to_json(model))
+        doc["growth_trace"][1]["gain"] = 7
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        gain = load_model(path).growth_trace.records[0].gain
+        assert type(gain) is float and gain == 7.0
 
     @pytest.mark.parametrize(
         "edit",

@@ -60,8 +60,12 @@ class TestLeafLetter:
         assert leaf_letter(702) == "aaa"
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="non-negative int, got -1"):
             leaf_letter(-1)
+
+    def test_bool_rejected(self):
+        with pytest.raises(ValidationError, match="got True"):
+            leaf_letter(True)
 
 
 class TestBasicGrowth:
