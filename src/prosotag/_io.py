@@ -7,12 +7,15 @@ a time, so no text file is held whole. A binary embedding file is read
 whole; its bytes are freed, and a path it was read from is closed, once its
 records are decoded, before the corpus is checked (see
 ``gaussian.load_samples``). Writers take byte chunks, and a path is replaced
-atomically. Text files are UTF-8; the JSON and JSON-lines readers
-raise ``ParseError`` naming the file or the line for bad UTF-8, bad JSON or an
-integer literal longer than Python converts to an int, or JSON nested deeper
-than the standard library decoder recurses. JSON is decoded by the standard
-library, except that the embedding reader has orjson decode each line first
-(see ``json_lines``); orjson is imported only then.
+atomically; the tag and JSON-lines embedding writers encode ``CHUNK_LINES``
+lines a chunk, so neither holds its whole output. Text files are UTF-8; the
+JSON and JSON-lines readers raise ``ParseError`` naming the file or the line
+for bad UTF-8, bad JSON or an integer literal longer than Python converts to
+an int, or JSON nested deeper than the standard library decoder recurses.
+JSON is decoded by the standard library, except that the embedding reader
+has orjson decode each line first (see ``json_lines``). orjson also writes
+the floats of JSON-lines embedding files, wherever its text equals ``repr``'s
+(see ``gaussian.save_samples``). It is imported only by those two paths.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ _JSON_SPACE = " \t\n\r"
 _decode_json = json.JSONDecoder().raw_decode  # json.loads without its whitespace scans
 _LONG_INT = "integer literal has too many digits to convert"
 _TOO_DEEP = "JSON nested too deeply to decode"
+CHUNK_LINES = 4096  # lines the tag and embedding JSON-lines writers encode and write at a time
 
 Source = str | os.PathLike | IO[bytes]
 

@@ -15,7 +15,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 from typing import Iterator, Sequence
 
-from ._io import write_bytes
+from ._io import CHUNK_LINES, write_bytes
 from .errors import ConfigError, ProsotagError
 from .gaussian import Corpus, ProsodySample, load_samples, save_samples
 from .gmm import LeafGmm
@@ -48,16 +48,13 @@ from .tree import route_word  # noqa: F401
 PROG = "prosotag"
 
 
-TAG_CHUNK_LINES = 4096  # tag lines encoded and written at a time
-
-
 def _format_tags(
     model: TaggerModel, lexicon: Sequence[WordEntry], samples: Sequence[ProsodySample]
 ) -> Iterator[bytearray]:
     """One JSON line per token, as ``json.dumps`` writes it, in token order.
 
     The tokens are tagged here. The lines come as chunks of
-    ``TAG_CHUNK_LINES`` lines, each encoded when it is asked for, one line at
+    ``CHUNK_LINES`` lines, each encoded when it is asked for, one line at
     a time, so no more than one chunk of the output is built at once. Each
     word's text after the token id is escaped once, not once per token.
     """
@@ -68,7 +65,7 @@ def _format_tags(
     tags = [f'{letter}{k}"}}\n' for letter in model.tree.leaf_letters for k in range(width)]
 
     def chunk(start: int) -> bytearray:
-        stop = start + TAG_CHUNK_LINES
+        stop = start + CHUNK_LINES
         text = bytearray()
         for token_id, word, tag in zip(
             corpus.token_ids[start:stop],
@@ -79,7 +76,7 @@ def _format_tags(
             text += line.encode()  # ASCII, as every part is
         return text
 
-    return map(chunk, range(0, len(corpus), TAG_CHUNK_LINES))
+    return map(chunk, range(0, len(corpus), CHUNK_LINES))
 
 
 def cmd_fit(args: argparse.Namespace) -> int:

@@ -32,7 +32,7 @@ from typing import IO, Callable, Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._io import json_lines, opened, write_bytes
+from ._io import CHUNK_LINES, json_lines, opened, write_bytes
 from .errors import DimensionMismatchError, EmptyNodeError, ParseError, ValidationError, _check_knobs
 
 __all__ = [
@@ -460,22 +460,56 @@ def save_samples(
     binary: bool = False,
 ) -> None:
     """Write tokens as JSON lines, byte for byte as ``json.dumps`` writes each
-    record, or in the binary format. All tokens must share one dimension."""
+    record, or in the binary format. All tokens must share one dimension;
+    they are checked before anything is written.
+
+    JSON lines are encoded and written ``CHUNK_LINES`` lines at a time, so no
+    more than one chunk of the text is held at once; orjson writes a row's
+    floats wherever its text equals ``repr``'s (see ``_encode_jsonl``).
+    """
     corpus = Corpus.of(samples)
-    write_bytes(sink, (_encode_binary(corpus) if binary else _encode_jsonl(corpus),))
+    write_bytes(sink, (_encode_binary(corpus),) if binary else _encode_jsonl(corpus))
 
 
-def _encode_jsonl(corpus: Corpus) -> bytes:
-    # the repr of a list of finite floats is json.dumps's text for it
-    words = [encode_basestring_ascii(word) for word in corpus.words]
-    lines = [
-        f'{{"token_id": {encode_basestring_ascii(token_id)}, "word": {words[w]}, '
-        f'"embedding": {row!r}}}'
-        for token_id, w, row in zip(
-            corpus.token_ids, corpus.word_index.tolist(), corpus.x.tolist()
-        )
-    ]
-    return ("\n".join(lines) + "\n" if lines else "").encode("ascii")
+def _encode_jsonl(corpus: Corpus) -> Iterator[bytearray]:
+    """The JSON lines of ``corpus`` as chunks of ``CHUNK_LINES`` lines, each
+    encoded when it is asked for, one line at a time, so no more than one
+    chunk of the text is built at once.
+
+    The repr of a list of finite floats is ``json.dumps``'s text for it.
+    orjson 3.8 writes a float as repr does when it is ±0.0 or 1e-4 <= |v| <
+    1e16, where both use positional notation, and only ``", "`` between
+    values differs; a row with any value outside that range (``6.4e-05``,
+    ``1e+16``) keeps its repr.
+    """
+    import orjson  # here, not at module level: only this writer encodes with it
+
+    tails = [f', "word": {encode_basestring_ascii(word)}, "embedding": ' for word in corpus.words]
+
+    def chunk(start: int) -> bytearray:
+        stop = start + CHUNK_LINES
+        rows = corpus.x[start:stop]
+        text = bytearray()
+        for token_id, word, row, positional in zip(
+            corpus.token_ids[start:stop],
+            corpus.word_index[start:stop].tolist(),
+            rows,
+            _positional(rows),
+        ):
+            floats = row.tolist()  # one row's Python floats at a time
+            values = orjson.dumps(floats).decode().replace(",", ", ") if positional else repr(floats)
+            line = f'{{"token_id": {encode_basestring_ascii(token_id)}{tails[word]}{values}}}\n'
+            text += line.encode()  # ASCII, as every part is
+        return text
+
+    return map(chunk, range(0, len(corpus), CHUNK_LINES))
+
+
+def _positional(rows: np.ndarray) -> list[bool]:
+    """For each row, whether all its values are ±0.0 or 1e-4 <= |v| < 1e16;
+    the float temporaries are freed before the rows' text is built."""
+    size = np.abs(rows)
+    return ((rows == 0.0) | ((size >= 1e-4) & (size < 1e16))).all(axis=1).tolist()
 
 
 def _counted(text: str) -> bytes:

@@ -153,15 +153,19 @@ class PhonemeClassTable:
     classes: Mapping[str, frozenset[str]]
 
     def __post_init__(self) -> None:
-        given = self.classes
-        frozen = {name: frozenset(members) for name, members in given.items()}
-        object.__setattr__(self, "classes", frozen)
-        for name, members in frozen.items():
+        frozen: dict[str, frozenset[str]] = {}
+        for name, given in self.classes.items():
             # exact types, as load_classes reads them: a string is not a member list
-            if type(name) is not str or isinstance(given[name], str) or set(map(type, members)) - {str}:
+            try:
+                members = None if isinstance(given, str) else frozenset(given)
+            except TypeError:  # not iterable, or a member that cannot be hashed
+                members = None
+            if type(name) is not str or members is None or set(map(type, members)) - {str}:
                 raise ValidationError(f"class {name!r} must be a collection of phoneme strings")
             if not members:
                 raise ValidationError(f"phoneme class {name!r} is empty")
+            frozen[name] = members
+        object.__setattr__(self, "classes", frozen)
         if "Vowel" not in frozen:
             raise ValidationError('class table must define a "Vowel" class')
 

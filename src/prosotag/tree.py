@@ -22,7 +22,7 @@ here, and ``growth_report`` / ``write_growth_csv`` tabulate the trace.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
@@ -69,10 +69,19 @@ def leaf_letter(index: int) -> str:
     return "".join(reversed(letters))
 
 
-def _exact_ints(node: object) -> None:
-    """Every field of ``node`` an exact int, as ``load_model`` reads it."""
-    for name in vars(node):
-        _field(vars(node), name, int, error=ValidationError)
+# keyed by annotation text: this module postpones the evaluation of annotations
+_FIELD_TYPES = {"int": int, "float": float, "str": str}
+
+
+def _exact_fields(record: object) -> None:
+    """Every int, float or str field of ``record`` of exactly that type, as
+    ``load_model`` reads it (a bool is not an int); an int given for a float
+    field is stored as that float, as the file gives it back."""
+    values = vars(record)
+    for spec in fields(record):
+        kind = _FIELD_TYPES.get(spec.type)
+        if kind is not None:
+            object.__setattr__(record, spec.name, _field(values, spec.name, kind, error=ValidationError))
 
 
 @dataclass(frozen=True)
@@ -81,14 +90,14 @@ class InternalNode:
     yes_child: int
     no_child: int
 
-    __post_init__ = _exact_ints
+    __post_init__ = _exact_fields
 
 
 @dataclass(frozen=True)
 class LeafNode:
     leaf_index: int
 
-    __post_init__ = _exact_ints
+    __post_init__ = _exact_fields
 
 
 TreeNode = InternalNode | LeafNode
@@ -187,6 +196,8 @@ class SplitRecord:
     total_leaf_ll: float
     avg_samples_per_leaf: float
 
+    __post_init__ = _exact_fields
+
 
 @dataclass(frozen=True)
 class GrowthTrace:
@@ -199,6 +210,8 @@ class GrowthTrace:
     initial_ll: float
     num_tokens: int
     records: tuple[SplitRecord, ...] = ()
+
+    __post_init__ = _exact_fields
 
     def to_rows(self) -> list[dict]:
         """The model file's ``growth_trace`` rows: a step-0 row for the single

@@ -36,8 +36,8 @@ from prosotag import (
     save_model,
     tag_tokens,
 )
-from prosotag._io import write_bytes
-from prosotag.cli import TAG_CHUNK_LINES, _format_tags, main
+from prosotag._io import CHUNK_LINES, write_bytes
+from prosotag.cli import _format_tags, main
 
 
 CORPUS_FLAGS = [
@@ -580,7 +580,7 @@ class TestTagWriter:
         )
 
     @pytest.mark.parametrize(
-        "n", [0, 1, TAG_CHUNK_LINES - 1, TAG_CHUNK_LINES, TAG_CHUNK_LINES + 1]
+        "n", [0, 1, CHUNK_LINES - 1, CHUNK_LINES, CHUNK_LINES + 1]
     )
     def test_chunks_match_json_dumps(self, corpus, fitted, n):
         model = load_model(fitted)
@@ -595,12 +595,12 @@ class TestTagWriter:
         chunks = [bytes(chunk) for chunk in _format_tags(model, lexicon, tokens)]
         assert b"".join(chunks) == expected
         lines = [chunk.count(b"\n") for chunk in chunks]
-        assert lines == [min(TAG_CHUNK_LINES, n - i) for i in range(0, n, TAG_CHUNK_LINES)]
+        assert lines == [min(CHUNK_LINES, n - i) for i in range(0, n, CHUNK_LINES)]
 
     def test_writing_tags_peak(self, corpus, fitted, tmp_path, monkeypatch):
         """Writing the tags of 50,000 tokens allocates, above the model, the
         tokens and their tags, less than two chunks of text (a chunk is
-        ``TAG_CHUNK_LINES`` lines, about 0.2 MiB here). Holding every line,
+        ``CHUNK_LINES`` lines, about 0.2 MiB here). Holding every line,
         their joined text and its bytes reads about 8 MiB."""
         model = load_model(fitted)
         lexicon, tokens = self.tokens(corpus, 50_000)
@@ -614,4 +614,4 @@ class TestTagWriter:
         finally:
             tracemalloc.stop()
         assert out.read_bytes().count(b"\n") == len(tokens)
-        assert peak < 2 * out.stat().st_size * TAG_CHUNK_LINES / len(tokens)
+        assert peak < 2 * out.stat().st_size * CHUNK_LINES / len(tokens)

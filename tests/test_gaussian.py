@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 import tracemalloc
 
@@ -30,6 +31,7 @@ from prosotag import (
     stats_from_matrix,
 )
 from prosotag import gaussian
+from prosotag._io import CHUNK_LINES
 from prosotag.gaussian import EMBEDDING_MAGIC
 from oracles import binary_corpus, closed_form_ll, embedding_records, per_sample_ll
 
@@ -579,6 +581,44 @@ class TestEmbeddingIO:
         save_samples(samples, buf)
         assert buf.getvalue() == jsonl_oracle(samples)
 
+    def test_jsonl_writer_float_text_at_notation_edges(self):
+        """Where ``repr`` switches to exponent notation (1e-4 and 1e16), one
+        ulp either side, ±0.0 and the extremes are written as ``json.dumps``
+        writes them, whether orjson or ``repr`` writes the row; a change in
+        orjson's float text fails here on every run."""
+        values = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]
+        for edge in (1e-4, 1e16):
+            for sign in (1.0, -1.0):
+                values += [sign * math.nextafter(edge, 0.0), sign * edge, sign * math.nextafter(edge, math.inf)]
+        samples = [ProsodySample(f"t{i}", "w", np.array([v, 0.5])) for i, v in enumerate(values)]
+        buf = io.BytesIO()
+        save_samples(samples, buf)
+        assert buf.getvalue() == jsonl_oracle(samples)
+
+    def test_jsonl_writer_mixes_orjson_and_repr_rows_in_one_chunk(self):
+        rows = [[1.5, -0.25], [6.420707435172087e-05, 1.0], [2.0, 1e16], [-0.0, 3.0], [4.051290683605165e-06, 0.0]]
+        assert gaussian._positional(np.array(rows)) == [True, False, False, True, False]
+        samples = [ProsodySample(f"t{i}", "w", np.array(row)) for i, row in enumerate(rows)]
+        buf = io.BytesIO()
+        save_samples(samples, buf)
+        assert buf.getvalue() == jsonl_oracle(samples)
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK_LINES - 1, CHUNK_LINES, CHUNK_LINES + 1])
+    def test_jsonl_writer_chunks(self, n):
+        """``CHUNK_LINES`` lines a chunk, joined as ``json.dumps`` writes the
+        records; about four rows in ten have a value outside orjson's range and
+        keep their repr."""
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-6, 18, size=(n, 3))
+        corpus = Corpus([f"t{i}" for i in range(n)], ["w\u00e9", "v"], np.arange(n, dtype=np.int32) % 2, x)
+        chunks = list(gaussian._encode_jsonl(corpus))
+        assert [chunk.count(b"\n") for chunk in chunks] == [
+            min(CHUNK_LINES, n - i) for i in range(0, n, CHUNK_LINES)
+        ]
+        buf = io.BytesIO()
+        save_samples(corpus, buf)
+        assert buf.getvalue() == b"".join(chunks) == jsonl_oracle(corpus)
+
     @settings(max_examples=150, deadline=None)
     @given(sample_lists(FLOAT32S, min_size=1))
     def test_binary_writer_matches_struct_packing(self, samples):
@@ -698,6 +738,22 @@ class TestBoundedMemory:
         save_samples(self.corpus(16), path)
         longest = max(map(len, path.read_bytes().splitlines()))
         assert self.peak_above_corpus(path) < (1 << 20) + 8 * longest
+
+    def test_jsonl_write_peak(self, tmp_path):
+        """Writing 50,000 tokens allocates, above the corpus, less than two
+        chunks of text (a chunk is ``CHUNK_LINES`` lines, about 1.5 MiB
+        here). Holding every line, their joined text and its bytes reads
+        about 58 MiB."""
+        corpus = self.corpus(16, n=50_000)
+        path = tmp_path / "embeddings.jsonl"
+        tracemalloc.start()
+        try:
+            save_samples(corpus, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.read_bytes().count(b"\n") == len(corpus)
+        assert peak < 2 * path.stat().st_size * CHUNK_LINES / len(corpus)
 
     def test_binary_peak(self, tmp_path):
         """Below the file size plus 1 MiB; a float32 copy of the payloads

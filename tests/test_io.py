@@ -294,14 +294,26 @@ def test_deeply_nested_json_names_the_file(what, load):
         load(io.BytesIO(b'{"a": %b' % DEEP))
 
 
-def test_orjson_imported_only_to_decode_json_lines_embeddings(tmp_path):
+@pytest.mark.parametrize("step", ["read", "write"])
+def test_orjson_imported_only_for_json_lines_embeddings(tmp_path, step):
+    """orjson decodes and encodes JSON-lines embedding files and nothing
+    else: importing the CLI or writing a binary embedding file leaves it
+    unloaded, and reading or writing JSON lines loads it."""
     path = tmp_path / "embeddings.jsonl"
     path.write_bytes(b"\n".join(EMBEDDING_LINES) + b"\n")
+    json_lines_step = {
+        "read": f"load_samples({str(path)!r})",
+        "write": f"save_samples(samples, {str(tmp_path / 'out.jsonl')!r})",
+    }[step]
     code = (
         "import sys, prosotag.cli\n"
         "assert 'orjson' not in sys.modules\n"
-        "from prosotag import load_samples\n"
-        f"load_samples({str(path)!r})\n"
+        "import numpy as np\n"
+        "from prosotag import ProsodySample, load_samples, save_samples\n"
+        "samples = [ProsodySample('t0', 'w', np.array([0.5, 1e-06]))]\n"
+        f"save_samples(samples, {str(tmp_path / 'out.bin')!r}, binary=True)\n"
+        "assert 'orjson' not in sys.modules\n"
+        f"{json_lines_step}\n"
         "assert 'orjson' in sys.modules\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}

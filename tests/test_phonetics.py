@@ -680,8 +680,14 @@ class TestClassIO:
 
     @pytest.mark.parametrize(
         "table",
-        [{"Vowel": ["AA", 3]}, {"Vowel": "AEIOU"}, {"Vowel": ["AA"], 5: ["M"]}],
-        ids=["int-member", "string", "int-name"],
+        [
+            {"Vowel": ["AA", 3]},
+            {"Vowel": "AEIOU"},
+            {"Vowel": ["AA"], 5: ["M"]},
+            {"Vowel": 5},
+            {"Vowel": [["AA"]]},
+        ],
+        ids=["int-member", "string", "int-name", "int-members", "list-member"],
     )
     def test_table_refuses_what_load_classes_refuses(self, tmp_path, table):
         with pytest.raises(ValidationError, match="must be a collection of phoneme strings"):

@@ -23,10 +23,12 @@ from prosotag import (
     TaggerConfig,
     ValidationError,
     DecisionTree,
+    GrowthTrace,
     InternalNode,
     LeafGmm,
     LeafNode,
     PhonemeClassTable,
+    SplitRecord,
     WordEntry,
     answer_question,
     default_classes,
@@ -645,6 +647,18 @@ class TestModelFiles:
                 id="int_param",
             ),
             pytest.param(
+                lambda: SplitRecord(True, "a", 0, -1.0, -2.0, 3.0),
+                lambda doc: doc["growth_trace"][1].update(step=True),
+                "step must be int, got bool",
+                id="split-step",
+            ),
+            pytest.param(
+                lambda: GrowthTrace(initial_ll=0.0, num_tokens=1.5),
+                lambda doc: doc["growth_trace"][0].update(num_tokens=1.5),
+                "num_tokens must be int, got float",
+                id="trace-num_tokens",
+            ),
+            pytest.param(
                 lambda: PhonemeClassTable({"Vowel": ["AA", 3]}),
                 lambda doc: doc["classes"].update(Vowel=["AA", 3]),
                 "class 'Vowel' must be a",
@@ -672,6 +686,14 @@ class TestModelFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError, match=message):
             load_model(path)
+
+    def test_integer_floats_stored_as_floats(self):
+        """An int given for a float trace field is kept as the float that
+        ``load_model`` reads back, so the saved text does not change."""
+        record = SplitRecord(1, "a", 0, 7, -2, 3)
+        trace = GrowthTrace(initial_ll=-5, num_tokens=6, records=(record,))
+        values = (record.gain, record.total_leaf_ll, record.avg_samples_per_leaf, trace.initial_ll)
+        assert [(type(v), v) for v in values] == [(float, 7.0), (float, -2.0), (float, 3.0), (float, -5.0)]
 
     def test_integer_gain_loads_as_float(self, tmp_path):
         model, _ = self.fitted()
