@@ -7,8 +7,9 @@ a time, so no text file is held whole. A binary embedding file is read
 whole; its bytes are freed, and a path it was read from is closed, once its
 records are decoded, before the corpus is checked (see
 ``gaussian.load_samples``). Writers take byte chunks, and a path is replaced
-atomically; the tag and JSON-lines embedding writers encode ``CHUNK_LINES``
-lines a chunk, so neither holds its whole output. Text files are UTF-8; the
+atomically. ``token_lines`` builds the lines of tag and JSON-lines embedding
+files, ``CHUNK_LINES`` lines a chunk, so neither output is held whole;
+``write_lines`` writes the other JSON-lines files. Text files are UTF-8; the
 JSON and JSON-lines readers raise ``ParseError`` naming the file or the line
 for bad UTF-8, bad JSON or an integer literal longer than Python converts to
 an int, or JSON nested deeper than the standard library decoder recurses.
@@ -16,6 +17,9 @@ JSON is decoded by the standard library, except that the embedding reader
 has orjson decode each line first (see ``json_lines``). orjson also writes
 the floats of JSON-lines embedding files, wherever its text equals ``repr``'s
 (see ``gaussian.save_samples``). It is imported only by those two paths.
+
+A record type checks its own fields (``_exact_fields``): a loader finds the
+keys (``_from_fields``), names the place and re-raises the record's errors.
 """
 
 from __future__ import annotations
@@ -23,15 +27,20 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from typing import IO, Iterable, Iterator, Mapping
+from dataclasses import fields
+from json.encoder import encode_basestring_ascii
+from typing import IO, TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
+
+if TYPE_CHECKING:
+    from .gaussian import Corpus
 
 _JSON_SPACE = " \t\n\r"
 _decode_json = json.JSONDecoder().raw_decode  # json.loads without its whitespace scans
 _LONG_INT = "integer literal has too many digits to convert"
 _TOO_DEEP = "JSON nested too deeply to decode"
-CHUNK_LINES = 4096  # lines the tag and embedding JSON-lines writers encode and write at a time
+CHUNK_LINES = 4096  # lines ``token_lines`` encodes and writes at a time
 
 Source = str | os.PathLike | IO[bytes]
 
@@ -80,6 +89,30 @@ def write_bytes(sink: Source, chunks: Iterable[bytes]) -> None:
             raise
         # name the path asked for, not the temporary
         raise OSError(exc.errno, exc.strerror, path) from None
+
+
+def write_lines(sink: Source, lines: Sequence[str]) -> None:
+    """Write each of ``lines`` and a newline after it, as UTF-8."""
+    write_bytes(sink, (("\n".join(lines) + "\n" if lines else "").encode("utf-8"),))
+
+
+def token_lines(corpus: Corpus, key: str, values: Callable[[int, int], Iterable[str]]) -> Iterator[bytearray]:
+    """Each token's line ``{"token_id": ..., "word": ..., key: value}`` of
+    ``corpus``, as ``json.dumps`` writes it, in chunks of ``CHUNK_LINES``
+    lines encoded one line at a time when asked for; ``values(start, stop)``
+    gives the ASCII JSON value text of tokens ``start`` to ``stop - 1``."""
+    tails = [f', "word": {encode_basestring_ascii(word)}, "{key}": ' for word in corpus.words]
+
+    def chunk(start: int) -> bytearray:
+        stop = start + CHUNK_LINES
+        text = bytearray()
+        word_of = corpus.word_index[start:stop].tolist()
+        for token_id, word, value in zip(corpus.token_ids[start:stop], word_of, values(start, stop)):
+            line = f'{{"token_id": {encode_basestring_ascii(token_id)}{tails[word]}{value}}}\n'
+            text += line.encode()  # ASCII, as every part is
+        return text
+
+    return map(chunk, range(0, len(corpus), CHUNK_LINES))
 
 
 def json_lines(source: Source, *, exact_ints: bool = True) -> Iterator[tuple[int, dict]]:
@@ -171,3 +204,30 @@ def _field(obj: Mapping, key: str, kind: type, *, optional: bool = False, error:
     if kind is float and type(value) is int:
         return float(value)
     raise error(f"{key} must be {kind.__name__}, got {type(value).__name__}")
+
+
+# keyed by annotation text less " | None": record modules postpone annotations
+_FIELD_TYPES = {"int": int, "float": float, "str": str}
+
+
+def _exact_fields(record: object) -> None:
+    """Check that each int, float or str field, optional or not, of the
+    dataclass ``record`` has exactly that type (a bool is not an int); an int
+    given for a float field is stored as that float, as a file gives it back."""
+    values = vars(record)
+    for spec in fields(record):
+        text = spec.type.removesuffix(" | None")
+        kind = _FIELD_TYPES.get(text)
+        if kind is not None:
+            value = _field(values, spec.name, kind, optional=text != spec.type, error=ValidationError)
+            object.__setattr__(record, spec.name, value)
+
+
+def _from_fields(cls: type, obj: Mapping, **given: object):
+    """The dataclass ``cls`` from a JSON record holding its init fields not
+    ``given`` under their names; an absent one is a ``ParseError``."""
+    try:
+        values = {f.name: obj[f.name] for f in fields(cls) if f.init and f.name not in given}
+    except KeyError as exc:
+        raise ParseError(f"missing field {exc.args[0]!r}") from None
+    return cls(**values, **given)

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from json.encoder import encode_basestring_ascii
 from typing import Iterator, Sequence
 
-from ._io import CHUNK_LINES, write_bytes
+from ._io import token_lines, write_bytes
 from .errors import ConfigError, ProsotagError
 from .gaussian import Corpus, ProsodySample, load_samples, save_samples
 from .gmm import LeafGmm
@@ -51,32 +50,17 @@ PROG = "prosotag"
 def _format_tags(
     model: TaggerModel, lexicon: Sequence[WordEntry], samples: Sequence[ProsodySample]
 ) -> Iterator[bytearray]:
-    """One JSON line per token, as ``json.dumps`` writes it, in token order.
-
-    The tokens are tagged here. The lines come as chunks of
-    ``CHUNK_LINES`` lines, each encoded when it is asked for, one line at
-    a time, so no more than one chunk of the output is built at once. Each
-    word's text after the token id is escaped once, not once per token.
-    """
+    """One JSON line per token, as ``json.dumps`` writes it, in token order,
+    in the chunks of ``_io.token_lines``. The tokens are tagged here."""
     corpus = Corpus.of(samples)
     leaves, components = tag_tokens(model, lexicon, corpus)
     width = max(gmm.m for gmm in model.gmms.values())
-    tails = [f', "word": {encode_basestring_ascii(word)}, "tag": "' for word in corpus.words]
-    tags = [f'{letter}{k}"}}\n' for letter in model.tree.leaf_letters for k in range(width)]
+    tags = [f'"{letter}{k}"' for letter in model.tree.leaf_letters for k in range(width)]
 
-    def chunk(start: int) -> bytearray:
-        stop = start + CHUNK_LINES
-        text = bytearray()
-        for token_id, word, tag in zip(
-            corpus.token_ids[start:stop],
-            corpus.word_index[start:stop].tolist(),
-            (leaves[start:stop] * width + components[start:stop]).tolist(),
-        ):
-            line = f'{{"token_id": {encode_basestring_ascii(token_id)}{tails[word]}{tags[tag]}'
-            text += line.encode()  # ASCII, as every part is
-        return text
+    def values(start: int, stop: int) -> Iterator[str]:
+        return map(tags.__getitem__, (leaves[start:stop] * width + components[start:stop]).tolist())
 
-    return map(chunk, range(0, len(corpus), CHUNK_LINES))
+    return token_lines(corpus, "tag", values)
 
 
 def cmd_fit(args: argparse.Namespace) -> int:

@@ -25,14 +25,13 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, islice
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._io import CHUNK_LINES, json_lines, opened, write_bytes
+from ._io import json_lines, opened, token_lines, write_bytes
 from .errors import DimensionMismatchError, EmptyNodeError, ParseError, ValidationError, _check_knobs
 
 __all__ = [
@@ -231,6 +230,17 @@ def _checked_corpus(
     locate: Callable[[int], str],
 ) -> Corpus:
     """The loaders' shared checks; ``locate(i)`` names token i's line or record."""
+    _check_tokens(token_ids, x, locate, ParseError)
+    return Corpus(token_ids, words, np.array(word_index, dtype=np.int32), x)
+
+
+def _check_tokens(
+    token_ids: Sequence[str], x: np.ndarray, locate: Callable[[int], str], repeat_error: type
+) -> None:
+    """Raise a ``ValidationError`` for the first token whose row of ``x`` is
+    not finite, else a ``repeat_error`` for the first token id equal to an
+    earlier one; ``locate(i)`` names token i's place. The embedding loaders
+    and ``save_samples`` share these checks."""
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if bad.size:
         i = int(bad[0])
@@ -239,8 +249,7 @@ def _checked_corpus(
         )
     repeat = _first_repeat(token_ids)
     if repeat >= 0:
-        raise ParseError(f"{locate(repeat)}: duplicate token id {token_ids[repeat]!r}")
-    return Corpus(token_ids, words, np.array(word_index, dtype=np.int32), x)
+        raise repeat_error(f"{locate(repeat)}: duplicate token id {token_ids[repeat]!r}")
 
 
 def _first_repeat(token_ids: list[str]) -> int:
@@ -460,21 +469,25 @@ def save_samples(
     binary: bool = False,
 ) -> None:
     """Write tokens as JSON lines, byte for byte as ``json.dumps`` writes each
-    record, or in the binary format. All tokens must share one dimension;
-    they are checked before anything is written.
+    record, or in the binary format. Before anything is written, the tokens
+    are checked as ``load_samples`` checks them: one dimension, finite
+    values (finite as float32, for the binary format) and unique token ids;
+    a fault is a ``ValidationError`` naming the sample.
 
     JSON lines are encoded and written ``CHUNK_LINES`` lines at a time, so no
     more than one chunk of the text is held at once; orjson writes a row's
     floats wherever its text equals ``repr``'s (see ``_encode_jsonl``).
     """
     corpus = Corpus.of(samples)
-    write_bytes(sink, (_encode_binary(corpus),) if binary else _encode_jsonl(corpus))
+    with np.errstate(over="ignore"):  # a value beyond float32 range is refused as infinite
+        x = corpus.x.astype("<f4") if binary else corpus.x
+    _check_tokens(corpus.token_ids, x, lambda i: f"sample {i}", ValidationError)
+    write_bytes(sink, (_encode_binary(corpus, x),) if binary else _encode_jsonl(corpus))
 
 
 def _encode_jsonl(corpus: Corpus) -> Iterator[bytearray]:
-    """The JSON lines of ``corpus`` as chunks of ``CHUNK_LINES`` lines, each
-    encoded when it is asked for, one line at a time, so no more than one
-    chunk of the text is built at once.
+    """The JSON lines of ``corpus``, in the chunks of ``_io.token_lines``;
+    each chunk's rows are checked for orjson's range together.
 
     The repr of a list of finite floats is ``json.dumps``'s text for it.
     orjson 3.8 writes a float as repr does when it is ±0.0 or 1e-4 <= |v| <
@@ -484,25 +497,13 @@ def _encode_jsonl(corpus: Corpus) -> Iterator[bytearray]:
     """
     import orjson  # here, not at module level: only this writer encodes with it
 
-    tails = [f', "word": {encode_basestring_ascii(word)}, "embedding": ' for word in corpus.words]
-
-    def chunk(start: int) -> bytearray:
-        stop = start + CHUNK_LINES
+    def values(start: int, stop: int) -> Iterator[str]:
         rows = corpus.x[start:stop]
-        text = bytearray()
-        for token_id, word, row, positional in zip(
-            corpus.token_ids[start:stop],
-            corpus.word_index[start:stop].tolist(),
-            rows,
-            _positional(rows),
-        ):
+        for row, positional in zip(rows, _positional(rows)):
             floats = row.tolist()  # one row's Python floats at a time
-            values = orjson.dumps(floats).decode().replace(",", ", ") if positional else repr(floats)
-            line = f'{{"token_id": {encode_basestring_ascii(token_id)}{tails[word]}{values}}}\n'
-            text += line.encode()  # ASCII, as every part is
-        return text
+            yield orjson.dumps(floats).decode().replace(",", ", ") if positional else repr(floats)
 
-    return map(chunk, range(0, len(corpus), CHUNK_LINES))
+    return token_lines(corpus, "embedding", values)
 
 
 def _positional(rows: np.ndarray) -> list[bool]:
@@ -520,7 +521,8 @@ def _counted(text: str) -> bytes:
     return len(encoded).to_bytes(2, "little") + encoded
 
 
-def _encode_binary(corpus: Corpus) -> bytes:
+def _encode_binary(corpus: Corpus, values: np.ndarray) -> bytes:
+    """The binary file of ``corpus``, whose embeddings are ``values`` as float32."""
     if not len(corpus):
         raise ValidationError("binary embedding files cannot be empty")
     words = [_counted(word) for word in corpus.words]
@@ -528,7 +530,7 @@ def _encode_binary(corpus: Corpus) -> bytes:
         words[w] + _counted(token_id)
         for w, token_id in zip(corpus.word_index.tolist(), corpus.token_ids)
     ]
-    payload = corpus.x.astype("<f4").tobytes()
+    payload = values.tobytes()
     width = 4 * corpus.dim
     rows = [payload[i : i + width] for i in range(0, len(payload), width)]
     parts = [EMBEDDING_MAGIC, struct.pack("<I", corpus.dim)]

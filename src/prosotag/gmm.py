@@ -56,7 +56,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._io import _field
+from ._io import _exact_fields, _field, _from_fields
 from .errors import (
     DimensionMismatchError,
     InsufficientDataError,
@@ -128,7 +128,7 @@ class LeafGmm:
             raise ValidationError(f"mixture weights sum to {float(self.weights.sum())!r}, expected 1")
         if np.any(self.variances <= 0.0):
             raise ValidationError("mixture variances must be positive")
-        _field(vars(self), "n_samples", int, error=ValidationError)  # as load_model reads it
+        _exact_fields(self)
         if self.n_samples < 1:
             raise ValidationError(f"n_samples must be at least 1, got {self.n_samples}")
         with np.errstate(over="ignore"):
@@ -188,11 +188,12 @@ def _gmm_from_dict(leaf: str, obj: object) -> LeafGmm:
     if not isinstance(obj, dict):
         raise ModelFormatError(f"gmm for leaf {leaf!r} is not an object")
     try:
-        return LeafGmm(
+        return _from_fields(
+            LeafGmm,
+            obj,
             weights=_number_array(obj, "weights", 1),
             means=_number_array(obj, "means", 2),
             variances=_number_array(obj, "vars", 2),
-            n_samples=_field(obj, "n_samples", int),
         )
     except (ValueError, OverflowError, ParseError, ValidationError) as exc:
         # ValueError: ragged arrays; OverflowError: an int beyond float range

@@ -25,7 +25,7 @@ from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._io import _field, json_lines, read_json, write_bytes
+from ._io import _exact_fields, _field, json_lines, read_json, write_bytes, write_lines
 from .errors import ConfigError, ParseError, ValidationError
 
 __all__ = [
@@ -155,9 +155,9 @@ class PhonemeClassTable:
     def __post_init__(self) -> None:
         frozen: dict[str, frozenset[str]] = {}
         for name, given in self.classes.items():
-            # exact types, as load_classes reads them: a string is not a member list
+            # exact types, as load_classes reads them: no string or mapping is a member list
             try:
-                members = None if isinstance(given, str) else frozenset(given)
+                members = None if isinstance(given, (str, Mapping)) else frozenset(given)
             except TypeError:  # not iterable, or a member that cannot be hashed
                 members = None
             if type(name) is not str or members is None or set(map(type, members)) - {str}:
@@ -202,10 +202,7 @@ class Question:
             object.__setattr__(self, "kind", QuestionKind(self.kind))
         except ValueError:
             raise ValidationError(f"unknown question kind {self.kind!r}") from None
-        fields = vars(self)
-        _field(fields, "id", int, error=ValidationError)
-        _field(fields, "int_param", int, optional=True, error=ValidationError)
-        _field(fields, "class_param", str, optional=True, error=ValidationError)
+        _exact_fields(self)
         if self.id < 0:
             raise ValidationError(f"question id must be non-negative, got {self.id}")
         param = _KINDS[self.kind][0]
@@ -247,6 +244,16 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
 def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The positions ``starts[i]:starts[i] + lengths[i]`` of every i, in order."""
     return np.arange(int(lengths.sum())) + np.repeat(starts - _offsets(lengths), lengths)
+
+
+def _check_unique(words: Sequence[str]) -> None:
+    """Refuse a word list that holds a word twice, naming the first repeat."""
+    if len(set(words)) < len(words):
+        seen: set[str] = set()
+        for word in words:
+            if word in seen:
+                raise ValidationError(f"duplicate word {word!r} in lexicon")
+            seen.add(word)
 
 
 class WordColumns(Sequence[WordEntry]):
@@ -325,11 +332,7 @@ class WordColumns(Sequence[WordEntry]):
     def row_of(self) -> dict[str, int]:
         row_of = dict(zip(self.words, range(len(self))))
         if len(row_of) != len(self):
-            seen: set[str] = set()
-            for word in self.words:
-                if word in seen:
-                    raise ValidationError(f"duplicate word {word!r} in lexicon")
-                seen.add(word)
+            _check_unique(self.words)
         return row_of
 
     @cached_property
@@ -585,7 +588,10 @@ def load_lexicon(source: str | Path | IO[bytes]) -> WordColumns:
 
 def save_lexicon(entries: Iterable[WordEntry], sink: str | Path | IO[bytes]) -> None:
     """One JSON line per entry, as ``json.dumps(e.to_dict(), ensure_ascii=False)``
-    writes it."""
+    writes it; a repeated word, which ``load_lexicon`` refuses, is a
+    ``ValidationError`` before anything is written."""
+    entries = list(entries)
+    _check_unique([e.word for e in entries])
     lines = [
         f'{{"word": {encode_basestring(e.word)}, '
         f'"phonemes": [{", ".join(map(encode_basestring, e.phonemes))}], '
@@ -593,7 +599,7 @@ def save_lexicon(entries: Iterable[WordEntry], sink: str | Path | IO[bytes]) -> 
         f'"stress_syllable": {"null" if e.stress_syllable is None else e.stress_syllable}}}'
         for e in entries
     ]
-    write_bytes(sink, (("\n".join(lines) + "\n" if lines else "").encode("utf-8"),))
+    write_lines(sink, lines)
 
 
 def load_questions(
@@ -619,19 +625,22 @@ def load_questions(
 
 
 def save_questions(questions: Iterable[Question], sink: str | Path | IO[bytes]) -> None:
-    lines = [json.dumps(q.to_dict()) for q in questions]
-    write_bytes(sink, (("\n".join(lines) + "\n" if lines else "").encode("utf-8"),))
+    """One JSON line per question; a repeated id, which ``load_questions``
+    refuses, is a ``ValidationError`` before anything is written."""
+    questions = list(questions)
+    question_index(questions)
+    write_lines(sink, [json.dumps(q.to_dict()) for q in questions])
 
 
 def _classes_from_dict(obj: object) -> PhonemeClassTable:
     """A class table (the ``PhonemeClassTable.to_dict`` form); shared by the
-    class-file and model-file loaders. Members must be phoneme strings."""
+    class-file and model-file loaders. Any fault is a ``ParseError``."""
     if not isinstance(obj, dict):
         raise ParseError("class table must be a JSON object of name -> [phonemes]")
-    for name, members in obj.items():
-        if type(members) is not list or not all(type(m) is str for m in members):
-            raise ParseError(f"class {name!r} must be a list of phoneme strings")
-    return PhonemeClassTable(obj)
+    try:
+        return PhonemeClassTable(obj)
+    except ValidationError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def load_classes(source: str | Path | IO[bytes]) -> PhonemeClassTable:

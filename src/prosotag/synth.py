@@ -20,13 +20,14 @@ component index); ``adjusted_rand_index`` scores recovered tags against them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Hashable, Mapping
 
 import numpy as np
 
-from ._io import _field, json_lines, write_bytes
+from ._io import _field, json_lines, write_lines
 from .errors import ConfigError, ParseError, ValidationError, _check_knobs
 from .gaussian import Corpus
 from .phonetics import (
@@ -239,15 +240,28 @@ def adjusted_rand_index(pred: Mapping[str, Hashable], truth: Mapping[str, Hashab
 
 
 def save_ground_truth(truth: Mapping[str, tuple[int, int]], sink: str | Path | IO[bytes]) -> None:
-    """One JSON line per token, as ``json.dumps`` writes it; at least one
-    token, as ``load_ground_truth`` requires."""
+    """One JSON line per token, as ``json.dumps`` writes it. As
+    ``load_ground_truth`` requires, there is at least one token, each token
+    id is a string and each label an integer, not a bool (numpy integers are
+    written as plain integers); any fault is a ``ValidationError`` before
+    anything is written."""
     if not truth:
         raise ValidationError("ground truth has no tokens")
+    labels = chain.from_iterable(truth.values())
+    if not (set(map(type, truth)) <= {str} and set(map(type, labels)) <= {int}):
+        for token, label in truth.items():  # the first fault, for its message
+            if not isinstance(token, str) or any(
+                type(v) is bool or not isinstance(v, (int, np.integer)) for v in label
+            ):
+                raise ValidationError(
+                    f"token {token!r}: ground truth needs a string token id "
+                    f"and integer labels, got {label!r}"
+                )
     lines = [
         f'{{"token_id": {encode_basestring_ascii(token)}, "archetype": {a}, "component": {c}}}'
         for token, (a, c) in truth.items()
     ]
-    write_bytes(sink, (("\n".join(lines) + "\n").encode("ascii"),))
+    write_lines(sink, lines)
 
 
 def load_ground_truth(source: str | Path | IO[bytes]) -> dict[str, tuple[int, int]]:

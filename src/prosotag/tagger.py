@@ -23,13 +23,13 @@ occur.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from ._io import read_json, write_bytes
+from ._io import _from_fields, read_json, write_bytes
 from .errors import (
     ConfigError,
     DimensionMismatchError,
@@ -310,10 +310,8 @@ def load_model(source: str | Path | IO[bytes]) -> TaggerModel:
     if not isinstance(raw_cfg, dict):
         raise ModelFormatError("config must be an object")
     try:
-        config = TaggerConfig(**{f.name: raw_cfg[f.name] for f in fields(TaggerConfig)})
-    except KeyError as exc:
-        raise ModelFormatError(f"malformed config: missing field {exc}") from None
-    except ConfigError as exc:
+        config = _from_fields(TaggerConfig, raw_cfg)
+    except (ParseError, ConfigError) as exc:
         raise ModelFormatError(f"malformed config: {exc}") from exc
 
     try:

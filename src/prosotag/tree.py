@@ -22,13 +22,13 @@ here, and ``growth_report`` / ``write_growth_csv`` tabulate the trace.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from ._io import _field, write_bytes
+from ._io import _exact_fields, _field, _from_fields, write_bytes
 from .errors import ModelFormatError, ParseError, ValidationError, _check_knobs
 from .gaussian import Corpus, ProsodySample, _in_float64_range, _ll_from_moments
 from .phonetics import (
@@ -67,21 +67,6 @@ def leaf_letter(index: int) -> str:
         index, rem = divmod(index - 1, 26)
         letters.append(chr(ord("a") + rem))
     return "".join(reversed(letters))
-
-
-# keyed by annotation text: this module postpones the evaluation of annotations
-_FIELD_TYPES = {"int": int, "float": float, "str": str}
-
-
-def _exact_fields(record: object) -> None:
-    """Every int, float or str field of ``record`` of exactly that type, as
-    ``load_model`` reads it (a bool is not an int); an int given for a float
-    field is stored as that float, as the file gives it back."""
-    values = vars(record)
-    for spec in fields(record):
-        kind = _FIELD_TYPES.get(spec.type)
-        if kind is not None:
-            object.__setattr__(record, spec.name, _field(values, spec.name, kind, error=ValidationError))
 
 
 @dataclass(frozen=True)
@@ -162,14 +147,8 @@ def _node_from_obj(obj: object, pos: int) -> TreeNode:
     if not isinstance(obj, dict):
         raise ModelFormatError(f"tree node {pos} is not an object")
     try:
-        if "leaf_index" in obj:
-            return LeafNode(leaf_index=_field(obj, "leaf_index", int))
-        return InternalNode(
-            question_id=_field(obj, "question_id", int),
-            yes_child=_field(obj, "yes_child", int),
-            no_child=_field(obj, "no_child", int),
-        )
-    except ParseError as exc:
+        return _from_fields(LeafNode if "leaf_index" in obj else InternalNode, obj)
+    except (ParseError, ValidationError) as exc:
         raise ModelFormatError(f"tree node {pos}: {exc}") from None
 
 
@@ -237,23 +216,15 @@ def _trace_from_rows(rows: object) -> GrowthTrace:
         raise ModelFormatError("growth_trace must start with the step-0 row")
     pos = 0
     try:
+        # the head row's keys are not the trace's field names: checked as keys
         initial_ll = _field(head, "total_leaf_ll", float)
         num_tokens = _field(head, "num_tokens", int)
         records = []
         for pos, r in enumerate(rows[1:], 1):
             if not isinstance(r, dict):
                 raise ParseError("not an object")
-            records.append(
-                SplitRecord(
-                    step=_field(r, "step", int),
-                    leaf_split=_field(r, "leaf_split", str),
-                    question_id=_field(r, "question_id", int),
-                    gain=_field(r, "gain", float),
-                    total_leaf_ll=_field(r, "total_leaf_ll", float),
-                    avg_samples_per_leaf=_field(r, "avg_samples_per_leaf", float),
-                )
-            )
-    except ParseError as exc:
+            records.append(_from_fields(SplitRecord, r))
+    except (ParseError, ValidationError) as exc:
         raise ModelFormatError(f"malformed growth_trace row {pos}: {exc}") from None
     return GrowthTrace(initial_ll=initial_ll, num_tokens=num_tokens, records=tuple(records))
 

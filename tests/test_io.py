@@ -22,9 +22,18 @@ import prosotag
 from prosotag import (
     EMBEDDING_MAGIC,
     Corpus,
+    GrowthTrace,
+    InternalNode,
+    LeafGmm,
+    LeafNode,
     ParseError,
     ProsodySample,
     ProsotagError,
+    Question,
+    QuestionKind,
+    SplitRecord,
+    ValidationError,
+    WordEntry,
     default_classes,
     load_samples,
     save_samples,
@@ -401,6 +410,87 @@ class TestLoadSamplesStreams:
             load(b"PTE")
         with pytest.raises(ParseError, match="truncated before header"):
             load(b"PTE1\x03")
+
+
+# ---------------------------------------------------------------------------
+# records check their own fields, and savers refuse what their loaders refuse
+
+# each record type that checks its fields with ``_io._exact_fields``, built
+# from valid arguments, and every int, float or str field of it (optional
+# ones included); the check is keyed by annotation text, so it holds only
+# while every record module postpones the evaluation of its annotations
+EXACT_RECORDS = [
+    (Question, {"id": 0, "kind": QuestionKind.PHONEME_COUNT_GT, "int_param": 2}, ["id", "int_param", "class_param"]),
+    (
+        LeafGmm,
+        {"weights": np.ones(1), "means": np.zeros((1, 1)), "variances": np.ones((1, 1)), "n_samples": 1},
+        ["n_samples"],
+    ),
+    (InternalNode, {"question_id": 0, "yes_child": 1, "no_child": 2}, ["question_id", "yes_child", "no_child"]),
+    (LeafNode, {"leaf_index": 0}, ["leaf_index"]),
+    (
+        SplitRecord,
+        {"step": 1, "leaf_split": "a", "question_id": 0, "gain": 1.0, "total_leaf_ll": -2.0, "avg_samples_per_leaf": 3.0},
+        ["step", "leaf_split", "question_id", "gain", "total_leaf_ll", "avg_samples_per_leaf"],
+    ),
+    (GrowthTrace, {"initial_ll": -1.0, "num_tokens": 1}, ["initial_ll", "num_tokens"]),
+]
+
+
+@pytest.mark.parametrize(
+    "record, valid, name, bad",
+    [
+        pytest.param(record, valid, name, bad, id=f"{record.__name__}-{name}-{type(bad).__name__}")
+        for record, valid, names in EXACT_RECORDS
+        for name in names
+        # a bool for every field, a str for a number field, an int for a text one
+        for bad in (True, 1 if name in ("leaf_split", "class_param") else "1")
+    ],
+)
+def test_record_fields_have_exact_types(record, valid, name, bad):
+    record(**valid)
+    with pytest.raises(ValidationError, match=f"^{name} must be (int|float|str), got {type(bad).__name__}$"):
+        record(**{**valid, name: bad})
+
+
+def _token(token_id: str, value: float) -> ProsodySample:
+    return ProsodySample(token_id, "w", np.array([value]))
+
+
+INFINITE = Corpus(["t"], ["w"], np.zeros(1, dtype=np.int32), np.array([[1.0, np.inf]]))
+REPEATED_IDS = [_token("s", 1.0), _token("t", 2.0), _token("t", 3.0)]
+WORD = WordEntry("w", ("K",), (0,))
+QUESTION = Question(id=0, kind=QuestionKind.ENDS_CLOSED_SYLLABLE)
+BINARY = partial(save_samples, binary=True)
+
+
+@pytest.mark.parametrize(
+    "save, value, message",
+    [
+        pytest.param(save_samples, REPEATED_IDS, "sample 2: duplicate token id 't'", id="embeddings-repeated-id"),
+        pytest.param(BINARY, REPEATED_IDS, "sample 2: duplicate token id 't'", id="binary-repeated-id"),
+        pytest.param(save_samples, INFINITE, "sample 0: token 't': embedding has non-finite", id="embeddings-inf"),
+        pytest.param(BINARY, INFINITE, "sample 0: token 't': embedding has non-finite", id="binary-inf"),
+        pytest.param(BINARY, [_token("t", 1e39)], "sample 0: token 't': embedding has non-finite", id="binary-float32-inf"),
+        pytest.param(save_lexicon, [WORD, WORD], "duplicate word 'w' in lexicon", id="lexicon-repeated-word"),
+        pytest.param(save_questions, [QUESTION, QUESTION], "duplicate question id 0", id="questions-repeated-id"),
+        pytest.param(save_ground_truth, {"t": (True, 2.5)}, r"token 't': .* got \(True, 2.5\)", id="truth-bool"),
+        pytest.param(save_ground_truth, {"t": (0, 2.0)}, r"token 't': .* got \(0, 2.0\)", id="truth-float"),
+        pytest.param(save_ground_truth, {1: (0, 2)}, "token 1: .* string token id", id="truth-int-token"),
+    ],
+)
+def test_saver_refuses_what_its_loader_refuses(save, value, message, tmp_path):
+    """A file its loader would refuse (a repeated key, a non-finite or
+    float32-overflowing embedding, text that is not JSON) is not written:
+    the saver raises a ``ValidationError`` first."""
+    path = tmp_path / "out"
+    with pytest.raises(ValidationError, match=message):
+        save(value, path)
+    assert not path.exists()
+    stream = io.BytesIO()
+    with pytest.raises(ValidationError, match=message):
+        save(value, stream)
+    assert stream.getvalue() == b""
 
 
 # ---------------------------------------------------------------------------

@@ -672,7 +672,7 @@ class TestClassIO:
 
     @pytest.mark.parametrize(
         "data",
-        [b'{"Vowel": ["AA", 1, true]}', b'{"Vowel": ["AA", null]}', b'{"Vowel": "AA"}'],
+        [b'{"Vowel": ["AA", 1, true]}', b'{"Vowel": ["AA", null]}', b'{"Vowel": "AA"}', b'{"Vowel": {"AA": 1}}'],
     )
     def test_members_must_be_strings(self, data):
         with pytest.raises(ParseError, match="'Vowel'"):
@@ -686,8 +686,9 @@ class TestClassIO:
             {"Vowel": ["AA"], 5: ["M"]},
             {"Vowel": 5},
             {"Vowel": [["AA"]]},
+            {"Vowel": {"AA": 1}},
         ],
-        ids=["int-member", "string", "int-name", "int-members", "list-member"],
+        ids=["int-member", "string", "int-name", "int-members", "list-member", "mapping-members"],
     )
     def test_table_refuses_what_load_classes_refuses(self, tmp_path, table):
         with pytest.raises(ValidationError, match="must be a collection of phoneme strings"):

@@ -322,6 +322,12 @@ class TestGroundTruthIO:
         )
         assert buf.getvalue() == expected.encode("utf-8")
 
+    def test_numpy_integer_labels_written_as_integers(self):
+        buf = io.BytesIO()
+        save_ground_truth({"t": (np.int64(3), np.uint8(1))}, buf)
+        assert buf.getvalue() == b'{"token_id": "t", "archetype": 3, "component": 1}\n'
+        assert load_ground_truth(io.BytesIO(buf.getvalue())) == {"t": (3, 1)}
+
     def test_duplicate_token(self, tmp_path):
         path = tmp_path / "truth.jsonl"
         line = '{"token_id": "t0", "archetype": 0, "component": 1}\n'

@@ -687,6 +687,53 @@ class TestModelFiles:
         with pytest.raises(ModelFormatError, match=message):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "record, updates, dropped, message",
+        [
+            pytest.param(
+                lambda doc: doc["tree"]["nodes"][0],
+                {"question_id": "1"},
+                ("no_child",),
+                "tree node 0: missing field 'no_child'",
+                id="tree-node",
+            ),
+            pytest.param(
+                lambda doc: doc["growth_trace"][1],
+                {"step": True},
+                ("avg_samples_per_leaf",),
+                "malformed growth_trace row 1: missing field 'avg_samples_per_leaf'",
+                id="trace-row",
+            ),
+            pytest.param(
+                lambda doc: doc["gmms"]["a"],
+                {},
+                ("n_samples",),
+                "malformed gmm for leaf 'a': missing field 'n_samples'",
+                id="gmm",
+            ),
+            pytest.param(
+                lambda doc: doc["config"],
+                {"seed": True},
+                ("floor",),
+                "malformed config: missing field 'floor'",
+                id="config",
+            ),
+        ],
+    )
+    def test_missing_field_reported_before_mistyped_ones(self, tmp_path, record, updates, dropped, message):
+        """A record's keys are found first, then the record type checks the
+        values, so a missing field is named even after a mistyped one."""
+        model, _ = self.fitted()
+        doc = json.loads(model_to_json(model))
+        record(doc).update(updates)
+        for key in dropped:
+            del record(doc)[key]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError) as info:
+            load_model(path)
+        assert str(info.value) == message
+
     def test_integer_floats_stored_as_floats(self):
         """An int given for a float trace field is kept as the float that
         ``load_model`` reads back, so the saved text does not change."""
