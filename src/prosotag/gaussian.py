@@ -472,7 +472,8 @@ def save_samples(
     record, or in the binary format. Before anything is written, the tokens
     are checked as ``load_samples`` checks them: one dimension, finite
     values (finite as float32, for the binary format) and unique token ids;
-    a fault is a ``ValidationError`` naming the sample.
+    a fault, or for the binary format a word or token id that UTF-8 cannot
+    encode, is a ``ValidationError`` naming the sample.
 
     JSON lines are encoded and written ``CHUNK_LINES`` lines at a time, so no
     more than one chunk of the text is held at once; orjson writes a row's
@@ -521,15 +522,30 @@ def _counted(text: str) -> bytes:
     return len(encoded).to_bytes(2, "little") + encoded
 
 
+def _first_unencodable(corpus: Corpus) -> str:
+    """The message for the first sample whose word or token id, in file
+    order, UTF-8 cannot encode: it holds a lone surrogate."""
+    for i, (w, token_id) in enumerate(zip(corpus.word_index.tolist(), corpus.token_ids)):
+        for name, text in (("word", corpus.words[w]), ("token id", token_id)):
+            try:
+                text.encode("utf-8")
+            except UnicodeEncodeError:
+                return f"sample {i}: {name} {text!r} holds a lone surrogate, which UTF-8 cannot encode"
+    raise AssertionError("every word and token id encodes")
+
+
 def _encode_binary(corpus: Corpus, values: np.ndarray) -> bytes:
     """The binary file of ``corpus``, whose embeddings are ``values`` as float32."""
     if not len(corpus):
         raise ValidationError("binary embedding files cannot be empty")
-    words = [_counted(word) for word in corpus.words]
-    heads = [
-        words[w] + _counted(token_id)
-        for w, token_id in zip(corpus.word_index.tolist(), corpus.token_ids)
-    ]
+    try:
+        words = [_counted(word) for word in corpus.words]
+        heads = [
+            words[w] + _counted(token_id)
+            for w, token_id in zip(corpus.word_index.tolist(), corpus.token_ids)
+        ]
+    except UnicodeEncodeError:
+        raise ValidationError(_first_unencodable(corpus)) from None
     payload = values.tobytes()
     width = 4 * corpus.dim
     rows = [payload[i : i + width] for i in range(0, len(payload), width)]

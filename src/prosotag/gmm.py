@@ -5,9 +5,10 @@ Initialization runs ``KMEANS_RESTARTS`` seeded restarts of greedy k-means++
 followed by at most ``KMEANS_SWEEPS`` Lloyd sweeps each (a restart stops
 early once its labels repeat), keeping the restart with the lowest inertia.
 A one-component mixture starts from its rows' mean and variance, where every
-restart would end: it draws nothing from its seed, and a process that fits
-only one-component mixtures never loads ``numpy.random``. EM then runs in
-log space (log-sum-exp responsibilities) until the relative gain in total
+restart would end: it draws nothing from its seed. The k-means++ draws come
+from ``_Pcg64``, the stream of ``numpy.random.default_rng(seed)`` computed in
+Python, so no fit loads ``numpy.random``. EM then runs in log space
+(log-sum-exp responsibilities) until the relative gain in total
 log-likelihood falls below ``EM_REL_TOL`` or ``EM_MAX_ITERS`` M-steps have
 run. Everything downstream of the seed is deterministic.
 
@@ -52,7 +53,7 @@ holds two copies of its leaf plus (m, n) scores.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -334,8 +335,119 @@ def _logsumexp_columns(a: np.ndarray) -> np.ndarray:
     return out
 
 
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(const: int, multiplier: int) -> Callable[[int], int]:
+    """SeedSequence's hash of a 32-bit word; each call advances its constant."""
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * multiplier & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _seed_words(seed: int) -> list[int]:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` as Python ints."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    entropy = [seed >> 32 * i & _MASK32 for i in range(max(1, -(-seed.bit_length() // 32)))]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+
+    def mix(acc: int, word: int) -> int:
+        out = (0xCA01F9DD * acc - 0x4973F715 * hashmix(word)) & _MASK32
+        return out ^ out >> 16
+
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], pool[src])
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], word)
+    output = _hasher(0x8B51F9DD, 0x58F38DED)
+    halves = [output(pool[i % 4]) for i in range(8)]
+    return [halves[i] | halves[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+class _Pcg64:
+    """The stream of ``np.random.default_rng(seed)``, bit for bit, for the
+    draws k-means++ makes: ``integers(n)``, ``integers(n, size=k)`` and
+    ``choice(n, size=k, p=p)``.
+
+    PCG64 (O'Neill 2014): a 128-bit LCG with the XSL-RR output, 32-bit draws
+    taking the halves of one 64-bit output, low half first. Bounded integers
+    use Lemire's multiply-and-reject (ACM TOMS 45(1), 2019) on 32 bits below
+    n = 2**32, the raw 32-bit draw at 2**32 and 64 bits above, as numpy's
+    int64 ``integers`` does. It spares a fit the import of ``numpy.random``
+    and keeps model bytes off numpy's ``Generator`` algorithms, which may
+    change between numpy releases.
+    """
+
+    def __init__(self, seed: int) -> None:
+        state_high, state_low, inc_high, inc_low = _seed_words(seed)
+        self._inc = ((inc_high << 64 | inc_low) << 1 | 1) & _MASK128
+        self._state = self._inc + (state_high << 64 | state_low)
+        self._half: int | None = None
+        self._next64()
+
+    def _next64(self) -> int:
+        self._state = (self._state * _PCG64_MULTIPLIER + self._inc) & _MASK128
+        word = (self._state >> 64 ^ self._state) & _MASK64
+        rot = self._state >> 122
+        return (word >> rot | word << (64 - rot)) & _MASK64
+
+    def _next32(self) -> int:
+        if self._half is not None:
+            half, self._half = self._half, None
+            return half
+        word = self._next64()
+        self._half = word >> 32
+        return word & _MASK32
+
+    def _below(self, n: int) -> int:
+        if n == 1:
+            return 0
+        if n == 1 << 32:
+            return self._next32()
+        bits, draw = (32, self._next32) if n < 1 << 32 else (64, self._next64)
+        mask = (1 << bits) - 1
+        product = draw() * n
+        if product & mask < n:
+            threshold = (1 << bits) % n
+            while product & mask < threshold:
+                product = draw() * n
+        return product >> bits
+
+    def integers(self, n: int, size: int | None = None) -> int | np.ndarray:
+        """A uniform integer in [0, n), or ``size`` of them as int64."""
+        if size is None:
+            return self._below(n)
+        return np.array([self._below(n) for _ in range(size)], dtype=np.int64)
+
+    def choice(self, n: int, size: int, p: np.ndarray) -> np.ndarray:
+        """``size`` indices in [0, n) drawn with replacement with probabilities
+        ``p`` (n,), which must be non-negative and sum to 1 within sqrt(eps);
+        ``n`` is only ``len(p)``, taken as ``Generator.choice`` takes it."""
+        total = p.sum()
+        if np.isnan(total) or (p < 0).any() or abs(total - 1.0) > np.sqrt(np.finfo(np.float64).eps):
+            raise ValueError(f"probabilities must be non-negative and sum to 1, got sum {total!r}")
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        uniforms = np.array([(self._next64() >> 11) * 2.0**-53 for _ in range(size)])
+        return cdf.searchsorted(uniforms, side="right")
+
+
 def _kmeans_plus_plus(
-    x: np.ndarray, xt: np.ndarray, m: int, rng: np.random.Generator
+    x: np.ndarray, xt: np.ndarray, m: int, rng: _Pcg64
 ) -> tuple[np.ndarray, np.ndarray]:
     """Greedy k-means++: several D^2-sampled candidates per center, keeping
     the one that lowers the potential most. Returns the centres and the
@@ -362,7 +474,7 @@ def _kmeans_plus_plus(
 
 
 def _run_kmeans(
-    x: np.ndarray, xt: np.ndarray, m: int, rng: np.random.Generator
+    x: np.ndarray, xt: np.ndarray, m: int, rng: _Pcg64
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """One seeded restart: (centres, labels, inertia), the labels and inertia
     those of the returned centres.
@@ -401,7 +513,7 @@ def _initial_parameters(
         # every k-means restart would end at the moments of ``x[member]``, a
         # copy of the C-contiguous rows, so of ``x`` itself, bit for bit
         return np.ones(1), x.mean(axis=0)[None], global_var[None]
-    rng = np.random.default_rng(seed)
+    rng = _Pcg64(seed)
     centers, labels, best_inertia = _run_kmeans(x, xt, m, rng)
     for _ in range(KMEANS_RESTARTS - 1):
         other, other_labels, inertia = _run_kmeans(x, xt, m, rng)
@@ -479,7 +591,7 @@ def fit_gmm(
 
     The initialization is k-means for m > 1. With m = 1 it is the rows'
     mean and variance: the fit draws nothing from the seed, whose value
-    does not change it, and does not load ``numpy.random``. Rows that are
+    does not change it. No fit loads ``numpy.random``. Rows that are
     not C-contiguous are copied into that layout first, so the fit does not
     depend on their layout either.
 

@@ -239,23 +239,37 @@ def adjusted_rand_index(pred: Mapping[str, Hashable], truth: Mapping[str, Hashab
 # ground-truth file
 
 
+def _is_label_pair(label: object) -> bool:
+    """Whether ``label`` holds exactly two integers, neither a bool."""
+    try:
+        pair = tuple(label)  # type: ignore[call-overload]
+    except TypeError:
+        return False
+    return len(pair) == 2 and all(
+        type(v) is not bool and isinstance(v, (int, np.integer)) for v in pair
+    )
+
+
 def save_ground_truth(truth: Mapping[str, tuple[int, int]], sink: str | Path | IO[bytes]) -> None:
     """One JSON line per token, as ``json.dumps`` writes it. As
     ``load_ground_truth`` requires, there is at least one token, each token
-    id is a string and each label an integer, not a bool (numpy integers are
-    written as plain integers); any fault is a ``ValidationError`` before
-    anything is written."""
+    id is a string and each label a pair of integers, not bools (numpy
+    integers are written as plain integers); any fault is a
+    ``ValidationError`` before anything is written."""
     if not truth:
         raise ValidationError("ground truth has no tokens")
-    labels = chain.from_iterable(truth.values())
-    if not (set(map(type, truth)) <= {str} and set(map(type, labels)) <= {int}):
+    labels = truth.values()
+    if not (
+        set(map(type, truth)) <= {str}
+        and set(map(type, labels)) <= {tuple}
+        and set(map(len, labels)) == {2}
+        and set(map(type, chain.from_iterable(labels))) <= {int}
+    ):
         for token, label in truth.items():  # the first fault, for its message
-            if not isinstance(token, str) or any(
-                type(v) is bool or not isinstance(v, (int, np.integer)) for v in label
-            ):
+            if not (isinstance(token, str) and _is_label_pair(label)):
                 raise ValidationError(
                     f"token {token!r}: ground truth needs a string token id "
-                    f"and integer labels, got {label!r}"
+                    f"and a pair of integer labels, got {label!r}"
                 )
     lines = [
         f'{{"token_id": {encode_basestring_ascii(token)}, "archetype": {a}, "component": {c}}}'

@@ -14,10 +14,10 @@ put the sections together and check the format version.
 Per-leaf EM seeds are ``config.seed XOR leaf_index``: reproducible, and a
 changed question set cannot silently reshuffle every leaf's initialization.
 A one-component mixture starts from its leaf's mean and variance and draws
-nothing from its seed, so with ``m`` = 1 the seed changes no mixture and the
-fit does not load ``numpy.random``. A leaf holding fewer tokens than ``m``
-falls back to one component per token; its later tag digits simply never
-occur.
+nothing from its seed, so with ``m`` = 1 the seed changes no mixture. No fit
+loads ``numpy.random``: k-means++ draws from ``gmm._Pcg64``. A leaf holding
+fewer tokens than ``m`` falls back to one component per token; its later tag
+digits simply never occur.
 """
 
 from __future__ import annotations
@@ -324,10 +324,12 @@ def load_model(source: str | Path | IO[bytes]) -> TaggerModel:
         raise ModelFormatError("questions must be an array")
     questions: list[Question] = []
     for pos, obj in enumerate(raw_questions):
+        if not isinstance(obj, dict):
+            raise ModelFormatError(f"question {pos} is not an object")
         try:
             q = _question_from_dict(obj)
             q.validate_against(classes)
-        except (TypeError, ParseError, ConfigError, ValidationError) as exc:
+        except (ParseError, ConfigError, ValidationError) as exc:
             raise ModelFormatError(f"malformed question {pos}: {exc}") from exc
         questions.append(q)
 

@@ -263,23 +263,25 @@ class TestFit:
         assert out.stderr.count("\n") == 1
         assert not (tmp_path / "model.json").exists()
 
-    def test_one_component_fit_leaves_numpy_random_unloaded(self, corpus, tmp_path):
-        # one-component leaves start from their rows' moments and create no
-        # generator; a two-component fit's k-means++ seeding loads it
-        args = fit_args(corpus, tmp_path / "model.json", components=1)
+    def test_fit_leaves_numpy_random_unloaded(self, corpus, tmp_path):
+        # one-component leaves draw nothing; k-means++ draws from gmm._Pcg64,
+        # so no fit imports numpy.random or the hashlib and secrets it pulls in
+        one = fit_args(corpus, tmp_path / "one.json", components=1)
+        five = fit_args(corpus, tmp_path / "five.json", components=5)
+        unloaded = "assert not {'numpy.random', 'hashlib', 'secrets'} & sys.modules.keys()\n"
         code = (
             "import sys\n"
             "import numpy as np\n"
             "from prosotag import fit_gmm\n"
             "from prosotag.cli import main\n"
-            "assert 'numpy.random' not in sys.modules\n"
-            "x = np.sin(np.arange(60.0)).reshape(20, 3)\n"
+            + unloaded
+            + "x = np.sin(np.arange(60.0)).reshape(20, 3)\n"
             "fit_gmm(x, 1, 7)\n"
-            "assert 'numpy.random' not in sys.modules\n"
-            f"assert main({args!r}) == 0\n"
-            "assert 'numpy.random' not in sys.modules\n"
             "fit_gmm(x, 2, 7)\n"
-            "assert 'numpy.random' in sys.modules\n"
+            + unloaded
+            + f"assert main({one!r}) == 0\n"
+            f"assert main({five!r}) == 0\n"
+            + unloaded
         )
         src = str(Path(cli.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

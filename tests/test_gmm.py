@@ -549,6 +549,74 @@ class TestNumericKernels:
         assert inertia == ref_inertia
 
 
+def probabilities(n):
+    """A k-means++-like weight vector over n points: skewed, with zeros."""
+    w = np.random.default_rng(n).random(n) ** 4
+    w[1::7] = 0.0
+    return w / w.sum()
+
+
+# Lemire on 32 bits below 2**32, the raw 32-bit draw at 2**32, Lemire on 64
+# bits above; 2**31 + 1 and 3 * 2**61 reject about half and an eighth of draws
+PCG_SIZES = [1, 2, 3, 3_000, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 5, 3 * 2**61, 2**63]
+PCG_CALLS = st.one_of(
+    st.tuples(st.just("integers"), st.sampled_from(PCG_SIZES), st.none() | st.integers(0, 6)),
+    st.tuples(st.just("choice"), st.sampled_from([1, 2, 3, 3_000]), st.integers(0, 6)),
+)
+
+
+class TestPcg64:
+    """``gmm._Pcg64`` against ``np.random.default_rng``, the oracle."""
+
+    def check_calls(self, seed, calls):
+        ours, oracle = gmm_module._Pcg64(seed), np.random.default_rng(seed)
+        for method, n, size in calls:
+            if method == "choice":
+                p = probabilities(n)
+                got, want = ours.choice(n, size=size, p=p), oracle.choice(n, size=size, p=p)
+            else:
+                got, want = ours.integers(n, size=size), oracle.integers(n, size=size)
+            if size is None:
+                assert type(got) is int and got == want
+            else:
+                assert got.dtype == np.int64 and got.shape == (size,)
+                np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32, 2**64, 2**200])
+    @pytest.mark.parametrize("n", PCG_SIZES)
+    def test_interleaved_calls_match(self, seed, n):
+        calls = [("integers", n, None), ("choice", 3_000, 3), ("integers", n, 5),
+                 ("integers", n, None), ("choice", 2, 1), ("integers", n, 4)] * 3
+        self.check_calls(seed, calls)
+
+    @given(seed=st.integers(0, 2**256), calls=st.lists(PCG_CALLS, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_any_seed_and_calls_match(self, seed, calls):
+        self.check_calls(seed, calls)
+
+    @pytest.mark.parametrize(
+        "p", [[0.5, -0.1, 0.6], [0.5, np.nan, 0.5], [0.5, 0.5, 0.1]], ids=["negative", "nan", "sum"]
+    )
+    def test_choice_refuses_what_numpy_refuses(self, p):
+        p = np.array(p)
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(3, size=2, p=p)
+        with pytest.raises(ValueError):
+            gmm_module._Pcg64(0).choice(3, size=2, p=p)
+
+    @given(seed=st.integers(0, 2**70), n=st.integers(2, 150), d=st.integers(1, 4), m=st.integers(2, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_kmeans_matches_under_both_generators(self, seed, n, d, m):
+        x = np.round(np.random.default_rng(n * d).normal(scale=3.0, size=(n, d)), 1)
+        xt = gmm_module._columns(x)
+        m = min(m, n)
+        ours = gmm_module._run_kmeans(x, xt, m, gmm_module._Pcg64(seed))
+        want = gmm_module._run_kmeans(x, xt, m, np.random.default_rng(seed))
+        np.testing.assert_array_equal(ours[0], want[0])
+        np.testing.assert_array_equal(ours[1], want[1])
+        assert ours[2] == want[2]
+
+
 class TestBoundedMemory:
     """Fitting and tagging allocate less than one (n, m, d) float64 array."""
 

@@ -472,11 +472,21 @@ BINARY = partial(save_samples, binary=True)
         pytest.param(save_samples, INFINITE, "sample 0: token 't': embedding has non-finite", id="embeddings-inf"),
         pytest.param(BINARY, INFINITE, "sample 0: token 't': embedding has non-finite", id="binary-inf"),
         pytest.param(BINARY, [_token("t", 1e39)], "sample 0: token 't': embedding has non-finite", id="binary-float32-inf"),
+        pytest.param(
+            BINARY, [ProsodySample("\ud800", "w", [1.0])],
+            re.escape(r"sample 0: token id '\ud800' holds a lone surrogate"), id="binary-surrogate-id",
+        ),
+        pytest.param(
+            BINARY, [_token("s", 1.0), ProsodySample("t", "w\udc80", [2.0])],
+            re.escape(r"sample 1: word 'w\udc80' holds a lone surrogate"), id="binary-surrogate-word",
+        ),
         pytest.param(save_lexicon, [WORD, WORD], "duplicate word 'w' in lexicon", id="lexicon-repeated-word"),
         pytest.param(save_questions, [QUESTION, QUESTION], "duplicate question id 0", id="questions-repeated-id"),
         pytest.param(save_ground_truth, {"t": (True, 2.5)}, r"token 't': .* got \(True, 2.5\)", id="truth-bool"),
         pytest.param(save_ground_truth, {"t": (0, 2.0)}, r"token 't': .* got \(0, 2.0\)", id="truth-float"),
         pytest.param(save_ground_truth, {1: (0, 2)}, "token 1: .* string token id", id="truth-int-token"),
+        pytest.param(save_ground_truth, {"t": 5}, "token 't': .* pair of integer labels, got 5$", id="truth-number"),
+        pytest.param(save_ground_truth, {"t": (1, 2, 3)}, r"token 't': .* got \(1, 2, 3\)$", id="truth-triple"),
     ],
 )
 def test_saver_refuses_what_its_loader_refuses(save, value, message, tmp_path):

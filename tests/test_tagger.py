@@ -594,6 +594,14 @@ class TestModelFiles:
             pytest.param(
                 lambda doc: doc.update(questions={}), "questions must be an array", id="questions-object"
             ),
+            *(
+                pytest.param(
+                    lambda doc, value=value: doc["questions"].__setitem__(0, value),
+                    "^question 0 is not an object$",
+                    id=f"question-{name}",
+                )
+                for name, value in [("number", 5), ("string", "x"), ("array", [1])]
+            ),
             pytest.param(lambda doc: doc.update(gmms=[]), "gmms must be an object", id="gmms-array"),
             pytest.param(
                 lambda doc: doc["tree"].pop("leaf_letters"),
