@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from ._io import token_lines, write_bytes
 from .errors import ConfigError, ProsotagError
@@ -54,13 +57,19 @@ def _format_tags(
     in the chunks of ``_io.token_lines``. The tokens are tagged here."""
     corpus = Corpus.of(samples)
     leaves, components = tag_tokens(model, lexicon, corpus)
-    width = max(gmm.m for gmm in model.gmms.values())
-    tags = [f'"{letter}{k}"' for letter in model.tree.leaf_letters for k in range(width)]
+    tags = [f'"{tag}"' for tag in tag_inventory(model)]
+    # a leaf's first tag in the inventory, which lists each leaf's components in turn
+    offsets = np.cumsum([0] + [model.gmms[letter].m for letter in model.tree.leaf_letters])
 
     def values(start: int, stop: int) -> Iterator[str]:
-        return map(tags.__getitem__, (leaves[start:stop] * width + components[start:stop]).tolist())
+        return map(tags.__getitem__, (offsets[leaves[start:stop]] + components[start:stop]).tolist())
 
     return token_lines(corpus, "tag", values)
+
+
+def _knobs(cls: type, args: argparse.Namespace):
+    """The config dataclass ``cls`` from the parsed flags bound to its fields."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -68,15 +77,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     questions = load_questions(args.questions, classes)
     lexicon = load_lexicon(args.lexicon)
     samples = load_samples(args.embeddings)
-    config = TaggerConfig(
-        m=args.components,
-        max_leaves=args.max_leaves,
-        min_gain=args.min_gain,
-        min_leaf=args.min_leaf,
-        floor=args.var_floor,
-        seed=args.seed,
-    )
-    model = fit(lexicon, samples, questions, classes, config)
+    model = fit(lexicon, samples, questions, classes, _knobs(TaggerConfig, args))
     write_bytes(args.model, (model_to_json(model).encode("utf-8"),))
     write_growth_csv(model.growth_trace, args.trace_csv or f"{args.model}.trace.csv")
     if args.out:
@@ -117,16 +118,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    spec = SynthSpec(
-        num_leaf_archetypes=args.archetypes,
-        words_per_archetype=args.words_per_archetype,
-        tokens_per_word=args.tokens_per_word,
-        components_per_archetype=args.components,
-        d=args.d,
-        component_separation=args.separation,
-        seed=args.seed,
-        class_distinctions=args.class_distinctions,
-    )
+    spec = _knobs(SynthSpec, args)
     classes = default_classes()
     lexicon, questions, samples, truth = generate(spec, classes)
 
@@ -184,13 +176,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--model", required=True, help="output model JSON path")
     p_fit.add_argument("--out", help="optional output path for the training set's tags")
     p_fit.add_argument("--trace-csv", help="growth trace CSV path (default: <model>.trace.csv)")
-    p_fit.add_argument("--max-leaves", type=int, default=TaggerConfig.max_leaves)
-    p_fit.add_argument("--components", type=int, default=TaggerConfig.m)
-    p_fit.add_argument("--min-gain", type=float, default=TaggerConfig.min_gain)
-    p_fit.add_argument("--min-leaf", type=int, default=TaggerConfig.min_leaf)
-    p_fit.add_argument("--var-floor", type=float, default=TaggerConfig.floor)
-    p_fit.add_argument("--seed", type=int, default=TaggerConfig.seed)
-    p_fit.set_defaults(handler=cmd_fit)
+    p_fit.add_argument("--max-leaves", type=int)
+    p_fit.add_argument("--components", type=int, dest="m", metavar="COMPONENTS")
+    p_fit.add_argument("--min-gain", type=float)
+    p_fit.add_argument("--min-leaf", type=int)
+    p_fit.add_argument("--var-floor", type=float, dest="floor", metavar="VAR_FLOOR")
+    p_fit.add_argument("--seed", type=int)
+    # each knob flag's dest is its config field, and its default that field's default
+    p_fit.set_defaults(handler=cmd_fit, **vars(TaggerConfig()))
 
     p_tag = sub.add_parser("tag", help="tag tokens with a fitted model")
     p_tag.add_argument("--model", required=True)
@@ -210,13 +203,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--classes", required=True, help="output class table path")
     p_synth.add_argument("--embeddings", required=True, help="output embedding path")
     p_synth.add_argument("--ground-truth", required=True, help="output planted-label path")
-    p_synth.add_argument("--archetypes", type=int, default=SynthSpec.num_leaf_archetypes)
-    p_synth.add_argument("--words-per-archetype", type=int, default=SynthSpec.words_per_archetype)
-    p_synth.add_argument("--tokens-per-word", type=int, default=SynthSpec.tokens_per_word)
-    p_synth.add_argument("--components", type=int, default=SynthSpec.components_per_archetype)
-    p_synth.add_argument("--d", type=int, default=SynthSpec.d)
-    p_synth.add_argument("--separation", type=float, default=SynthSpec.component_separation)
-    p_synth.add_argument("--seed", type=int, default=SynthSpec.seed)
+    p_synth.add_argument("--archetypes", type=int, dest="num_leaf_archetypes", metavar="ARCHETYPES")
+    p_synth.add_argument("--words-per-archetype", type=int)
+    p_synth.add_argument("--tokens-per-word", type=int)
+    p_synth.add_argument("--components", type=int, dest="components_per_archetype", metavar="COMPONENTS")
+    p_synth.add_argument("--d", type=int)
+    p_synth.add_argument("--separation", type=float, dest="component_separation", metavar="SEPARATION")
+    p_synth.add_argument("--seed", type=int)
     p_synth.add_argument(
         "--class-distinctions",
         action="store_true",
@@ -225,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument(
         "--binary", action="store_true", help="write embeddings in the binary format"
     )
-    p_synth.set_defaults(handler=cmd_synth)
+    p_synth.set_defaults(handler=cmd_synth, **vars(SynthSpec()))
 
     p_inspect = sub.add_parser("inspect", help="pretty-print a fitted model")
     p_inspect.add_argument("--model", required=True)
@@ -241,10 +234,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"{PROG}: invalid configuration: {exc}", file=sys.stderr)
         return 2
-    except ProsotagError as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ProsotagError, OSError) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1
 

@@ -19,7 +19,6 @@ format selected by sniffing the "PTE1" magic).
 from __future__ import annotations
 
 import io
-import math
 import struct
 from array import array
 from contextlib import contextmanager
@@ -31,7 +30,7 @@ from typing import IO, Callable, Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._io import json_lines, opened, token_lines, write_bytes
+from ._io import _exact_fields, json_lines, opened, token_lines, write_bytes
 from .errors import DimensionMismatchError, EmptyNodeError, ParseError, ValidationError, _check_knobs
 
 __all__ = [
@@ -47,8 +46,6 @@ __all__ = [
 
 EMBEDDING_MAGIC = b"PTE1"
 
-_LOG_2PI = math.log(2.0 * math.pi)
-
 
 @dataclass(frozen=True)
 class ProsodySample:
@@ -60,6 +57,7 @@ class ProsodySample:
     embedding: np.ndarray
 
     def __post_init__(self) -> None:
+        _exact_fields(self)
         vec = np.array(self.embedding, dtype=np.float64)
         if vec.ndim != 1 or vec.size == 0:
             raise ValidationError(
@@ -103,8 +101,7 @@ class SufficientStats:
         """Per-dimension ML variance (divide by n), floored from below."""
         if self.n == 0:
             raise EmptyNodeError("variance of an empty node is undefined")
-        mean = self.sum / self.n
-        return np.maximum(self.sumsq / self.n - mean * mean, floor)
+        return _ml_gaussian(self.n, self.sum, self.sumsq, floor)[1]
 
 
 def stats_from_matrix(x: np.ndarray) -> SufficientStats:
@@ -128,6 +125,13 @@ def _in_float64_range(leaf: str) -> Iterator[None]:
         ) from None
 
 
+def _ml_gaussian(n, s: np.ndarray, ss: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and floored variance of the ML diagonal Gaussian of ``n`` samples
+    (``n`` broadcasts) of sum ``s`` and sum of squares ``ss``; tree and EM share it."""
+    mean = s / n
+    return mean, np.maximum(ss / n - mean * mean, floor)
+
+
 def _ll_from_moments(
     n: np.ndarray | int, s: np.ndarray, ss: np.ndarray, floor: float
 ) -> np.ndarray | float:
@@ -137,9 +141,7 @@ def _ll_from_moments(
     guarantee n >= 1 wherever the result is consumed.
     """
     n_arr = np.asarray(n, dtype=np.float64)
-    denom = n_arr if n_arr.ndim == 0 else n_arr[:, None]
-    mean = s / denom
-    var = np.maximum(ss / denom - mean * mean, floor)
+    _, var = _ml_gaussian(n_arr if n_arr.ndim == 0 else n_arr[:, None], s, ss, floor)
     return -0.5 * n_arr * (np.log(2.0 * np.pi * var) + 1.0).sum(axis=-1)
 
 
@@ -253,7 +255,7 @@ def _check_tokens(
 
 
 def _first_repeat(token_ids: list[str]) -> int:
-    """The index of the first token id equal to an earlier one, or -1.
+    """The index of the first token id (or word) equal to an earlier one, or -1.
 
     Works on an int64 array of the ids' hashes, at most 24 bytes a token
     where a set of the ids holds 60-130: sorted, the hashes show whether any
@@ -473,7 +475,8 @@ def save_samples(
     are checked as ``load_samples`` checks them: one dimension, finite
     values (finite as float32, for the binary format) and unique token ids;
     a fault, or for the binary format a word or token id that UTF-8 cannot
-    encode, is a ``ValidationError`` naming the sample.
+    encode or that is longer than 65,535 bytes, is a ``ValidationError``
+    naming the sample.
 
     JSON lines are encoded and written ``CHUNK_LINES`` lines at a time, so no
     more than one chunk of the text is held at once; orjson writes a row's
@@ -515,22 +518,24 @@ def _positional(rows: np.ndarray) -> list[bool]:
 
 
 def _counted(text: str) -> bytes:
-    """``text`` as UTF-8 after its u16 LE byte length."""
+    """``text`` as UTF-8 after its u16 LE byte length; an ``OverflowError``
+    past 65,535 bytes."""
     encoded = text.encode("utf-8")
-    if len(encoded) > 0xFFFF:
-        raise ValidationError(f"string too long for binary format: {text[:32]!r}...")
     return len(encoded).to_bytes(2, "little") + encoded
 
 
 def _first_unencodable(corpus: Corpus) -> str:
     """The message for the first sample whose word or token id, in file
-    order, UTF-8 cannot encode: it holds a lone surrogate."""
+    order, the binary format cannot hold: UTF-8 cannot encode it (it holds a
+    lone surrogate), or it is longer than 65,535 bytes."""
     for i, (w, token_id) in enumerate(zip(corpus.word_index.tolist(), corpus.token_ids)):
         for name, text in (("word", corpus.words[w]), ("token id", token_id)):
             try:
-                text.encode("utf-8")
+                _counted(text)
             except UnicodeEncodeError:
                 return f"sample {i}: {name} {text!r} holds a lone surrogate, which UTF-8 cannot encode"
+            except OverflowError:
+                return f"sample {i}: {name} {text[:32]!r}...: string too long for binary format"
     raise AssertionError("every word and token id encodes")
 
 
@@ -544,7 +549,7 @@ def _encode_binary(corpus: Corpus, values: np.ndarray) -> bytes:
             words[w] + _counted(token_id)
             for w, token_id in zip(corpus.word_index.tolist(), corpus.token_ids)
         ]
-    except UnicodeEncodeError:
+    except (UnicodeEncodeError, OverflowError):
         raise ValidationError(_first_unencodable(corpus)) from None
     payload = values.tobytes()
     width = 4 * corpus.dim

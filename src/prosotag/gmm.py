@@ -66,7 +66,7 @@ from .errors import (
     ValidationError,
     _check_knobs,
 )
-from .gaussian import _NUMBER_TYPES, _in_float64_range
+from .gaussian import _NUMBER_TYPES, _in_float64_range, _ml_gaussian
 
 __all__ = [
     "LeafGmm",
@@ -557,13 +557,9 @@ def _em(
         weights = np.where(live, mass / n, 1.0 / m)
         weights = weights / weights.sum()
         safe_mass = np.where(live, mass, 1.0)
-        means = np.where(live[:, None], resp.T @ x / safe_mass[:, None], means)
-        second = resp.T @ (x * x) / safe_mass[:, None]
-        variances = np.where(
-            live[:, None],
-            np.maximum(second - means * means, floor),
-            variances,
-        )
+        mean, var = _ml_gaussian(safe_mass[:, None], resp.T @ x, resp.T @ (x * x), floor)
+        means = np.where(live[:, None], mean, means)
+        variances = np.where(live[:, None], var, variances)
         if collapsed.any():
             # worst-explained samples first; distinct seeds if several collapse at once
             worst = np.argsort(per_sample, kind="stable")

@@ -27,6 +27,7 @@ import numpy as np
 
 from ._io import _exact_fields, _field, json_lines, read_json, write_bytes, write_lines
 from .errors import ConfigError, ParseError, ValidationError
+from .gaussian import _first_repeat
 
 __all__ = [
     "QuestionKind",
@@ -248,12 +249,9 @@ def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 def _check_unique(words: Sequence[str]) -> None:
     """Refuse a word list that holds a word twice, naming the first repeat."""
-    if len(set(words)) < len(words):
-        seen: set[str] = set()
-        for word in words:
-            if word in seen:
-                raise ValidationError(f"duplicate word {word!r} in lexicon")
-            seen.add(word)
+    repeat = _first_repeat(words)
+    if repeat >= 0:
+        raise ValidationError(f"duplicate word {words[repeat]!r} in lexicon")
 
 
 class WordColumns(Sequence[WordEntry]):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import IO, Hashable, Mapping
+from typing import IO, Hashable, Iterable, Mapping
 
 import numpy as np
 
@@ -207,6 +207,16 @@ def _pairs(counts: np.ndarray) -> float:
     return float((c * (c - 1.0) / 2.0).sum())
 
 
+def _codes(labels: Iterable[Hashable]) -> np.ndarray:
+    """Each label's index among the distinct labels, numbered in order of
+    first appearance; labels are the same exactly when they are equal."""
+    index: dict[Hashable, int] = {}
+    try:
+        return np.array([index.setdefault(label, len(index)) for label in labels], dtype=np.intp)
+    except TypeError as exc:
+        raise ValidationError(f"labels must be hashable: {exc}") from None
+
+
 def adjusted_rand_index(pred: Mapping[str, Hashable], truth: Mapping[str, Hashable]) -> float:
     """Chance-corrected partition agreement over a shared, non-empty token set."""
     if pred.keys() != truth.keys():
@@ -217,16 +227,14 @@ def adjusted_rand_index(pred: Mapping[str, Hashable], truth: Mapping[str, Hashab
         )
     if not pred:
         raise ValidationError("no tokens to compare")
-    tokens = sorted(pred)
-    _, row = np.unique([str(pred[t]) for t in tokens], return_inverse=True)
-    _, col = np.unique([str(truth[t]) for t in tokens], return_inverse=True)
+    row, col = _codes(pred.values()), _codes(map(truth.__getitem__, pred))
     table = np.zeros((row.max() + 1, col.max() + 1), dtype=np.int64)
     np.add.at(table, (row, col), 1)
 
     index = _pairs(table.ravel())
     sum_rows = _pairs(table.sum(axis=1))
     sum_cols = _pairs(table.sum(axis=0))
-    total = _pairs(np.array([len(tokens)]))
+    total = _pairs(np.array([len(pred)]))
     expected = sum_rows * sum_cols / total if total > 0 else 0.0
     max_index = 0.5 * (sum_rows + sum_cols)
     if max_index == expected:

@@ -212,7 +212,7 @@ def _trace_from_rows(rows: object) -> GrowthTrace:
     if not isinstance(rows, list) or not rows:
         raise ModelFormatError("growth_trace must be a non-empty array")
     head = rows[0]
-    if not isinstance(head, dict) or head.get("step") != 0:
+    if not isinstance(head, dict) or type(head.get("step")) is not int or head["step"]:
         raise ModelFormatError("growth_trace must start with the step-0 row")
     pos = 0
     try:
@@ -394,12 +394,9 @@ def grow_tree(
     total_ll = root.ll
 
     while len(leaves) < max_leaves:
-        best_leaf: _Leaf | None = None
-        for leaf in leaves:
-            if leaf.best is None:
-                continue
-            if best_leaf is None or leaf.best[1] > best_leaf.best[1]:
-                best_leaf = leaf
+        splittable = [leaf for leaf in leaves if leaf.best is not None]
+        # max keeps the first of equal gains: ties go to the earliest leaf
+        best_leaf = max(splittable, key=lambda leaf: leaf.best[1], default=None)
         if best_leaf is None:
             break
         col, gain = best_leaf.best

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import errno
 import importlib
 import json
@@ -13,6 +14,7 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -544,6 +546,58 @@ def test_tracer_finds_every_name_it_wraps(monkeypatch):
     for module, attr, wrapped, original in swaps:
         assert callable(wrapped)
         assert getattr(module, attr) is original  # install swaps nothing in
+
+
+def _module_bindings(body: list[ast.stmt], lines: list[str]) -> Iterator[tuple[int, str, bool]]:
+    """(line, name, whether an import binds it) for each def, class,
+    assignment and import in a module body, ``if`` blocks included; star,
+    ``__future__`` and ``# noqa: F401`` imports and dunder names left out."""
+    for stmt in body:
+        if isinstance(stmt, ast.If):
+            yield from _module_bindings(stmt.body + stmt.orelse, lines)
+            continue
+        imported = isinstance(stmt, ast.Import) or (
+            isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__"
+        )
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        elif imported and "# noqa: F401" not in lines[stmt.lineno - 1]:  # kept for traced.py
+            names = [a.asname or a.name.partition(".")[0] for a in stmt.names if a.name != "*"]
+        else:
+            continue
+        yield from ((stmt.lineno, name, imported) for name in names if not name.startswith("__"))
+
+
+def test_every_module_level_name_is_used():
+    # a name bound at module level is dead code unless its module reads or
+    # exports it, another module imports it from there, or (for a def, class
+    # or assignment) some module reads an attribute of that name
+    reads: dict[str, set[str]] = {}  # module -> names it reads or exports
+    attrs: set[str] = set()
+    bound: list[tuple[str, int, str, bool]] = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        module, text = path.stem, path.read_text(encoding="utf-8")
+        tree = ast.parse(text)
+        names = reads.setdefault(module, set())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                reads.setdefault(node.module, set()).update(a.name for a in node.names)
+            elif isinstance(node, ast.Assign) and "__all__" in [getattr(t, "id", "") for t in node.targets]:
+                names.update(n.value for n in ast.walk(node.value) if isinstance(n, ast.Constant))
+        bound += [(module, *binding) for binding in _module_bindings(tree.body, text.splitlines())]
+    dead = [
+        f"{module}.py:{line}: {name}"
+        for module, line, name, imported in bound
+        if name not in reads[module] and (imported or name not in attrs)
+    ]
+    assert dead == []
 
 
 class TestUsage:

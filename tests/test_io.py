@@ -434,6 +434,7 @@ EXACT_RECORDS = [
         ["step", "leaf_split", "question_id", "gain", "total_leaf_ll", "avg_samples_per_leaf"],
     ),
     (GrowthTrace, {"initial_ll": -1.0, "num_tokens": 1}, ["initial_ll", "num_tokens"]),
+    (ProsodySample, {"token_id": "t", "word": "w", "embedding": [1.0]}, ["token_id", "word"]),
 ]
 
 
@@ -444,7 +445,7 @@ EXACT_RECORDS = [
         for record, valid, names in EXACT_RECORDS
         for name in names
         # a bool for every field, a str for a number field, an int for a text one
-        for bad in (True, 1 if name in ("leaf_split", "class_param") else "1")
+        for bad in (True, 1 if name in ("leaf_split", "class_param", "token_id", "word") else "1")
     ],
 )
 def test_record_fields_have_exact_types(record, valid, name, bad):
@@ -479,6 +480,14 @@ BINARY = partial(save_samples, binary=True)
         pytest.param(
             BINARY, [_token("s", 1.0), ProsodySample("t", "w\udc80", [2.0])],
             re.escape(r"sample 1: word 'w\udc80' holds a lone surrogate"), id="binary-surrogate-word",
+        ),
+        pytest.param(
+            BINARY, [_token("s", 1.0), ProsodySample("t" * 70000, "w", [2.0])],
+            "sample 1: token id 'tttt.*: string too long for binary format", id="binary-long-id",
+        ),
+        pytest.param(
+            BINARY, [_token("s", 1.0), ProsodySample("t", "w" * 70000, [2.0])],
+            "sample 1: word 'wwww.*: string too long for binary format", id="binary-long-word",
         ),
         pytest.param(save_lexicon, [WORD, WORD], "duplicate word 'w' in lexicon", id="lexicon-repeated-word"),
         pytest.param(save_questions, [QUESTION, QUESTION], "duplicate question id 0", id="questions-repeated-id"),

@@ -225,6 +225,21 @@ class TestAdjustedRandIndex:
         expected = pair_counting_ari(pred, truth)
         assert adjusted_rand_index(pred, truth) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "pred, truth",
+        [
+            ({"a": 1, "b": "1"}, {"a": 0, "b": 1}),
+            ({"a": 1, "b": 1, "c": "1", "d": "1"}, {"a": 0, "b": 0, "c": 1, "d": 1}),
+        ],
+    )
+    def test_labels_compared_by_equality_not_text(self, pred, truth):
+        # 1 and "1" print alike but are distinct labels
+        assert adjusted_rand_index(pred, truth) == 1.0
+
+    def test_unhashable_labels_refused(self):
+        with pytest.raises(ValidationError, match="labels must be hashable: unhashable type: 'list'"):
+            adjusted_rand_index({"a": 0, "b": 1}, {"a": [0, 1], "b": [0, 2]})
+
     def test_token_set_mismatch(self):
         pred = {"a": 0, "b": 1}
         truth = {"a": 0, "c": 1}

@@ -579,6 +579,14 @@ class TestModelFiles:
             ),
             pytest.param(lambda doc: doc.update(growth_trace=[]), "non-empty array", id="empty-trace"),
             pytest.param(lambda doc: doc["growth_trace"][0].update(step=1), "step-0 row", id="head-step"),
+            *(
+                pytest.param(
+                    lambda doc, value=value: doc["growth_trace"][0].update(step=value),
+                    "step-0 row",
+                    id=f"head-step-{type(value).__name__}",
+                )
+                for value in (False, 0.0)
+            ),
             pytest.param(
                 lambda doc: doc["growth_trace"].__setitem__(1, 3), "growth_trace row 1", id="trace-row-number"
             ),
