@@ -15,8 +15,6 @@ import sys
 from dataclasses import fields
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from ._io import token_lines, write_bytes
 from .errors import ConfigError, ProsotagError
 from .gaussian import Corpus, ProsodySample, load_samples, save_samples
@@ -57,9 +55,8 @@ def _format_tags(
     in the chunks of ``_io.token_lines``. The tokens are tagged here."""
     corpus = Corpus.of(samples)
     leaves, components = tag_tokens(model, lexicon, corpus)
-    tags = [f'"{tag}"' for tag in tag_inventory(model)]
-    # a leaf's first tag in the inventory, which lists each leaf's components in turn
-    offsets = np.cumsum([0] + [model.gmms[letter].m for letter in model.tree.leaf_letters])
+    tags = [f'"{tag}"' for tag in model._tags]
+    offsets = model._tag_offsets  # each leaf's first tag
 
     def values(start: int, stop: int) -> Iterator[str]:
         return map(tags.__getitem__, (offsets[leaves[start:stop]] + components[start:stop]).tolist())

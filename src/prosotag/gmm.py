@@ -27,13 +27,14 @@ them once per mixture, not once per call.
 Layout. A fit holds its leaf twice: as C-contiguous (n, d) rows (the rows
 it was given, or a copy if they are laid out otherwise, so the fit does not
 depend on their layout) and as one (d, n) copy with contiguous rows, the
-columns (``_columns``). The kernel, the joint and the log-sum-exp work on
-the columns and give (m, n) arrays, so every reduction over the short d or
-m axis is a few long adds of whole rows, not one numpy reduction per
-sample. The reductions over n stay on the (n, d) rows and on (n, m)
-responsibilities: the Lloyd means (``mean(axis=0)``), the M-step's
-``resp.sum(axis=0)`` and its ``resp.T @ x``, which a transpose, or rows
-laid out otherwise, would sum in another order.
+columns (``_columns``); ``LeafGmm`` takes rows and makes its own columns.
+The kernel, the joint and the log-sum-exp work on the columns and give
+(m, n) arrays, so every reduction over the short d or m axis is a few long
+adds of whole rows, not one numpy reduction per sample. The reductions over
+n stay on the (n, d) rows and on (n, m) responsibilities: the Lloyd means
+(``mean(axis=0)``), the M-step's ``resp.sum(axis=0)`` and its
+``resp.T @ x``, which a transpose, or rows laid out otherwise, would sum in
+another order.
 
 Summation order. ``_sum_rows`` adds the rows of a (k, n) array in the order
 numpy's pairwise summation adds k contiguous terms (numpy 2.x, float64), so
@@ -147,14 +148,14 @@ class LeafGmm:
     def d(self) -> int:
         return self.means.shape[1]
 
-    def log_joint(self, xt: np.ndarray) -> np.ndarray:
-        """``_log_joint`` of (d, n) columns under this mixture: (m, n)."""
-        return _log_joint(xt, self.means, self.variances, self.log_norm, self.log_weights)
+    def log_joint(self, x: np.ndarray) -> np.ndarray:
+        """``_log_joint`` of (n, d) rows under this mixture: (m, n)."""
+        return _log_joint(_columns(x), self.means, self.variances, self.log_norm, self.log_weights)
 
-    def assign(self, xt: np.ndarray) -> np.ndarray:
-        """The maximum-posterior component of each (d, n) column, ties to the
-        smallest index, as ``np.argmax(self.log_joint(xt), axis=0)``."""
-        joint = self.log_joint(xt)
+    def assign(self, x: np.ndarray) -> np.ndarray:
+        """The maximum-posterior component of each of (n, d) rows, ties to the
+        smallest index, as ``np.argmax(self.log_joint(x), axis=0)``."""
+        joint = self.log_joint(x)
         return _first_index_of(joint, joint.max(axis=0))
 
     def to_dict(self) -> dict:
@@ -557,9 +558,8 @@ def _em(
         weights = np.where(live, mass / n, 1.0 / m)
         weights = weights / weights.sum()
         safe_mass = np.where(live, mass, 1.0)
-        mean, var = _ml_gaussian(safe_mass[:, None], resp.T @ x, resp.T @ (x * x), floor)
-        means = np.where(live[:, None], mean, means)
-        variances = np.where(live[:, None], var, variances)
+        # collapsed rows, estimated from a mass of 1, are reseeded below
+        means, variances = _ml_gaussian(safe_mass[:, None], resp.T @ x, resp.T @ (x * x), floor)
         if collapsed.any():
             # worst-explained samples first; distinct seeds if several collapse at once
             worst = np.argsort(per_sample, kind="stable")
@@ -610,7 +610,7 @@ def fit_gmm(
 
 
 def _column(e: np.ndarray, gmm: LeafGmm) -> np.ndarray:
-    """``e`` as the (d, 1) column ``gmm`` scores, if it is a finite (d,) vector."""
+    """``e`` as the (1, d) row ``gmm`` scores, if it is a finite (d,) vector."""
     e = np.asarray(e, dtype=np.float64)
     if e.ndim != 1 or e.shape[0] != gmm.d:
         raise DimensionMismatchError(
@@ -618,7 +618,7 @@ def _column(e: np.ndarray, gmm: LeafGmm) -> np.ndarray:
         )
     if not np.isfinite(e).all():  # a NaN would make every score NaN and the argmax arbitrary
         raise ValidationError("embedding has non-finite values")
-    return e[:, None]
+    return e[None, :]
 
 
 def posterior_log_scores(e: np.ndarray, gmm: LeafGmm) -> np.ndarray:

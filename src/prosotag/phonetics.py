@@ -357,10 +357,7 @@ class WordColumns(Sequence[WordEntry]):
             raise ValidationError(f"word {exc.args[0]!r} is not in the lexicon") from None
 
     def take(self, rows: np.ndarray) -> "WordColumns":
-        """The words at ``rows``, in that order, their columns gathered. All
-        words in order are these columns themselves."""
-        if rows.size == len(self) and np.array_equal(rows, np.arange(len(self))):
-            return self
+        """The words at ``rows``, in that order, their columns gathered."""
         num_phonemes = self.num_phonemes[rows]
         num_syllables = self.num_syllables[rows]
         return WordColumns(

@@ -39,13 +39,14 @@ from .errors import (
     _check_knobs,
 )
 from .gaussian import Corpus, ProsodySample, _in_float64_range
-from .gmm import LeafGmm, _columns, _gmm_from_dict, fit_gmm
+from .gmm import LeafGmm, _gmm_from_dict, fit_gmm
 from .phonetics import (
     PhonemeClassTable,
     Question,
     WordColumns,
     WordEntry,
     _classes_from_dict,
+    _offsets,
     _question_from_dict,
     question_index,
 )
@@ -103,7 +104,9 @@ class TaggerModel:
     """A fitted two-stage tagger; immutable and safe to share across threads.
 
     ``question_by_id`` is derived from ``questions`` at construction, which
-    also checks that the ids are unique and cover every question the tree asks.
+    also checks that the ids are unique and cover every question the tree asks,
+    and that the growth trace holds one split per internal node. The tag texts
+    and each leaf's first position among them are derived there too.
     """
 
     config: TaggerConfig
@@ -113,6 +116,8 @@ class TaggerModel:
     gmms: Mapping[str, LeafGmm]
     growth_trace: GrowthTrace
     question_by_id: Mapping[int, Question] = field(init=False, repr=False, compare=False)
+    _tags: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _tag_offsets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "questions", tuple(self.questions))
@@ -130,6 +135,11 @@ class TaggerModel:
         extra = set(self.gmms) - set(self.tree.leaf_letters)
         if extra:
             raise ModelFormatError(f"mixtures for unknown leaves: {sorted(extra)}")
+        splits = len(self.growth_trace.records)
+        if splits != self.tree.num_leaves - 1:
+            raise ModelFormatError(
+                f"growth trace records {splits} splits for a tree of {self.tree.num_leaves} leaves"
+            )
         try:
             index = question_index(self.questions)
         except ValidationError as exc:
@@ -140,6 +150,10 @@ class TaggerModel:
                     f"tree references unknown question id {node.question_id}"
                 )
         object.__setattr__(self, "question_by_id", index)
+        ms = [self.gmms[letter].m for letter in self.tree.leaf_letters]
+        tags = (f"{letter}{k}" for letter, m in zip(self.tree.leaf_letters, ms) for k in range(m))
+        object.__setattr__(self, "_tags", tuple(tags))
+        object.__setattr__(self, "_tag_offsets", _offsets(np.array(ms, dtype=np.intp)))
 
     @property
     def num_leaves(self) -> int:
@@ -147,7 +161,7 @@ class TaggerModel:
 
     @property
     def num_tags(self) -> int:
-        return sum(self.gmms[letter].m for letter in self.tree.leaf_letters)
+        return len(self._tags)
 
 
 def fit(
@@ -202,27 +216,6 @@ def fit(
     )
 
 
-def _tag_corpus(
-    model: TaggerModel, columns: WordColumns, corpus: Corpus
-) -> tuple[np.ndarray, np.ndarray]:
-    """``tag_tokens`` on a non-empty corpus whose words are the rows of ``columns``."""
-    if corpus.dim != model.config.d:
-        raise DimensionMismatchError(
-            f"embedding dimension {corpus.dim} of token {corpus.token_ids[0]!r} "
-            f"does not match model dimension {model.config.d}"
-        )
-    leaves, leaf_rows = _route_tokens(
-        model.tree, model.question_by_id, model.classes, columns, corpus.word_index
-    )
-    components = np.empty(len(corpus), dtype=np.intp)
-    for leaf, rows in enumerate(leaf_rows):
-        if rows.size:
-            letter = model.tree.leaf_letters[leaf]
-            with _in_float64_range(letter):
-                components[rows] = model.gmms[letter].assign(_columns(corpus.x[rows]))
-    return leaves, components
-
-
 def tag_tokens(
     model: TaggerModel,
     lexicon: Sequence[WordEntry],
@@ -239,7 +232,22 @@ def tag_tokens(
     corpus = Corpus.of(samples)
     if not corpus:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    return _tag_corpus(model, _word_columns(lexicon, corpus.words), corpus)
+    columns = _word_columns(lexicon, corpus.words)
+    if corpus.dim != model.config.d:
+        raise DimensionMismatchError(
+            f"embedding dimension {corpus.dim} of token {corpus.token_ids[0]!r} "
+            f"does not match model dimension {model.config.d}"
+        )
+    leaves, leaf_rows = _route_tokens(
+        model.tree, model.question_by_id, model.classes, columns, corpus.word_index
+    )
+    components = np.empty(len(corpus), dtype=np.intp)
+    for leaf, rows in enumerate(leaf_rows):
+        if rows.size:
+            letter = model.tree.leaf_letters[leaf]
+            with _in_float64_range(letter):
+                components[rows] = model.gmms[letter].assign(corpus.x[rows])
+    return leaves, components
 
 
 def tag(model: TaggerModel, word: WordEntry, e: np.ndarray) -> str:
@@ -252,14 +260,13 @@ def tag(model: TaggerModel, word: WordEntry, e: np.ndarray) -> str:
     if not np.isfinite(e).all():
         raise ValidationError(f"word {word.word!r}: embedding has non-finite values")
     corpus = Corpus((word.word,), (word.word,), np.zeros(1, dtype=np.int32), e[None, :])
-    leaves, components = _tag_corpus(model, WordColumns.of((word,)), corpus)
-    return f"{model.tree.leaf_letters[leaves[0]]}{components[0]}"
+    leaves, components = tag_tokens(model, WordColumns.of((word,)), corpus)
+    return model._tags[model._tag_offsets[leaves[0]] + components[0]]
 
 
 def tag_inventory(model: TaggerModel) -> list[str]:
     """All emittable tags: leaves in letter order, components ascending."""
-    letters = model.tree.leaf_letters
-    return [f"{letter}{k}" for letter in letters for k in range(model.gmms[letter].m)]
+    return list(model._tags)
 
 
 # ---------------------------------------------------------------------------

@@ -182,15 +182,19 @@ class SplitRecord:
 class GrowthTrace:
     """Per-split growth log, plus the initial single-leaf state.
 
-    After step k the tree has k+1 leaves; ``records`` is empty for a fit that
-    never split.
+    Record k - 1 is step k, after which the tree has k+1 leaves; ``records``
+    is empty for a fit that never split.
     """
 
     initial_ll: float
     num_tokens: int
     records: tuple[SplitRecord, ...] = ()
 
-    __post_init__ = _exact_fields
+    def __post_init__(self) -> None:
+        _exact_fields(self)
+        for step, record in enumerate(self.records, 1):
+            if record.step != step:
+                raise ModelFormatError(f"growth_trace row {step} records step {record.step}")
 
     def to_rows(self) -> list[dict]:
         """The model file's ``growth_trace`` rows: a step-0 row for the single
@@ -301,7 +305,6 @@ class _Growth:
                 np.multiply(block, block, out=block)
                 self.sumsqs[ws] = block.sum(axis=1)
                 del block  # before the next gather: one block at a time
-        self.qids = np.array([q.id for q in questions], dtype=np.int64)
         self.answers = np.empty((len(columns), len(questions)), dtype=bool)
         for qi, q in enumerate(questions):
             self.answers[:, qi] = columns.answer(q, classes)
@@ -347,10 +350,12 @@ class _Growth:
 
 
 def _word_columns(lexicon: Sequence[WordEntry], words: Sequence[str]) -> WordColumns:
-    """The lexicon's rows of ``words``, in order, as ``WordColumns.take``
-    gives them; a list of entries is first made columns by ``WordColumns.of``
-    (``load_lexicon`` returns columns already)."""
+    """The lexicon's rows of ``words``, in order: the lexicon itself if it
+    lists just those words, else gathered by ``WordColumns.take``; a list of
+    entries is first made columns by ``WordColumns.of``."""
     lexicon = WordColumns.of(lexicon)
+    if lexicon.words == list(words):
+        return lexicon
     return lexicon.take(lexicon.rows(words))
 
 
@@ -413,7 +418,7 @@ def grow_tree(
             children.append(child)
         yes_child, no_child = children
         nodes[best_leaf.node_pos] = InternalNode(
-            question_id=int(growth.qids[col]),
+            question_id=ordered[col].id,
             yes_child=yes_child.node_pos,
             no_child=no_child.node_pos,
         )
@@ -424,7 +429,7 @@ def grow_tree(
             SplitRecord(
                 step=len(records) + 1,
                 leaf_split=letter,
-                question_id=int(growth.qids[col]),
+                question_id=ordered[col].id,
                 gain=gain,
                 total_leaf_ll=total_ll,
                 avg_samples_per_leaf=total_tokens / len(leaves),

@@ -28,6 +28,7 @@ from prosotag import (
     LeafNode,
     Question,
     QuestionKind,
+    SplitRecord,
     TaggerConfig,
     TaggerModel,
     cli,
@@ -199,6 +200,37 @@ class TestFit:
         )
         assert tagged.read_bytes() == trained_tags.read_bytes()
         assert "tag: wrote 72 tags to" in capsys.readouterr().out
+
+    def test_question_ids_beyond_int64(self, corpus, fitted, tmp_path, capsys):
+        """A question id is any non-negative int: the corpus's questions with
+        2**63 added to each id grow the same tree, and the model is read back
+        by ``inspect`` and ``tag``."""
+        shift = 2**63
+        questions = tmp_path / "questions.jsonl"
+        with open(corpus / "questions.jsonl", encoding="utf-8") as source:
+            records = [json.loads(line) for line in source]
+        questions.write_text("".join(json.dumps({**q, "id": q["id"] + shift}) + "\n" for q in records))
+        model_path = tmp_path / "model.json"
+        args = fit_args(corpus, model_path, out=tmp_path / "fit.jsonl")
+        args[args.index("--questions") + 1] = str(questions)
+        assert main(args) == 0
+        asked = [n.question_id for n in load_model(model_path).tree.nodes if isinstance(n, InternalNode)]
+        original = [n.question_id for n in load_model(fitted).tree.nodes if isinstance(n, InternalNode)]
+        assert asked == [qid + shift for qid in original]
+        assert main(["inspect", "--model", str(model_path)]) == 0
+        assert f"Q{asked[0]}: " in capsys.readouterr().out
+        for model, out in ((model_path, tmp_path / "tagged.jsonl"), (fitted, tmp_path / "plain.jsonl")):
+            assert main(
+                [
+                    "tag",
+                    "--model", str(model),
+                    "--lexicon", str(corpus / "lexicon.jsonl"),
+                    "--embeddings", str(corpus / "embeddings.jsonl"),
+                    "--out", str(out),
+                ]
+            ) == 0
+        tags = (tmp_path / "tagged.jsonl").read_bytes()
+        assert tags == (tmp_path / "fit.jsonl").read_bytes() == (tmp_path / "plain.jsonl").read_bytes()
 
     def test_missing_embeddings_leaves_no_model(self, corpus, tmp_path, capsys):
         model_path = tmp_path / "model.json"
@@ -384,6 +416,22 @@ class TestStats:
         total = sum(int(l.split(":")[1].split()[0]) for l in leaf_lines)
         assert total == 72
 
+    def test_trace_that_disagrees_with_the_tree(self, tmp_path, capsys):
+        """A 3-leaf model whose trace keeps only its second split, relabelled
+        step 9, would print a curve ending at 10 leaves; it is refused."""
+        assert main(synth_args(tmp_path, archetypes=3)) == 0
+        model_path = tmp_path / "model.json"
+        assert main(fit_args(tmp_path, model_path, max_leaves=3)) == 0
+        doc = json.loads(model_path.read_text())
+        assert len(doc["growth_trace"]) == 3
+        doc["growth_trace"] = [doc["growth_trace"][0], {**doc["growth_trace"][2], "step": 9}]
+        model_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["stats", "--model", str(model_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "prosotag: error: growth_trace row 1 records step 9\n"
+
     def test_corrupt_model(self, tmp_path, capsys):
         bad = tmp_path / "model.json"
         bad.write_text("{]")
@@ -412,13 +460,15 @@ class TestInspect:
             nodes[:0] = (InternalNode(0, 2 * k + 1, 2 * k + 2), LeafNode(k))
         tree = DecisionTree(nodes)
         gmm = LeafGmm(np.ones(1), np.zeros((1, 1)), np.ones((1, 1)), 1)
+        # one split record per internal node
+        splits = tuple(SplitRecord(k + 1, leaf_letter(k), 0, 0.0, 0.0, 1.0) for k in range(depth))
         model = TaggerModel(
             config=TaggerConfig(d=1),
             classes=default_classes(),
             questions=(Question(id=0, kind=QuestionKind.PHONEME_COUNT_GT, int_param=2),),
             tree=tree,
             gmms=dict.fromkeys(tree.leaf_letters, gmm),
-            growth_trace=GrowthTrace(initial_ll=0.0, num_tokens=1),
+            growth_trace=GrowthTrace(initial_ll=0.0, num_tokens=1, records=splits),
         )
         save_model(model, tmp_path / "chain.json")
         assert main(["inspect", "--model", str(tmp_path / "chain.json")]) == 0

@@ -251,7 +251,7 @@ class TestLeafGmmValidation:
         uncached = -0.5 * (
             log_norm + gmm_module._sq_distances(x.T, gmm.means, variances).T
         ) + np.log(gmm.weights)
-        np.testing.assert_array_equal(gmm.log_joint(x.T).T, uncached)
+        np.testing.assert_array_equal(gmm.log_joint(x).T, uncached)
 
     def test_weights_must_sum_to_one(self):
         kwargs = self.good_kwargs()
@@ -339,9 +339,9 @@ class TestPosteriorScores:
         for row in probes:
             scores = posterior_log_scores(row, gmm)
             assert assign_component(row, gmm) == int(np.argmax(scores))
-        # the batched form tagging uses, on (d, n) columns
+        # the batched form tagging uses, on (n, d) rows
         np.testing.assert_array_equal(
-            gmm.assign(probes.T), [assign_component(row, gmm) for row in probes]
+            gmm.assign(probes), [assign_component(row, gmm) for row in probes]
         )
 
     def test_probe_near_mean_assigned_to_it(self):
@@ -427,7 +427,7 @@ class TestCollapseRepair:
         gmm, trace = fit_gmm(x, 7, 25)
         np.testing.assert_allclose(trace, [28.306, 31.067, 31.073, 29.318], atol=1e-3)
         assert trace[-1] < trace[-2]
-        total = np.logaddexp.reduce(gmm.log_joint(x.T), axis=0).sum()
+        total = np.logaddexp.reduce(gmm.log_joint(x), axis=0).sum()
         assert total == pytest.approx(trace[-1], rel=1e-9)
 
 

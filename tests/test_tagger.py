@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -591,6 +592,21 @@ class TestModelFiles:
                 lambda doc: doc["growth_trace"].__setitem__(1, 3), "growth_trace row 1", id="trace-row-number"
             ),
             pytest.param(
+                lambda doc: doc["growth_trace"][1].update(step=9),
+                "^growth_trace row 1 records step 9$",
+                id="trace-step",
+            ),
+            pytest.param(
+                lambda doc: doc["growth_trace"].pop(),
+                "^growth trace records 0 splits for a tree of 2 leaves$",
+                id="trace-short",
+            ),
+            pytest.param(
+                lambda doc: doc["growth_trace"].append({**doc["growth_trace"][1], "step": 2}),
+                "^growth trace records 2 splits for a tree of 2 leaves$",
+                id="trace-long",
+            ),
+            pytest.param(
                 lambda doc: doc["gmms"].update(a=3), "gmm for leaf 'a' is not an object", id="gmm-number"
             ),
             pytest.param(
@@ -749,6 +765,17 @@ class TestModelFiles:
         with pytest.raises(ModelFormatError) as info:
             load_model(path)
         assert str(info.value) == message
+
+    def test_trace_that_disagrees_with_the_tree_cannot_be_built(self):
+        """``save_model`` cannot write the traces ``load_model`` refuses."""
+        model, _ = self.fitted()
+        trace = model.growth_trace
+        (record,) = trace.records
+        with pytest.raises(ModelFormatError, match="^growth_trace row 1 records step 2$"):
+            GrowthTrace(trace.initial_ll, trace.num_tokens, (replace(record, step=2),))
+        for records in ((), (record, replace(record, step=2))):
+            with pytest.raises(ModelFormatError, match="splits for a tree of 2 leaves$"):
+                replace(model, growth_trace=replace(trace, records=records))
 
     def test_integer_floats_stored_as_floats(self):
         """An int given for a float trace field is kept as the float that

@@ -450,6 +450,17 @@ class TestWordStats:
             np.testing.assert_array_equal(growth.sumsqs[w], (block * block).sum(axis=0))
 
 
+def test_in_order_lexicon_is_its_own_columns():
+    """A lexicon listing just the batch's words, in order, is used as it is,
+    without a word-to-row lookup; any other order is gathered."""
+    names = ["w0", "w1", "w2"]
+    columns = WordColumns.of([word(name, ["K"] * (i + 1)) for i, name in enumerate(names)])
+    assert _word_columns(columns, list(names)) is columns
+    assert "row_of" not in vars(columns)
+    taken = _word_columns(columns, names[::-1])
+    assert taken.words == names[::-1] and taken.num_phonemes.tolist() == [3, 2, 1]
+
+
 class TestBoundedMemory:
     """Growth allocates, above its inputs, less than two float64 (words x
     questions) blocks: one answer block per split evaluation, no integer copy
