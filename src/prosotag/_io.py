@@ -3,10 +3,10 @@
 Sources and sinks are a filesystem path or an open binary file object. A path
 is opened here and closed when the read ends; a file object is used as given,
 from its current position. Readers stream: JSON lines are decoded one line at
-a time, so no text file is held whole. A binary embedding file is read
-whole; its bytes are freed, and a path it was read from is closed, once its
-records are decoded, before the corpus is checked (see
-``gaussian.load_samples``). Writers take byte chunks, and a path is replaced
+a time, so no text file is held whole, and a binary embedding file is read
+in pieces of bounded size (see ``gaussian.load_samples``); only a stream
+that cannot seek is read whole. Its bytes are freed, and a path is closed,
+before the corpus is checked. Writers take byte chunks, and a path is replaced
 atomically. ``token_lines`` builds the lines of tag and JSON-lines embedding
 files, ``CHUNK_LINES`` lines a chunk, so neither output is held whole;
 ``write_lines`` writes the other JSON-lines files. Text files are UTF-8; the
@@ -25,6 +25,7 @@ keys (``_from_fields``), names the place and re-raises the record's errors.
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 from dataclasses import fields
@@ -210,17 +211,27 @@ def _field(obj: Mapping, key: str, kind: type, *, optional: bool = False, error:
 _FIELD_TYPES = {"int": int, "float": float, "str": str}
 
 
+@functools.cache
+def _checked_fields(cls: type) -> tuple[tuple[str, type, bool], ...]:
+    """(name, type, optional) of each int, float or str field of the
+    dataclass ``cls``, found once per class."""
+    checked = []
+    for spec in fields(cls):
+        text = spec.type.removesuffix(" | None")
+        kind = _FIELD_TYPES.get(text)
+        if kind is not None:
+            checked.append((spec.name, kind, text != spec.type))
+    return tuple(checked)
+
+
 def _exact_fields(record: object) -> None:
     """Check that each int, float or str field, optional or not, of the
     dataclass ``record`` has exactly that type (a bool is not an int); an int
     given for a float field is stored as that float, as a file gives it back."""
     values = vars(record)
-    for spec in fields(record):
-        text = spec.type.removesuffix(" | None")
-        kind = _FIELD_TYPES.get(text)
-        if kind is not None:
-            value = _field(values, spec.name, kind, optional=text != spec.type, error=ValidationError)
-            object.__setattr__(record, spec.name, value)
+    for name, kind, optional in _checked_fields(type(record)):
+        value = _field(values, name, kind, optional=optional, error=ValidationError)
+        object.__setattr__(record, name, value)
 
 
 def _from_fields(cls: type, obj: Mapping, **given: object):

@@ -284,10 +284,12 @@ def _first_repeat(token_ids: list[str]) -> int:
 # u16 LE byte length + UTF-8 token id, and d float32 LE values. Readers accept
 # both by sniffing the magic. Where a binary record ends shows only from its two
 # lengths, so the reader walks the headers once, then decodes the records a
-# block at a time.
+# block at a time; both passes read the file in bounded pieces.
 
 _NUMBER_TYPES = {int, float}
-_BLOCK_RECORDS = 1024  # binary records decoded at a time
+_BLOCK_RECORDS = 1024  # binary records decoded at a time, from one read
+_READ_SIZE = 1 << 20  # bytes of one read of the binary record walk
+_LONGEST_HEADER = 2 * (2 + 0xFFFF)  # a word and a token id at their longest
 
 
 def load_samples(source: str | Path | IO[bytes]) -> Corpus:
@@ -298,28 +300,21 @@ def load_samples(source: str | Path | IO[bytes]) -> Corpus:
     file is parsed in one pass, one line at a time, by orjson; each line
     orjson refuses is decoded by the standard library, as the other
     JSON-lines readers decode it (see ``_io.json_lines``). An integer converts
-    to the nearest float. A stream that cannot seek is read into memory
-    whole, for the sniff of the magic. A binary file's bytes are read once,
-    decoded in place and freed, and a path closed, before the corpus is
-    checked.
+    to the nearest float. A binary file is never held whole: its records
+    are found and decoded in bounded reads (see ``_decode_binary``), and a
+    path is closed before the corpus is checked. A stream that cannot seek
+    is read into memory whole, for the sniff of the magic, and its bytes
+    are freed before the corpus is checked.
     """
     with opened(source) as stream:
-        if stream.seekable():
-            start = stream.tell()
-            end = stream.seek(0, io.SEEK_END)
+        if not stream.seekable():
+            stream = io.BytesIO(stream.read())
+        start = stream.tell()
+        if stream.read(len(EMBEDDING_MAGIC)) != EMBEDDING_MAGIC:
             stream.seek(start)
-            if stream.read(len(EMBEDDING_MAGIC)) != EMBEDDING_MAGIC:
-                stream.seek(start)
-                return _read_jsonl(stream)
-            # a sized read: ``read()`` would join the buffered bytes to the
-            # rest of the file, a second copy of it
-            data, offset = stream.read(end - stream.tell()), 0
-        else:
-            data, offset = stream.read(), len(EMBEDDING_MAGIC)
-            if not data.startswith(EMBEDDING_MAGIC):
-                return _read_jsonl(io.BytesIO(data))
-        decoded = _decode_binary(data, offset)
-        del data
+            return _read_jsonl(stream)
+        decoded = _decode_binary(stream)
+        del stream  # frees the bytes of a stream that was read whole
     return _checked_corpus(*decoded, lambda i: f"record {i}")
 
 
@@ -375,49 +370,48 @@ def _read_jsonl(stream: IO[bytes]) -> Corpus:
     )
 
 
-def _decode_binary(data: bytes, offset: int) -> tuple[list[str], list[str], list[int], np.ndarray]:
+def _decode_binary(stream: IO[bytes]) -> tuple[list[str], list[str], list[int], np.ndarray]:
     """The token ids, words, word indices and embeddings of a binary embedding
-    file, from its bytes after the magic, at ``offset`` in ``data``; nothing
-    returned refers to ``data``, so the caller checks them with it freed.
+    file, from a seekable ``stream`` just past its magic.
 
-    One walk over the record headers finds where each complete record
-    starts; the records are then decoded a block at a time, their string and
-    payload offsets computed in numpy. Decoding errors name the first faulty
-    record, as a record-by-record read finds them.
+    One walk over the record headers (``_record_starts``) finds where each
+    complete record starts; the records are then decoded ``_BLOCK_RECORDS``
+    at a time, each block from its own read, their string and payload
+    offsets computed in numpy, into the preallocated matrix. So the decode
+    holds the corpus plus one read, and nothing returned refers to a read.
+    Decoding errors name the first faulty record, as a record-by-record
+    read finds them.
     """
-    size = len(data)
-    if size - offset < 4:
+    header = stream.read(4)
+    if len(header) < 4:
         raise ParseError("binary embedding file truncated before header")
-    (dim,) = struct.unpack_from("<I", data, offset)
+    (dim,) = struct.unpack("<I", header)
     if dim == 0:
         raise ParseError("binary embedding file declares dimension 0")
     width = 4 * dim
-    starts = array("q")  # each complete record's offset in ``data``
-    append = starts.append
-    offset += 4
-    try:  # an IndexError ends the walk where a header lies past the data, as at its end
-        while True:
-            token = offset + 2 + (data[offset] | data[offset + 1] << 8)
-            end = token + 2 + (data[token] | data[token + 1] << 8) + width
-            if end > size:
-                break
-            append(offset)
-            offset = end
-    except IndexError:
-        pass
+    begin = stream.tell()
+    size = stream.seek(0, io.SEEK_END)
+    starts = _record_starts(stream, begin, size, width)
+    count = len(starts) - 1
+    offsets = np.frombuffer(starts, dtype=np.int64)
     token_ids: list[str] = []
     word_index: list[int] = []
     position: dict[bytes, int] = {}  # encoded word -> index into words
     words: list[str] = []
-    x = np.empty((len(starts), dim))
-    u8 = np.frombuffer(data, dtype=np.uint8)
-    lengths = sliding_window_view(u8, 2).view("<u2")[:, 0]  # the u16 LE at each offset
-    # row i views the ``width`` bytes at offset i; gathering a block's rows
-    # converts them without a float32 copy of the file
-    rows = sliding_window_view(u8, width) if starts else None
-    offsets = np.frombuffer(starts, dtype=np.int64)
-    for first in range(0, len(offsets), _BLOCK_RECORDS):
-        at = offsets[first : first + _BLOCK_RECORDS]
+    x = np.empty((count, dim))
+    for first in range(0, count, _BLOCK_RECORDS):
+        last = min(first + _BLOCK_RECORDS, count)
+        base = starts[first]
+        stream.seek(base)
+        data = stream.read(starts[last] - base)
+        if len(data) != starts[last] - base:
+            raise ParseError("binary embedding file changed while it was read")
+        u8 = np.frombuffer(data, dtype=np.uint8)
+        lengths = sliding_window_view(u8, 2).view("<u2")[:, 0]  # the u16 LE at each offset
+        # row i views the ``width`` bytes at offset i; gathering the block's
+        # rows converts them without a float32 copy of the read
+        rows = sliding_window_view(u8, width)
+        at = offsets[first:last] - base  # the block's records, as offsets in ``data``
         word_end = at + 2 + lengths[at]
         payload = word_end + 2 + lengths[word_end]
         word_a, word_b, token_a, token_b = (
@@ -432,10 +426,47 @@ def _decode_binary(data: bytes, offset: int) -> tuple[list[str], list[str], list
         except UnicodeDecodeError:
             raise _utf8_fault(data, first, word_a, word_b, token_a, token_b) from None
         word_index += index
-        x[first : first + at.size] = rows[payload].view("<f4")
-    if offset < size:
-        raise _truncation(data, offset, width, len(starts))
+        x[first:last] = rows[payload].view("<f4")
+    if starts[-1] < size:
+        stream.seek(starts[-1])
+        raise _truncation(stream.read(_LONGEST_HEADER), size - starts[-1], count)
     return token_ids, words, word_index, x
+
+
+def _record_starts(stream: IO[bytes], begin: int, size: int, width: int) -> array:
+    """The offset of each complete record in ``stream``, a binary file of
+    ``size`` bytes whose first record starts at ``begin``, then the offset
+    of the first incomplete record, or ``size``; ``width`` is the payload
+    size of a record.
+
+    The headers are walked in reads of ``_READ_SIZE`` bytes. Each read
+    starts at the first record the read before did not hold whole, so a
+    payload past the end of a read is skipped by seeking; a read too short
+    for one header is doubled.
+    """
+    starts = array("q")
+    append = starts.append
+    want = _READ_SIZE
+    while True:
+        stream.seek(begin)
+        data = stream.read(want)
+        limit = size - begin  # the end of the file, as an offset in ``data``
+        offset = 0
+        try:  # an IndexError ends the read where a header lies past its data
+            while True:
+                token = offset + 2 + (data[offset] | data[offset + 1] << 8)
+                end = token + 2 + (data[token] | data[token + 1] << 8) + width
+                if end > limit:
+                    break
+                append(begin + offset)
+                offset = end
+        except IndexError:
+            if len(data) < limit:  # the header lies in the rest of the file
+                want = _READ_SIZE if offset else 2 * want
+                begin += offset
+                continue
+        append(begin + offset)
+        return starts
 
 
 def _utf8_fault(data: bytes, first: int, *spans: list[int]) -> ParseError:
@@ -452,13 +483,15 @@ def _utf8_fault(data: bytes, first: int, *spans: list[int]) -> ParseError:
     raise AssertionError("no UTF-8 fault in the block")
 
 
-def _truncation(data: bytes, offset: int, width: int, record: int) -> ParseError:
-    """The error for the incomplete record at ``offset``."""
-    size = len(data)
+def _truncation(head: bytes, size: int, record: int) -> ParseError:
+    """The error for incomplete record ``record``: ``size`` bytes from its
+    start to the end of the file, of which ``head`` holds the first (at
+    least ``_LONGEST_HEADER``, or all of them)."""
+    offset = 0
     for _ in range(2):  # word, then token id
         if offset + 2 > size:
             return ParseError(f"record {record}: truncated record header")
-        offset += 2 + (data[offset] | data[offset + 1] << 8)
+        offset += 2 + (head[offset] | head[offset + 1] << 8)
         if offset > size:
             return ParseError(f"record {record}: truncated string payload")
     return ParseError(f"record {record}: truncated embedding payload")

@@ -48,7 +48,9 @@ extreme (``_first_index_of``), as ``np.argmin`` and ``np.argmax`` do.
 
 Memory. ``_sq_distances`` works one centre at a time in one (d, n) buffer,
 so no temporary is larger than the (n, d) data; with the columns, a fit
-holds two copies of its leaf plus (m, n) scores.
+holds two copies of its leaf plus (m, n) scores. Tagging holds less:
+``LeafGmm.assign`` gathers and scores ``_ASSIGN_ROWS`` rows at a time, so
+its temporaries stay one block's whatever the leaf's size.
 """
 
 from __future__ import annotations
@@ -81,6 +83,7 @@ KMEANS_SWEEPS = 10
 KMEANS_RESTARTS = 4
 EM_MAX_ITERS = 200
 EM_REL_TOL = 1e-6
+_ASSIGN_ROWS = 4096  # rows ``LeafGmm.assign`` scores at a time
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
@@ -152,11 +155,22 @@ class LeafGmm:
         """``_log_joint`` of (n, d) rows under this mixture: (m, n)."""
         return _log_joint(_columns(x), self.means, self.variances, self.log_norm, self.log_weights)
 
-    def assign(self, x: np.ndarray) -> np.ndarray:
-        """The maximum-posterior component of each of (n, d) rows, ties to the
-        smallest index, as ``np.argmax(self.log_joint(x), axis=0)``."""
-        joint = self.log_joint(x)
-        return _first_index_of(joint, joint.max(axis=0))
+    def assign(self, x: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """The maximum-posterior component of each of (n, d) rows, or of the
+        rows of ``x`` that ``rows`` indexes, ties to the smallest index, as
+        ``np.argmax(self.log_joint(x[rows]), axis=0)``.
+
+        Rows are scored ``_ASSIGN_ROWS`` at a time, so no temporary is
+        larger than a block; every column is scored on its own, so blocks
+        give the bits one call over all rows gives.
+        """
+        n = x.shape[0] if rows is None else rows.size
+        out = np.empty(n, dtype=np.intp)
+        for start in range(0, n, _ASSIGN_ROWS):
+            block = slice(start, start + _ASSIGN_ROWS)
+            joint = self.log_joint(x[block] if rows is None else x[rows[block]])
+            out[block] = _first_index_of(joint, joint.max(axis=0))
+        return out
 
     def to_dict(self) -> dict:
         """The model file's record; ``tolist`` gives floats JSON writes exactly."""

@@ -225,9 +225,10 @@ def tag_tokens(
 
     Returns two integer arrays aligned with ``samples``: each token's leaf
     index (into ``model.tree.leaf_letters``) and its maximum-posterior
-    component, ties to the smallest index. Each leaf's tokens are scored
-    together, one leaf at a time; a squared distance that overflows float64
-    raises a ``ValidationError`` naming the leaf.
+    component, ties to the smallest index. One leaf at a time, its tokens
+    are scored in blocks of rows read from the corpus matrix (see
+    ``LeafGmm.assign``), never copied whole; a squared distance that
+    overflows float64 raises a ``ValidationError`` naming the leaf.
     """
     corpus = Corpus.of(samples)
     if not corpus:
@@ -246,7 +247,7 @@ def tag_tokens(
         if rows.size:
             letter = model.tree.leaf_letters[leaf]
             with _in_float64_range(letter):
-                components[rows] = model.gmms[letter].assign(corpus.x[rows])
+                components[rows] = model.gmms[letter].assign(corpus.x, rows)
     return leaves, components
 
 

@@ -192,7 +192,12 @@ class GrowthTrace:
 
     def __post_init__(self) -> None:
         _exact_fields(self)
+        object.__setattr__(self, "records", tuple(self.records))
         for step, record in enumerate(self.records, 1):
+            if not isinstance(record, SplitRecord):
+                raise ModelFormatError(
+                    f"growth_trace row {step} is {type(record).__name__}, not a SplitRecord"
+                )
             if record.step != step:
                 raise ModelFormatError(f"growth_trace row {step} records step {record.step}")
 
@@ -309,11 +314,18 @@ class _Growth:
         for qi, q in enumerate(questions):
             self.answers[:, qi] = columns.answer(q, classes)
 
+    def words(self, widx: np.ndarray) -> np.ndarray | slice:
+        """The index of a leaf's words into the word arrays: a full slice for
+        the root, which holds every word, so its arrays are read in place, not
+        gathered; both read the same values in the same layout."""
+        return slice(None) if widx.size == self.counts.size else widx
+
     def leaf_stats(self, widx: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+        words = self.words(widx)
         return (
-            int(self.counts[widx].sum()),
-            self.sums[widx].sum(axis=0),
-            self.sumsqs[widx].sum(axis=0),
+            int(self.counts[words].sum()),
+            self.sums[words].sum(axis=0),
+            self.sumsqs[words].sum(axis=0),
         )
 
     def leaf_ll(self, widx: np.ndarray) -> float:
@@ -322,9 +334,9 @@ class _Growth:
 
     def best_split(self, leaf: _Leaf) -> tuple[int, float] | None:
         """Best (question column, gain) for a leaf, or None if nothing is valid."""
-        widx = leaf.widx
-        side = self.answers[widx].astype(np.float64)  # the yes side, then the no side
-        counts = self.counts[widx]
+        words = self.words(leaf.widx)
+        side = self.answers[words].astype(np.float64)  # the yes side, then the no side
+        counts = self.counts[words]
         n_parent = int(counts.sum())
         # exact: integer counts stay far below 2**53
         n_yes = (side.T @ counts.astype(np.float64)).astype(np.int64)
@@ -335,7 +347,7 @@ class _Growth:
         # both sides go through the same matmul path: questions inducing
         # complementary or identical partitions then tie bitwise, so the
         # first-max argmax resolves them to the smallest question id
-        sums, sumsqs = self.sums[widx], self.sumsqs[widx]
+        sums, sumsqs = self.sums[words], self.sumsqs[words]
         sum_yes = side.T @ sums
         sumsq_yes = side.T @ sumsqs
         np.subtract(1.0, side, out=side)

@@ -6,6 +6,7 @@ pure-Python implementation (tests/oracles.py) and frozen here.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
@@ -700,6 +701,45 @@ class TestBinaryReader:
             else:
                 assert got.token_ids == want.token_ids, size
 
+    @staticmethod
+    @contextlib.contextmanager
+    def small_reads(read_size: int):
+        """Reads of ``read_size`` bytes and blocks of two records, so headers,
+        records and UTF-8 faults straddle the reads and the blocks."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gaussian, "_READ_SIZE", read_size)
+            patch.setattr(gaussian, "_BLOCK_RECORDS", 2)
+            yield
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=damaged_binary_files(), read_size=st.sampled_from([1, 5, 64]))
+    def test_small_reads_match_record_by_record_reader(self, data, read_size):
+        with self.small_reads(read_size):
+            self.test_matches_record_by_record_reader.hypothesis.inner_test(self, data)
+
+    @pytest.mark.parametrize("read_size", [1, 2, 3, 5, 64])
+    def test_small_reads_check_what_one_read_checks(self, read_size):
+        with self.small_reads(read_size):
+            self.test_token_id_checked_before_its_word()
+            self.test_every_truncation_matches_record_by_record_reader()
+
+    def test_file_that_shrinks_between_reads(self):
+        """A file cut after the header walk is a ``ParseError``, not an
+        index error."""
+        data = binary_file(*[(b"w", f"t{i}".encode(), [1.0, 2.0]) for i in range(4)])
+        stream = io.BytesIO(data)
+        walk = gaussian._record_starts
+
+        def walk_then_cut(*args):
+            starts = walk(*args)
+            stream.truncate(len(data) - 1)
+            return starts
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gaussian, "_record_starts", walk_then_cut)
+            with pytest.raises(ParseError, match="changed while it was read"):
+                load_samples(stream)
+
 
 class TestBoundedMemory:
     """``load_samples`` holds about one line at a time beside the corpus it
@@ -711,14 +751,14 @@ class TestBoundedMemory:
     when the duplicate-id check held a set of the ids."""
 
     @staticmethod
-    def peak_above_corpus(path) -> int:
+    def peak_above_corpus(path, n: int = 5000) -> int:
         tracemalloc.start()
         try:
             corpus = load_samples(path)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(corpus) == 5000
+        assert len(corpus) == n
         return peak - held
 
     @staticmethod
@@ -762,6 +802,15 @@ class TestBoundedMemory:
         path = tmp_path / "embeddings.bin"
         save_samples(self.corpus(64), path, binary=True)
         assert self.peak_above_corpus(path) < path.stat().st_size + (1 << 20)
+
+    def test_binary_peak_is_reads_not_the_file(self, tmp_path):
+        """A file of several reads peaks under two reads above the corpus,
+        whatever its size: 1.4 MB at this 5.4 MB file, where holding the
+        file whole read 6.2 MB."""
+        path = tmp_path / "embeddings.bin"
+        save_samples(self.corpus(64, n=20_000), path, binary=True)
+        assert path.stat().st_size > 4 * gaussian._READ_SIZE
+        assert self.peak_above_corpus(path, n=20_000) < 2 * gaussian._READ_SIZE
 
     def test_binary_bytes_freed_before_checks(self, tmp_path, monkeypatch):
         """The corpus checks start with the decoded records held, not the
